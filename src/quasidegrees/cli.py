@@ -46,7 +46,7 @@ from .qdeg import (
     quasidegrees_module,
     quasidegrees_monomial,
 )
-from .stdpairs import degree_via_pairs, standard_pairs
+from .stdpairs import degree_from_pairs, standard_pairs
 from .toric import normalized_volume, to_a_graded_ring, toric_ideal
 
 ORDERS = {"grevlex": GREVLEX, "lex": LEX}
@@ -273,7 +273,7 @@ def cmd_std_pairs(job: Job, args) -> None:
     ring = build_ring(job, args.order)
     exps = _monomial_exps(job, ring)
     pairs = standard_pairs(exps, ring.nvars)
-    deg = degree_via_pairs(exps, ring.nvars)
+    deg = degree_from_pairs(pairs)
     lines = []
     for p in pairs:
         root = render_polynomial(Polynomial.monomial(p.root), ring)
@@ -437,7 +437,11 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-beta", help="classify a degree as rank-jumping")
     common(p)
-    p.add_argument("beta", help="comma-separated degree, e.g. '3/2,0,-2'")
+    p.add_argument(
+        "beta",
+        help="comma-separated degree, e.g. '3/2,0,-2'; a degree that starts "
+        "with '-' goes after '--', as in: check-beta job.json -- -1,2,0",
+    )
     return parser
 
 

@@ -11,7 +11,8 @@ Grammar (whitespace ignored between tokens):
 INT is a nonnegative decimal integer, NAME an identifier matching
 [A-Za-z][A-Za-z0-9_]*. Division is only allowed by nonzero constants
 (rational coefficients like 3/2*x are fine; x/y is not). Exponents must be
-nonnegative integer literals.
+nonnegative integer literals. Parentheses nest at most MAX_NESTING deep;
+deeper input is a ParseError rather than a blown recursion limit.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ class UnknownVariableError(ParseError):
     def __init__(self, name: str, position: int):
         super().__init__(f"unknown variable {name!r}", position)
         self.name = name
+
+
+MAX_NESTING = 100
 
 
 class _Token(NamedTuple):
@@ -73,6 +77,7 @@ class _Parser:
     def __init__(self, text: str, ring: GradedRing):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
         self.ring = ring
 
     def peek(self) -> _Token:
@@ -159,8 +164,14 @@ class _Parser:
                 raise UnknownVariableError(tok.text, tok.pos) from None
             return self.ring.variable(j)
         if tok.kind == "OP" and tok.text == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested deeper than {MAX_NESTING}", tok.pos
+                )
+            self.depth += 1
             f = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return f
         raise ParseError(
             f"expected a number, variable, or parenthesis, got {tok.text!r}"

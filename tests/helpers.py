@@ -6,6 +6,7 @@ Groebner machinery: they enumerate monomials of a multidegree directly
 computations, so they can referee the algebraic code.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from quasidegrees.poly import (
     exps_divides,
     homogeneous_degree,
 )
+from quasidegrees.stdpairs import StandardPair, minimal_generators, pair_contains
 
 
 def hilbert_quotient_dim(ring: GradedRing, gens, beta) -> int:
@@ -129,3 +131,39 @@ def random_monomial_ideal(rng: random.Random, nvars, max_gens=4, max_exp=4):
         if any(e):
             gens.append(e)
     return gens
+
+
+def brute_force_standard_pairs(gens, nvars):
+    """Reference standard pairs: box search over every face, then a filter.
+
+    For each face Z, the candidate roots are the monomials off Z below the
+    largest generator exponents that avoid the projection of the ideal;
+    the standard pairs are the candidates no other candidate contains.
+    Exponential in nvars and quadratic in the candidate count, so only
+    for small ideals.
+    """
+    gens = minimal_generators(gens)
+    if any(not any(g) for g in gens):
+        return []
+    maxexp = [max((g[i] for g in gens), default=0) for i in range(nvars)]
+    candidates = []
+    for bits in range(1 << nvars):
+        face = frozenset(i for i in range(nvars) if bits >> i & 1)
+        comp = [i for i in range(nvars) if i not in face]
+        projected = [tuple(g[i] if i in comp else 0 for i in range(nvars)) for g in gens]
+        if any(not any(p) for p in projected):
+            continue
+        for combo in itertools.product(*[range(maxexp[i]) for i in comp]):
+            root = [0] * nvars
+            for i, v in zip(comp, combo):
+                root[i] = v
+            root = tuple(root)
+            if not any(exps_divides(p, root) for p in projected):
+                candidates.append(StandardPair(root, face))
+    out = [
+        p
+        for p in candidates
+        if not any(q is not p and pair_contains(p, q) for q in candidates)
+    ]
+    out.sort(key=StandardPair.sort_key)
+    return out

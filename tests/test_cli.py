@@ -1,6 +1,9 @@
 import json
+import os
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +26,19 @@ A35_JOB = {
     ]
 }
 CUBIC_JOB = {"matrix": [[1, 1, 1, 1], [0, 1, 2, 3]]}
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_module(*argv):
+    """Run ``python -m quasidegrees`` in a child process that imports src/."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+    return subprocess.run(
+        [sys.executable, "-m", "quasidegrees", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
 
 
 @pytest.fixture
@@ -61,6 +77,20 @@ def test_std_pairs_machine(job_file, capsys):
     assert len(doc["input_sha256"]) == 64
     assert doc["degree"] == 1
     assert {"root": [0, 0, 0], "face": [0, 2]} in doc["pairs"]
+
+
+def test_std_pairs_principal_power_is_linear(job_file, capsys):
+    # x^3000*y^3000: 3000 pairs along each axis; the box search hung here
+    job = {"variables": ["x", "y"], "grading": "standard", "ideal": ["x^3000*y^3000"]}
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, ["std-pairs", job_file(job)])
+    elapsed = time.perf_counter() - t0
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 6001
+    assert lines[0] == "1 * [x]" and lines[-2] == "x^2999 * [y]"
+    assert lines[-1] == "degree 6000"
+    assert elapsed < 20.0, f"std-pairs took {elapsed:.1f}s"
 
 
 def test_std_pairs_rejects_non_monomial(job_file, capsys):
@@ -181,6 +211,13 @@ def test_check_beta(job_file, capsys):
     assert out.startswith("EXPECTED-RANK vol(A)=4")
 
 
+def test_check_beta_negative_first_entry_after_double_dash(job_file, capsys):
+    # (-1, 0, 3) lies on the exceptional line (0,0,1) + C(1,0,-2) of A35
+    code, out, _ = run(capsys, ["check-beta", job_file(A35_JOB), "--", "-1,0,3"])
+    assert code == 0
+    assert out.startswith("RANK-JUMP at beta=(-1, 0, 3)")
+
+
 def test_check_beta_machine(job_file, capsys):
     code, out, _ = run(
         capsys, ["check-beta", job_file(A35_JOB), "0,0,1", "--format", "machine"]
@@ -216,6 +253,14 @@ def test_unknown_variable_is_parse_error(job_file, capsys):
     job = dict(MONOMIAL_JOB, ideal=["x*w"])
     code, _, _ = run(capsys, ["qdeg", job_file(job)])
     assert code == 2
+
+
+def test_deeply_nested_polynomial_is_parse_error(job_file):
+    job = dict(MONOMIAL_JOB, ideal=["(" * 3000 + "x" + ")" * 3000])
+    proc = run_module("std-pairs", job_file(job))
+    assert proc.returncode == 2
+    assert "nested" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_missing_sections(job_file, capsys):
@@ -256,10 +301,6 @@ def test_bad_matrix_entries(job_file, capsys):
 
 
 def test_module_entry_point(job_file):
-    proc = subprocess.run(
-        [sys.executable, "-m", "quasidegrees", "volume", job_file(CUBIC_JOB)],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module("volume", job_file(CUBIC_JOB))
     assert proc.returncode == 0
     assert proc.stdout.strip() == "volume 3"

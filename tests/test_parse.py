@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from quasidegrees.parse import (
+    MAX_NESTING,
     ParseError,
     UnknownVariableError,
     parse_polynomial,
@@ -28,6 +29,14 @@ def test_parse_powers_and_parens():
     f = parse_polynomial("(x + y)^2", R3)
     g = parse_polynomial("x^2 + 2*x*y + y^2", R3)
     assert f == g
+
+
+def test_parse_nesting_limit():
+    deep = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert parse_polynomial(deep, R3) == parse_polynomial("x", R3)
+    for depth in (MAX_NESTING + 1, 3000):
+        with pytest.raises(ParseError, match="nested"):
+            parse_polynomial("(" * depth + "x" + ")" * depth, R3)
 
 
 def test_parse_unary_minus():

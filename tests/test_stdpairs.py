@@ -1,9 +1,10 @@
 import itertools
 import random
+import time
 
 import pytest
 
-from helpers import random_monomial_ideal
+from helpers import brute_force_standard_pairs, random_monomial_ideal
 from quasidegrees.poly import exps_divides
 from quasidegrees.stdpairs import (
     StandardPair,
@@ -148,3 +149,76 @@ def test_standard_pairs_properties_random():
         # and completeness: every valid pair is contained in a returned pair
         for q in valid:
             assert any(pair_contains(q, p) for p in pairs)
+
+
+def test_standard_pairs_match_brute_force():
+    rng = random.Random(20261018)
+    cases = [
+        ([], 3),  # zero ideal
+        ([(0, 0, 0)], 3),  # unit ideal
+        ([(1, 2), (0, 0), (3, 1)], 2),  # unit ideal among other generators
+        ([(2, 1), (1, 1), (2, 1), (3, 0), (1, 3)], 2),  # repeats and multiples
+    ]
+    while len(cases) < 220:
+        nvars = rng.randint(1, 4)
+        gens = [
+            tuple(rng.randint(0, 4) for _ in range(nvars))
+            for _ in range(rng.randint(0, 5))
+        ]
+        if gens and rng.random() < 0.5:
+            # a multiple of a generator makes the generating set non-minimal
+            g = rng.choice(gens)
+            gens.append(tuple(e + rng.randint(0, 2) for e in g))
+        cases.append((gens, nvars))
+    for gens, nvars in cases:
+        assert standard_pairs(gens, nvars) == brute_force_standard_pairs(gens, nvars)
+
+
+def test_standard_pairs_match_brute_force_five_variables():
+    gens = [
+        (2, 1, 0, 0, 1),
+        (0, 3, 1, 0, 0),
+        (1, 0, 2, 2, 0),
+        (0, 0, 0, 3, 1),
+        (3, 0, 0, 1, 2),
+        (0, 1, 1, 0, 3),
+    ]
+    assert standard_pairs(gens, 5) == brute_force_standard_pairs(gens, 5)
+
+
+def test_standard_pairs_six_variables_cover_and_maximality():
+    # the box search and pairwise filter took over a minute on ideals of
+    # this shape
+    rng = random.Random(6)
+    nvars, bound = 6, 6
+    gens = [tuple(rng.randint(0, 4) for _ in range(nvars)) for _ in range(7)]
+
+    def admissible(root, face):
+        return not any(
+            all(g[j] <= root[j] for j in range(nvars) if j not in face) for g in gens
+        )
+
+    t0 = time.perf_counter()
+    pairs = standard_pairs(gens, nvars)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 10.0, f"standard_pairs took {elapsed:.1f}s"
+    for p in pairs:
+        assert admissible(p.root, p.face)
+        for i in range(nvars):
+            if i not in p.face:
+                wider = p.root[:i] + (0,) + p.root[i + 1 :]
+                assert not admissible(wider, p.face | {i})
+        for q in pairs:
+            assert p is q or not pair_contains(p, q)
+    covered = set()
+    for p in pairs:
+        axes = [
+            range(bound + 1) if i in p.face else (p.root[i],) for i in range(nvars)
+        ]
+        covered.update(itertools.product(*axes))
+    outside = {
+        e
+        for e in itertools.product(range(bound + 1), repeat=nvars)
+        if not in_ideal(e, gens)
+    }
+    assert covered == outside
