@@ -15,10 +15,15 @@ import argparse
 import itertools
 import json
 import pathlib
+import sys
 import time
 from fractions import Fraction
 
-from quasidegrees import (
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+# run from a checkout without installing: import the package from src/
+sys.path.insert(0, str(ROOT / "src"))
+
+from quasidegrees import (  # noqa: E402
     GradedPresentation,
     IntMatrix,
     normalized_volume,
@@ -26,9 +31,9 @@ from quasidegrees import (
     to_a_graded_ring,
     toric_ideal,
 )
-from quasidegrees.cli import format_plane
+from quasidegrees.cli import format_plane  # noqa: E402
 
-DEFAULT_JOB = pathlib.Path(__file__).resolve().parent.parent / "jobs" / "rank_jump_demo.json"
+DEFAULT_JOB = ROOT / "jobs" / "rank_jump_demo.json"
 
 
 def main() -> None:

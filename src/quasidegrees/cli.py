@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -326,9 +327,10 @@ def cmd_qlc(job: Job, args) -> None:
     ring = build_ring(job, args.order)
     P = build_presentation(job, ring, allow_toric=True)
     if args.i is not None:
-        if not 0 <= args.i < ring.grading_rank:
+        if not 0 <= args.i <= ring.nvars:
             raise JobError(
-                f"cohomological index must lie in [0, {ring.grading_rank})"
+                f"cohomological index must lie in [0, {ring.nvars}], "
+                "the number of variables"
             )
         q = qlc(P, args.i)
     else:
@@ -339,6 +341,27 @@ def cmd_qlc(job: Job, args) -> None:
         [format_plane(p) for p in q.planes] or ["empty"],
         {"planes": [_plane_json(p) for p in q.planes]},
     )
+
+
+# a degree argument: comma-separated integers or fractions, each signed;
+# kept as text so that importing the CLI compiles nothing
+DEGREE_PATTERN = r"\s*-?\d+(/\d+)?\s*(,\s*-?\d+(/\d+)?\s*)*"
+
+
+def _shield_negative_degree(argv: Sequence[str]) -> list[str]:
+    """Move a check-beta degree that starts with '-' behind '--'.
+
+    argparse reads a token like -1,0,3 as an option and then misses the
+    positional degree. Command lines that already hold '--' are left as
+    they are.
+    """
+    argv = list(argv)
+    if argv[:1] != ["check-beta"] or "--" in argv:
+        return argv
+    for k, token in enumerate(argv):
+        if token.startswith("-") and re.fullmatch(DEGREE_PATTERN, token):
+            return argv[:k] + argv[k + 1 :] + ["--", token]
+    return argv
 
 
 def parse_degree(text: str, rank: int) -> tuple[Fraction, ...]:
@@ -428,7 +451,12 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("qlc", help="quasidegrees of local cohomology")
     common(p)
-    p.add_argument("--i", type=int, default=None, help="single cohomological degree")
+    p.add_argument(
+        "--i",
+        type=int,
+        default=None,
+        help="single cohomological degree, 0 to the number of variables",
+    )
     p.add_argument(
         "--reduce",
         action="store_true",
@@ -437,17 +465,13 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-beta", help="classify a degree as rank-jumping")
     common(p)
-    p.add_argument(
-        "beta",
-        help="comma-separated degree, e.g. '3/2,0,-2'; a degree that starts "
-        "with '-' goes after '--', as in: check-beta job.json -- -1,2,0",
-    )
+    p.add_argument("beta", help="comma-separated degree, e.g. '3/2,0,-2' or '-1,2,0'")
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = make_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_shield_negative_degree(sys.argv[1:] if argv is None else argv))
     try:
         job = Job.load(args.job)
         args.job_digest = job.digest

@@ -12,32 +12,42 @@ H^i_m(M) is obtained from that of Ext^(n-i)(M, R) by mapping each plane
 base to -base - eps (spans are preserved: negating a linear span changes
 nothing).
 
-Ext is computed from a Schreyer resolution: repeated syzygy computations,
-each level ordered by the lead terms of the previous level's generators.
-The resolutions are not minimal, which is harmless here because Ext (and
-everything derived from it) only depends on the module.
+Ext is computed from a minimal graded free resolution: repeated Schreyer
+syzygy computations, each level ordered by the lead terms of the previous
+level's generators, and each level cut down to a minimal generating
+subset (graded Nakayama, by exact linear algebra degree by degree) before
+its syzygies are taken. F_0 is the presentation's free module as given,
+so when the presentation has no unit entry the ranks are the graded
+Betti numbers; the length is at most nvars. A presentation builds that
+resolution once, on first use, and every Ext of it, hence every local
+cohomology module that ``qlc`` and ``qlc_total`` ask for, reads the
+same one.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
 from .groebner import (
     ModKey,
+    ModTerm,
     VecPoly,
     Vector,
     schreyer_key,
     top_key,
     vec_lead,
     vec_lift,
+    vec_sub_scaled,
     vec_syzygies,
     vec_to_vector,
     vector_to_vec,
 )
 from .planes import AffinePlane, QuasidegreeSet, remove_redundancy
-from .poly import GradedRing, Polynomial
+from .poly import Exps, GradedRing, Polynomial, exps_add, exps_divides, exps_sub
 from .qdeg import InhomogeneousError, quasidegrees_module, vector_degree
 
 Shifts = tuple[tuple[int, ...], ...]
@@ -70,6 +80,12 @@ class GradedPresentation:
         """R/<gens> as a presentation of the rank-one free module."""
         zero = (0,) * ring.grading_rank
         return cls(ring, (zero,), tuple((g,) for g in gens if not g.is_zero()))
+
+    @cached_property
+    def _resolution(self) -> "FreeResolution":
+        """The full minimal resolution, built on first use and shared by
+        every Ext (and so every local cohomology) of this module."""
+        return free_resolution(self)
 
 
 @dataclass(frozen=True)
@@ -105,29 +121,103 @@ def _vec_degree_checked(w: VecPoly, shifts: Shifts, ring: GradedRing) -> tuple[i
     return deg
 
 
-def free_resolution(P: GradedPresentation, max_length: int | None = None) -> FreeResolution:
-    """Schreyer resolution of coker(P), of length at most ``max_length``.
+def _echelon_insert(echelon: dict[ModTerm, VecPoly], v: VecPoly, zero: Exps) -> bool:
+    """Add v to a sparse row echelon keyed by each row's largest term.
 
-    Stops early when a syzygy module vanishes, at which point the
-    resolution is complete (exact with a final zero kernel). The default
-    length cap is nvars + 1, enough for Ext in every valid cohomological
-    degree even though the resolution is not minimal.
+    With distinct keys, the largest term of any nonzero combination of
+    rows is one of the keys, so v lies in the span exactly when top
+    reduction clears it. Returns True (and stores the reduced v) when v
+    is independent of the rows.
+    """
+    v = dict(v)
+    while v:
+        t = max(v)
+        row = echelon.get(t)
+        if row is None:
+            echelon[t] = v
+            return True
+        vec_sub_scaled(v, v[t] / row[t], zero, row)
+    return False
+
+
+def _minimal_subset(
+    cols: Sequence[VecPoly], degs: Sequence[tuple[int, ...]], ring: GradedRing
+) -> list[int]:
+    """Indices of a minimal generating subset of the module spanned by cols.
+
+    Graded Nakayama: walking the degrees in heft order, a column of degree
+    delta is redundant iff it lies in the Q-span of the degree-delta
+    multiples x^a * g of the kept columns g of lower degree together with
+    the kept columns of degree delta. Each degree gets one sparse echelon
+    over the module terms. Only multiples connected to the column through
+    shared terms can take part in writing it, so they are found by a walk
+    outward from its terms (x^a * g meets the term x^e e_p exactly when
+    x^a = x^e / t for a term t e_p of g) instead of by enumerating every
+    monomial of the degree gap. Indices come back in their input order.
+    """
+    zero = (0,) * ring.nvars
+    heft = ring.heft
+    order = sorted(
+        range(len(cols)),
+        key=lambda k: (sum(h * d for h, d in zip(heft, degs[k])), degs[k], k),
+    )
+    kept: list[int] = []
+    for _, group in itertools.groupby(order, key=degs.__getitem__):
+        lower = list(kept)
+        echelon: dict[ModTerm, VecPoly] = {}
+        visited: set[ModTerm] = set()
+        multiples: set[tuple[int, Exps]] = set()
+        for k in group:
+            stack = [t for t in cols[k] if t not in visited]
+            visited.update(stack)
+            while stack:
+                pos, e = stack.pop()
+                for m in lower:
+                    for mpos, me in cols[m]:
+                        if mpos != pos or not exps_divides(me, e):
+                            continue
+                        a = exps_sub(e, me)
+                        if (m, a) in multiples:
+                            continue
+                        multiples.add((m, a))
+                        shifted = {(p, exps_add(a, x)): c for (p, x), c in cols[m].items()}
+                        _echelon_insert(echelon, shifted, zero)
+                        fresh = [t for t in shifted if t not in visited]
+                        visited.update(fresh)
+                        stack.extend(fresh)
+            if _echelon_insert(echelon, cols[k], zero):
+                kept.append(k)
+    return sorted(kept)
+
+
+def free_resolution(P: GradedPresentation, max_length: int | None = None) -> FreeResolution:
+    """Minimal graded free resolution of coker(P), cut after ``max_length``
+    differentials when that is given.
+
+    Each level keeps a minimal generating subset of its columns (see
+    ``_minimal_subset``) before its syzygies are taken, starting with the
+    presentation's own columns; F_0 is the presentation's free module as
+    given. Every differential after the first therefore has no unit
+    entry, and when the first has none either the ranks are the graded
+    Betti numbers of coker(P). Syzygies come from
+    Schreyer's construction on the kept columns, so the resolution ends,
+    after at most nvars differentials, when a syzygy module vanishes.
     """
     ring = P.ring
     n = ring.nvars
-    if max_length is None:
-        max_length = n + 1
-    if max_length < 0:
+    if max_length is not None and max_length < 0:
         raise ValueError("negative resolution length")
     shift_levels: list[Shifts] = [P.shifts]
     diffs: list[tuple[Vector, ...]] = []
     key: ModKey = top_key(ring.order)
     cols = [vector_to_vec(c) for c in P.columns if any(f for f in c)]
-    while cols and len(diffs) < max_length:
+    while cols and (max_length is None or len(diffs) < max_length):
         level = len(diffs)
-        degs = tuple(_vec_degree_checked(w, shift_levels[level], ring) for w in cols)
+        degs = [_vec_degree_checked(w, shift_levels[level], ring) for w in cols]
+        keep = _minimal_subset(cols, degs, ring)
+        cols = [cols[k] for k in keep]
         diffs.append(tuple(vec_to_vector(w, len(shift_levels[level]), n) for w in cols))
-        shift_levels.append(degs)
+        shift_levels.append(tuple(degs[k] for k in keep))
         if len(diffs) == max_length:
             break
         syz = vec_syzygies(cols, key, n)
@@ -168,13 +258,14 @@ def ext_presentation(P: GradedPresentation, j: int) -> GradedPresentation:
     ker(phi_(j+1)^T) / im(phi_j^T) inside F_j^T, whose generator degrees
     are the negated shifts of F_j. Generators: kernel elements K of the
     transposed differential; relations: syzygies of K plus the columns of
-    phi_j^T lifted through K.
+    phi_j^T lifted through K, all in one lift (one Groebner transcript of
+    K). The resolution is the one P shares across all j.
     """
     ring = P.ring
     n = ring.nvars
     if j < 0 or j > n:
         raise ValueError("cohomological degree out of range")
-    res = free_resolution(P, max_length=j + 1)
+    res = P._resolution
     L = res.length
     if j > L:
         return GradedPresentation(ring, (), ())
@@ -187,7 +278,7 @@ def ext_presentation(P: GradedPresentation, j: int) -> GradedPresentation:
         phi_next = res.differentials[j]
         tcols = _transpose_columns(phi_next, t_j, n)
         tcols_vec = [vector_to_vec(c) for c in tcols]
-        K = vec_syzygies(tcols_vec, top_key(ring.order), n)
+        K = vec_syzygies(tcols_vec, mkey, n)
     else:
         # the next differential is zero, so the kernel is everything
         K = [{(k, (0,) * n): Fraction(1)} for k in range(t_j)]
@@ -197,11 +288,10 @@ def ext_presentation(P: GradedPresentation, j: int) -> GradedPresentation:
     relations: list[VecPoly] = list(vec_syzygies(K, mkey, n))
     if j >= 1:
         phi_j = res.differentials[j - 1]
-        for target in _transpose_columns(phi_j, res.rank(j - 1), n):
-            tv = vector_to_vec(target)
-            if not tv:
-                continue
-            relations.append(vec_lift([tv], K, mkey)[0])
+        targets = [vector_to_vec(c) for c in _transpose_columns(phi_j, res.rank(j - 1), n)]
+        targets = [tv for tv in targets if tv]
+        if targets:
+            relations.extend(vec_lift(targets, K, mkey))
     cols = tuple(
         vec_to_vector(r, len(K), n) for r in relations if r
     )
@@ -239,7 +329,8 @@ def qlc_total(P: GradedPresentation) -> QuasidegreeSet:
 
     For a module of dimension d this collects the quasidegrees of all
     local cohomology below the top one; a module with vanishing union
-    (for example a Cohen-Macaulay quotient) yields the empty set.
+    (for example a Cohen-Macaulay quotient) yields the empty set. All the
+    Ext modules involved come from the one resolution of P.
     """
     planes: list[AffinePlane] = []
     for i in range(P.ring.grading_rank):

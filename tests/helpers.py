@@ -81,6 +81,63 @@ def hilbert_coker_dim(ring: GradedRing, columns, shifts, beta) -> int:
     return len(basis) - rank
 
 
+def graded_map_rank(ring: GradedRing, columns, source_shifts, beta) -> int:
+    """rank of the beta piece of a graded map out of R(-source_shifts), exactly.
+
+    ``columns[k]`` is the image of the k-th source generator, a tuple of
+    polynomials over the target components. The beta piece of the source
+    has basis (k, u) with deg x^u = beta - source_shifts[k]; its image is
+    x^u * columns[k], written in the monomial basis of the target.
+    """
+    beta = tuple(beta)
+    rows = []
+    for col, s in zip(columns, source_shifts):
+        for u in ring.monomials_of_degree(tuple(b - x for b, x in zip(beta, s))):
+            row = {}
+            for k, f in enumerate(col):
+                for e, c in f.terms.items():
+                    row[(k, exps_add(u, e))] = c
+            rows.append(row)
+    if not rows:
+        return 0
+    index = {}
+    for row in rows:
+        for key in row:
+            index.setdefault(key, len(index))
+    dense = [[Fraction(0)] * len(index) for _ in rows]
+    for dr, row in zip(dense, rows):
+        for key, c in row.items():
+            dr[index[key]] = c
+    return rational_rank(dense)
+
+
+def free_module_dim(ring: GradedRing, shifts, beta) -> int:
+    """dim_Q of the beta piece of the free module R(-shifts)."""
+    return sum(
+        sum(1 for _ in ring.monomials_of_degree(tuple(b - x for b, x in zip(beta, s))))
+        for s in shifts
+    )
+
+
+def complex_is_exact_at(ring: GradedRing, shifts, differentials, beta) -> bool:
+    """Is F_0 <- F_1 <- ... <- F_L exact at every F_i, i >= 1, in degree beta?
+
+    ``differentials[i]`` holds the columns of F_(i+1) -> F_i and
+    ``shifts[i]`` the generator degrees of F_i. Exactness at F_i means
+    dim ker(d_i) = rank(d_(i+1)) there, with d_(L+1) = 0.
+    """
+    ranks = [
+        graded_map_rank(ring, cols, shifts[i + 1], beta)
+        for i, cols in enumerate(differentials)
+    ]
+    ranks.append(0)
+    for i in range(1, len(shifts)):
+        kernel = free_module_dim(ring, shifts[i], beta) - ranks[i - 1]
+        if kernel != ranks[i]:
+            return False
+    return True
+
+
 def standard_monomial_count(ring: GradedRing, lead_exps, beta) -> int:
     """dim_Q (R/in(I))_beta: monomials of the degree outside the lead terms."""
     return sum(

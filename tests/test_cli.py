@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from quasidegrees.cli import main
+from quasidegrees.cli import format_plane, main
 from quasidegrees.groebner import ideal_equal
+from quasidegrees.homology import GradedPresentation, qlc
 from quasidegrees.linalg import IntMatrix
 from quasidegrees.parse import parse_polynomial
 from quasidegrees.toric import to_a_graded_ring, toric_ideal
@@ -198,6 +199,30 @@ def test_qlc_bad_index(job_file, capsys):
     assert "index" in err
 
 
+def test_qlc_index_up_to_nvars(job_file, capsys):
+    # i may exceed the grading rank (3 here) up to the number of variables
+    path = job_file(A35_JOB)
+    code, out, _ = run(capsys, ["qlc", path, "--i", "3"])
+    assert code == 0
+    A = IntMatrix(tuple(tuple(r) for r in A35_JOB["matrix"]))
+    R = to_a_graded_ring(A)
+    expected = qlc(GradedPresentation.cyclic(R, toric_ideal(A, R)), 3)
+    assert not expected.is_empty
+    assert out.splitlines() == [format_plane(p) for p in expected.planes]
+    code, out, _ = run(capsys, ["qlc", path, "--i", "5"])
+    assert code == 0
+
+
+def test_qlc_quintic_is_empty_within_budget(job_file):
+    # the rational normal quintic is Cohen-Macaulay
+    t0 = time.perf_counter()
+    proc = run_module("qlc", job_file({"matrix": [[1] * 6, [0, 1, 2, 3, 4, 5]]}))
+    elapsed = time.perf_counter() - t0
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "empty"
+    assert elapsed < 10.0
+
+
 def test_check_beta(job_file, capsys):
     path = job_file(A35_JOB)
     code, out, _ = run(capsys, ["check-beta", path, "0,0,1"])
@@ -216,6 +241,20 @@ def test_check_beta_negative_first_entry_after_double_dash(job_file, capsys):
     code, out, _ = run(capsys, ["check-beta", job_file(A35_JOB), "--", "-1,0,3"])
     assert code == 0
     assert out.startswith("RANK-JUMP at beta=(-1, 0, 3)")
+
+
+def test_check_beta_negative_first_entry_without_double_dash(job_file, capsys):
+    path = job_file(A35_JOB)
+    code, bare, _ = run(capsys, ["check-beta", path, "-1,0,3"])
+    assert code == 0
+    code, dashed, _ = run(capsys, ["check-beta", path, "--", "-1,0,3"])
+    assert code == 0
+    assert bare == dashed
+    assert bare.startswith("RANK-JUMP at beta=(-1, 0, 3)")
+    # options may follow the degree, and the console entry reads sys.argv
+    proc = run_module("check-beta", path, "-1/2,0,2", "--format", "machine")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["beta"] == ["-1/2", "0", "2"]
 
 
 def test_check_beta_machine(job_file, capsys):

@@ -1,9 +1,15 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from helpers import random_homogeneous_binomial_ideal, random_monomial_ideal
+from helpers import (
+    complex_is_exact_at,
+    hilbert_quotient_dim,
+    random_homogeneous_binomial_ideal,
+    random_monomial_ideal,
+)
 from quasidegrees.homology import (
     FreeResolution,
     GradedPresentation,
@@ -38,6 +44,31 @@ def resolution_is_complex(res: FreeResolution):
         for col in res.differentials[i]:
             image = apply_matrix(phi_prev, col, n, t_out)
             assert all(f.is_zero() for f in image)
+
+
+def resolution_is_minimal(res: FreeResolution):
+    # a unit entry would let a generator be written through the others
+    zero = (0,) * res.ring.nvars
+    for cols in res.differentials:
+        for col in cols:
+            assert all(zero not in f.terms for f in col)
+
+
+def resolution_is_exact(res: FreeResolution, degrees):
+    for beta in degrees:
+        assert complex_is_exact_at(res.ring, res.shifts, res.differentials, beta), beta
+
+
+def sample_degrees(res: FreeResolution):
+    """Every generator degree of the resolution: a missing or wrong
+    syzygy leaves homology in the degree of the generator it should be."""
+    return sorted({s for level in res.shifts for s in level})
+
+
+def curve_presentation(exponents):
+    A = IntMatrix(((1,) * len(exponents), tuple(exponents)))
+    R = to_a_graded_ring(A)
+    return GradedPresentation.cyclic(R, toric_ideal(A, R))
 
 
 def resolution_is_homogeneous(res: FreeResolution):
@@ -99,6 +130,87 @@ def test_resolution_properties_random():
         res = free_resolution(P)
         resolution_is_complex(res)
         resolution_is_homogeneous(res)
+        resolution_is_minimal(res)
+        top = max(s[0] for level in res.shifts for s in level)
+        resolution_is_exact(res, [(b,) for b in range(top + 2)])
+        # minimal generators of I in degree b span (I / mI)_b
+        live = [g for g in gens if not g.is_zero()]
+        m_live = [v * g for v in ring.variables() for g in live]
+        level_1 = res.shifts[1] if res.length else ()
+        for b in range(top + 2):
+            beta_1 = hilbert_quotient_dim(ring, m_live, (b,)) - hilbert_quotient_dim(
+                ring, live, (b,)
+            )
+            assert level_1.count((b,)) == beta_1
+
+
+@pytest.mark.parametrize(
+    "exponents, ranks",
+    [
+        # rational normal curves: Eagon-Northcott Betti numbers
+        ((0, 1, 2, 3), [1, 3, 2]),
+        ((0, 1, 2, 3, 4), [1, 6, 8, 3]),
+        ((0, 1, 2, 3, 4, 5), [1, 10, 20, 15, 4]),
+        # the Sturmfels-Takayama curve, which is not Cohen-Macaulay
+        ((0, 1, 3, 4), [1, 4, 4, 1]),
+    ],
+)
+def test_curve_resolutions_are_minimal_and_exact(exponents, ranks):
+    res = free_resolution(curve_presentation(exponents))
+    assert [res.rank(i) for i in range(res.length + 1)] == ranks
+    resolution_is_complex(res)
+    resolution_is_homogeneous(res)
+    resolution_is_minimal(res)
+    resolution_is_exact(res, sample_degrees(res))
+
+
+def test_running_example_resolution_is_minimal_and_exact():
+    R = to_a_graded_ring(A35)
+    # I_A has five generators, one of them redundant
+    gens = toric_ideal(A35, R)
+    assert len(gens) == 5
+    res = free_resolution(GradedPresentation.cyclic(R, gens))
+    assert [res.rank(i) for i in range(res.length + 1)] == [1, 4, 4, 1]
+    resolution_is_minimal(res)
+    resolution_is_exact(res, sample_degrees(res))
+
+
+def test_redundant_generators_are_dropped():
+    gens = [p3(s) for s in ("x*y", "x*y*z", "y*z", "x*y + y*z", "x^2*y")]
+    res = free_resolution(GradedPresentation.cyclic(R3, gens))
+    assert [res.rank(i) for i in range(res.length + 1)] == [1, 2, 1]
+    assert res.differentials[0] == ((p3("x*y"),), (p3("y*z"),))
+
+
+def test_resolution_with_far_apart_generator_degrees():
+    # a complete intersection: Koszul ranks. The redundancy check must not
+    # enumerate the degree-49 monomials in six variables that separate a
+    # from b^50 (about 3 million of them).
+    R6 = standard_graded_ring(tuple("abcdef"))
+    gens = [parse_polynomial(s, R6) for s in ("a", "b^50", "c^40*d - e^41")]
+    t0 = time.perf_counter()
+    res = free_resolution(GradedPresentation.cyclic(R6, gens))
+    assert time.perf_counter() - t0 < 5.0
+    assert [res.rank(i) for i in range(res.length + 1)] == [1, 3, 3, 1]
+    resolution_is_minimal(res)
+
+
+def test_exactness_oracle_sees_a_missing_syzygy():
+    res = free_resolution(curve_presentation((0, 1, 2, 3, 4)))
+    degrees = sample_degrees(res)
+    broken = list(res.differentials)
+    broken[1] = broken[1][1:]
+    shifts = list(res.shifts)
+    shifts[2] = shifts[2][1:]
+    assert not all(
+        complex_is_exact_at(res.ring, shifts, broken, beta) for beta in degrees
+    )
+
+
+def test_quintic_local_cohomology_vanishes_within_budget():
+    t0 = time.perf_counter()
+    assert qlc_total(curve_presentation((0, 1, 2, 3, 4, 5))).is_empty
+    assert time.perf_counter() - t0 < 10.0
 
 
 def test_resolution_of_module_presentations():
@@ -119,6 +231,7 @@ def test_resolution_of_module_presentations():
         res = free_resolution(P)
         resolution_is_complex(res)
         resolution_is_homogeneous(res)
+        resolution_is_exact(res, sample_degrees(res))
 
 
 def test_ext_of_free_module():
