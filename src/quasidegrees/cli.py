@@ -48,7 +48,7 @@ from .qdeg import (
     quasidegrees_monomial,
 )
 from .stdpairs import degree_from_pairs, standard_pairs
-from .toric import normalized_volume, to_a_graded_ring, toric_ideal
+from .toric import normalized_volume, to_a_graded_ring, toric_ideal, toric_volume
 
 ORDERS = {"grevlex": GREVLEX, "lex": LEX}
 
@@ -382,7 +382,11 @@ def cmd_check_beta(job: Job, args) -> None:
     beta = parse_degree(args.beta, ring.grading_rank)
     P = build_presentation(job, ring, allow_toric=True)
     total = qlc_total(P)
-    vol = normalized_volume(job.matrix)
+    if job.ideal is None and job.presentation is None:
+        # P is R/I_A, presented by the reduced basis of I_A in the ring's order
+        vol = toric_volume(job.matrix, [col[0] for col in P.columns], ring.order)
+    else:
+        vol = normalized_volume(job.matrix)
     jumping = total.contains_point(beta)
     if jumping:
         lines = [f"RANK-JUMP at beta={_format_vector(beta)}"]

@@ -30,6 +30,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from math import comb
 from typing import Sequence
 
 from .groebner import (
@@ -324,15 +325,51 @@ def qlc(P: GradedPresentation, i: int) -> QuasidegreeSet:
     return QuasidegreeSet(tuple(mapped))
 
 
-def qlc_total(P: GradedPresentation) -> QuasidegreeSet:
-    """Union of qlc(P, i) over 0 <= i < d, redundancy removed.
+def module_dimension(P: GradedPresentation) -> int:
+    """Krull dimension of coker P, -1 for the zero module.
 
-    For a module of dimension d this collects the quasidegrees of all
-    local cohomology below the top one; a module with vanishing union
-    (for example a Cohen-Macaulay quotient) yields the empty set. All the
-    Ext modules involved come from the one resolution of P.
+    Read from the resolution P already holds, with exact integers and no
+    further Groebner work. Let K(t) = sum_i (-1)^i sum_(s in F_i)
+    t^(heft . s). The Hilbert series of coker P in the heft grading is
+    K(t) / prod_j (1 - t^(heft . deg x_j)), every heft degree is
+    positive, so the dimension is the pole order at t = 1, namely
+    n - ord_(t=1) K(t). The order is the first r with K^(r)(1) != 0,
+    where K^(r)(1) / r! = sum_k c_k * binom(k, r) once K is shifted to
+    nonnegative exponents k.
     """
+    heft = P.ring.heft
+    coeffs: dict[int, int] = {}
+    for i, shifts in enumerate(P._resolution.shifts):
+        for s in shifts:
+            k = sum(h * x for h, x in zip(heft, s))
+            coeffs[k] = coeffs.get(k, 0) + (-1) ** i
+    coeffs = {k: c for k, c in coeffs.items() if c}
+    if not coeffs:
+        return -1
+    low = min(coeffs)
+    r = 0
+    while not sum(c * comb(k - low, r) for k, c in coeffs.items()):
+        r += 1
+    return P.ring.nvars - r
+
+
+def qlc_total(P: GradedPresentation) -> QuasidegreeSet:
+    """Union of qlc(P, i) over 0 <= i < max(dim M, d), redundancy removed,
+    where M = coker P and d is the grading rank.
+
+    For M = R/I_A, and for any module with dim M <= d, this is the
+    rank-jump locus of Matusevich–Miller–Walther, the local cohomology
+    in degrees below d, which for dim M < d includes the top one,
+    H^(dim M). For dim M > d it is all local cohomology below the top,
+    so R/<xy, xz> in the standard grading keeps its H^1. A module with
+    vanishing union (for example a Cohen-Macaulay quotient of dimension
+    d) yields the empty set. Since H^i vanishes for i > dim M, those
+    degrees are not computed. All the Ext modules involved come from
+    the one resolution of P, which also gives dim M.
+    """
+    dim = module_dimension(P)
+    stop = dim if dim >= P.ring.grading_rank else dim + 1
     planes: list[AffinePlane] = []
-    for i in range(P.ring.grading_rank):
+    for i in range(stop):
         planes.extend(qlc(P, i).planes)
     return remove_redundancy(planes)

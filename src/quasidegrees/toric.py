@@ -6,22 +6,50 @@ For a d x n integer matrix A whose columns span Z^d, the toric ideal is
 
 prime and homogeneous for the grading by A. It is computed from a basis
 of the saturated kernel lattice of A: the binomials of a lattice basis
-generate I_A only up to saturation by the product of the variables, so
-the basis ideal is saturated by each variable in turn.
+generate an ideal J with I_A = (J : (x_1 ... x_n)^inf), and that
+saturation is taken one variable at a time by the Bayer–Stillman
+criterion (Sturmfels, *Gröbner Bases and Convex Polytopes*, 1996,
+Ch. 12). Every binomial involved is homogeneous for the positive weights
+w = h A, where h is a heft of A. In an order that compares w-degrees
+first and then reverse-lexicographically with x_j last, x_j divides the
+lead term of a w-homogeneous polynomial only if it divides every term,
+so dividing each element of such a basis of J by its largest power of
+x_j gives a basis of (J : x_j^inf). No variable is added and nothing is
+eliminated; the last basis is converted to the ring's order. A matrix
+with no heft has no such weights and is saturated by elimination.
 
 The normalized volume of A (d! times the Euclidean volume of the convex
 hull of the columns and the origin, for pointed cases) equals the degree
 of R/I_A, which is read off as the number of top-dimensional standard
-pairs of the initial ideal of I_A.
+pairs of the grevlex initial ideal of I_A (Ch. 8). When the all-ones
+vector lies in the row space of A, I_A is homogeneous in the standard
+grading and every term order gives the same count.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .groebner import buchberger, initial_ideal, saturate
+from .groebner import (
+    ModKey,
+    VecPoly,
+    buchberger,
+    poly_to_vec,
+    saturate,
+    top_key,
+    vec_groebner,
+    vec_to_poly,
+)
 from .linalg import IntMatrix, as_int_matrix
-from .poly import GREVLEX, GradedRing, MonomialOrder, Polynomial, graded_ring
+from .poly import (
+    GREVLEX,
+    GradedRing,
+    GradingNotPositiveError,
+    MonomialOrder,
+    Polynomial,
+    find_heft,
+    graded_ring,
+)
 from .stdpairs import degree_via_pairs
 
 
@@ -54,30 +82,86 @@ def lattice_basis_binomials(A: IntMatrix | Iterable[Iterable[int]]) -> list[Poly
     return out
 
 
+def _saturation_key(weights: Sequence[int], last: int) -> ModKey:
+    """w-degree first, then reverse lex with x_last as the last variable:
+    among monomials of equal w-degree, the smaller power of x_last wins."""
+    rest = tuple(k for k in reversed(range(len(weights))) if k != last)
+
+    def key(mt):
+        e = mt[1]
+        return (
+            sum(w * x for w, x in zip(weights, e)),
+            -e[last],
+            tuple(-e[k] for k in rest),
+        )
+
+    return key
+
+
+def _divide_out(g: VecPoly, j: int) -> VecPoly:
+    """g divided by the largest power of x_j that divides it."""
+    m = min(e[j] for _, e in g)
+    if not m:
+        return g
+    return {(pos, e[:j] + (e[j] - m,) + e[j + 1 :]): c for (pos, e), c in g.items()}
+
+
 def toric_ideal(
     A: IntMatrix | Iterable[Iterable[int]], ring: GradedRing | None = None
 ) -> list[Polynomial]:
-    """Reduced Groebner basis of the toric ideal I_A in the ring's order."""
+    """Reduced Groebner basis of the toric ideal I_A in the ring's order.
+
+    The weights come from a heft of A itself, not from the ring, whose
+    grading need not be A. A matrix with no heft, which only such a ring
+    admits, is saturated by elimination (``groebner.saturate``) instead.
+    """
     A = as_int_matrix(A)
     if ring is None:
         ring = to_a_graded_ring(A)
     if ring.nvars != A.ncols:
         raise ValueError("ring must have one variable per column of A")
-    gens = lattice_basis_binomials(A)
-    if not gens:
+    binomials = lattice_basis_binomials(A)
+    if not binomials:
         return []
+    try:
+        h = find_heft(A)
+    except GradingNotPositiveError:
+        # no positive weights make I_A homogeneous, so the criterion does
+        # not apply (a ring with another grading lets such an A through)
+        for j in range(ring.nvars):
+            binomials = saturate(binomials, ring.variable(j), ring.order)
+        return list(buchberger(binomials, ring.order).generators)
+    weights = [sum(hi * ai for hi, ai in zip(h, col)) for col in A.columns()]
+    gens = [poly_to_vec(g) for g in binomials]
     for j in range(ring.nvars):
-        gens = saturate(gens, ring.variable(j), ring.order)
-        if not gens:
-            return []
-    return list(buchberger(gens, ring.order).generators)
+        gb = vec_groebner(gens, _saturation_key(weights, j), scalar=True)
+        gens = [_divide_out(g, j) for g in gb]
+    gb = vec_groebner(gens, top_key(ring.order), scalar=True)
+    return [vec_to_poly(g, ring.nvars) for g in gb]
+
+
+def toric_volume(
+    A: IntMatrix | Iterable[Iterable[int]],
+    basis: Sequence[Polynomial],
+    order: MonomialOrder,
+) -> int:
+    """Normalized volume of A from a reduced Groebner basis of I_A in ``order``.
+
+    The volume is the count of top-dimensional standard pairs of the
+    grevlex initial ideal, so a basis in another order is converted to
+    grevlex first: when I_A is not homogeneous in the standard grading the
+    count depends on the order (for A = [[1,1,0],[1,0,1]] lex gives 1 and
+    grevlex 2).
+    """
+    A = as_int_matrix(A)
+    if order != GREVLEX:
+        basis, order = buchberger(basis, GREVLEX).generators, GREVLEX
+    lead = [max(g.terms, key=order.key) for g in basis]
+    return degree_via_pairs(lead, A.ncols)
 
 
 def normalized_volume(A: IntMatrix | Iterable[Iterable[int]]) -> int:
     """Degree of R/I_A: the number of top-dimensional standard pairs of
-    the initial ideal of the toric ideal."""
+    the grevlex initial ideal of the toric ideal."""
     A = as_int_matrix(A)
-    ring = to_a_graded_ring(A)
-    gb = toric_ideal(A, ring)
-    lead = initial_ideal(gb, ring.order)
-    return degree_via_pairs(lead, ring.nvars)
+    return toric_volume(A, toric_ideal(A), GREVLEX)

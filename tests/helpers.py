@@ -10,7 +10,8 @@ import itertools
 import random
 from fractions import Fraction
 
-from quasidegrees.linalg import rational_rank
+from quasidegrees.groebner import buchberger, initial_module, saturate
+from quasidegrees.linalg import IntMatrix, column_lattice_is_full, integer_kernel, rational_rank
 from quasidegrees.poly import (
     ANY_DEGREE,
     GradedRing,
@@ -19,7 +20,13 @@ from quasidegrees.poly import (
     exps_divides,
     homogeneous_degree,
 )
-from quasidegrees.stdpairs import StandardPair, minimal_generators, pair_contains
+from quasidegrees.stdpairs import (
+    StandardPair,
+    minimal_generators,
+    pair_contains,
+    standard_pairs,
+)
+from quasidegrees.toric import lattice_basis_binomials
 
 
 def hilbert_quotient_dim(ring: GradedRing, gens, beta) -> int:
@@ -224,3 +231,56 @@ def brute_force_standard_pairs(gens, nvars):
     ]
     out.sort(key=StandardPair.sort_key)
     return out
+
+
+def dimension_via_standard_pairs(ring: GradedRing, columns, shifts) -> int:
+    """Krull dimension of R^t(-shifts)/<columns>, -1 for the zero module.
+
+    The initial module of <columns> is a direct sum of monomial ideals
+    J_k e_k, and the quotient has the Hilbert function of the sum of the
+    R/J_k, so the dimension is the largest face among the standard pairs
+    of any J_k. No resolution is involved.
+    """
+    lead = initial_module(list(columns), ring.order) if columns else {}
+    dims = [
+        max((p.dimension for p in standard_pairs(lead.get(k, []), ring.nvars)), default=-1)
+        for k in range(len(shifts))
+    ]
+    return max(dims, default=-1)
+
+
+def elimination_toric_ideal(A, ring: GradedRing):
+    """Reference reduced basis of I_A in the ring's order.
+
+    The lattice-basis binomials saturated by each variable in turn through
+    ``groebner.saturate``, which adjoins a fresh variable T, adds 1 - T x_j
+    and eliminates T; then converted to the ring's order.
+    """
+    gens = lattice_basis_binomials(A)
+    if not gens:
+        return []
+    for j in range(ring.nvars):
+        gens = saturate(gens, ring.variable(j), ring.order)
+    return list(buchberger(gens, ring.order).generators)
+
+
+def random_toric_matrix(rng: random.Random) -> IntMatrix:
+    """A d x n matrix, d <= 3, n <= 7, with a positive first row (so the
+    grading is positive), rank d and columns spanning Z^d.
+
+    Matrices whose ``integer_kernel`` basis has an entry above 3 in
+    absolute value are drawn again: that basis is not reduced, and on
+    entries in the tens or hundreds both toric algorithms run for tens of
+    seconds. ``test_toric.WIDE_KERNEL`` holds fixed matrices with larger
+    kernel entries that still run fast.
+    """
+    while True:
+        d = rng.randint(1, 3)
+        n = rng.randint(d, 7)
+        rows = [[rng.randint(1, 2) for _ in range(n)]]
+        rows += [[rng.randint(-1, 2) for _ in range(n)] for _ in range(d - 1)]
+        A = IntMatrix(tuple(tuple(r) for r in rows))
+        if rational_rank(rows) != d or not column_lattice_is_full(A):
+            continue
+        if max((abs(x) for u in integer_kernel(A) for x in u), default=0) <= 3:
+            return A

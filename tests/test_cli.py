@@ -27,6 +27,13 @@ A35_JOB = {
     ]
 }
 CUBIC_JOB = {"matrix": [[1, 1, 1, 1], [0, 1, 2, 3]]}
+CUBE_MATRIX = [
+    [1] * 8,
+    [0, 1, 0, 1, 0, 1, 0, 1],
+    [0, 0, 1, 1, 0, 0, 1, 1],
+    [0, 0, 0, 0, 1, 1, 1, 1],
+]
+JOBS = Path(__file__).resolve().parent.parent / "jobs"
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
@@ -343,3 +350,54 @@ def test_module_entry_point(job_file):
     proc = run_module("volume", job_file(CUBIC_JOB))
     assert proc.returncode == 0
     assert proc.stdout.strip() == "volume 3"
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        A35_JOB["matrix"],
+        [[1] * 4, [0, 1, 3, 4]],
+        [[1] * 4, [0, 1, 2, 3]],
+        [[1] * 5, [0, 1, 2, 3, 4]],
+        [[1] * 6, [0, 1, 2, 3, 4, 5]],
+        CUBE_MATRIX,
+        [[1, 2]],
+    ],
+    ids=["A35", "sturmfels_takayama", "rnc3", "rnc4", "rnc5", "cube", "segment"],
+)
+def test_check_beta_volume_equals_volume_subcommand(job_file, capsys, matrix, order):
+    # check-beta reads vol(A) from the basis of its own presentation
+    path = job_file({"matrix": matrix})
+    code, out, _ = run(capsys, ["volume", path, "--order", order, "--format", "machine"])
+    assert code == 0
+    volume = json.loads(out)["volume"]
+    beta = ",".join(["0"] * len(matrix))
+    argv = ["check-beta", path, beta, "--order", order, "--format", "machine"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["volume"] == volume
+
+
+def test_qlc_reports_cohomology_below_the_dimension(job_file, capsys):
+    # R/<xy, xz> has dimension 2 above the grading rank 1 and depth 1:
+    # H^1 is nonzero, with 0 among its degrees
+    job = {"variables": ["x", "y", "z"], "grading": "standard", "ideal": ["x*y", "x*z"]}
+    code, out, _ = run(capsys, ["qlc", job_file(job)])
+    assert code == 0
+    assert out.splitlines() == ["base (0) span {(1)}"]
+
+
+def test_qlc_monomial_demo_is_union_of_its_degrees(capsys):
+    # R/<xy, yz> has dimension 2, so qlc collects H^0 and H^1
+    path = str(JOBS / "monomial_demo.json")
+    planes = []
+    for i in ("0", "1"):
+        code, out, _ = run(capsys, ["qlc", path, "--i", i, "--format", "machine"])
+        assert code == 0
+        planes += json.loads(out)["planes"]
+    code, out, _ = run(capsys, ["qlc", path, "--format", "machine"])
+    assert code == 0
+    total = json.loads(out)["planes"]
+    assert total
+    assert total == planes

@@ -6,6 +6,7 @@ import pytest
 
 from helpers import (
     complex_is_exact_at,
+    dimension_via_standard_pairs,
     hilbert_quotient_dim,
     random_homogeneous_binomial_ideal,
     random_monomial_ideal,
@@ -17,12 +18,13 @@ from quasidegrees.homology import (
     dual_shift_plane,
     ext_presentation,
     free_resolution,
+    module_dimension,
     qlc,
     qlc_total,
 )
 from quasidegrees.linalg import IntMatrix
 from quasidegrees.parse import parse_polynomial
-from quasidegrees.planes import AffinePlane
+from quasidegrees.planes import AffinePlane, remove_redundancy
 from quasidegrees.poly import Polynomial, standard_graded_ring
 from quasidegrees.qdeg import InhomogeneousError, vector_degree
 from quasidegrees.toric import to_a_graded_ring, toric_ideal
@@ -337,3 +339,76 @@ def test_qlc_cohen_macaulay_curves_vanish():
         R = to_a_graded_ring(A)
         P = GradedPresentation.cyclic(R, toric_ideal(A, R))
         assert qlc_total(P).is_empty
+
+
+def dimension_matches_oracle(P):
+    expected = dimension_via_standard_pairs(P.ring, P.columns, P.shifts)
+    assert module_dimension(P) == expected
+    return expected
+
+
+def test_module_dimension_of_the_corpus():
+    for exponents in ((0, 1, 2, 3), (0, 1, 2, 3, 4), (0, 1, 2, 3, 4, 5), (0, 1, 3, 4)):
+        assert dimension_matches_oracle(curve_presentation(exponents)) == 2
+    R = to_a_graded_ring(A35)
+    assert dimension_matches_oracle(GradedPresentation.cyclic(R, toric_ideal(A35, R))) == 3
+    R1 = to_a_graded_ring([[1, 2]])
+    assert dimension_matches_oracle(GradedPresentation.cyclic(R1, toric_ideal([[1, 2]], R1))) == 1
+    cases = [
+        (GradedPresentation.cyclic(R3, [p3("x*y"), p3("x*z")]), 2),
+        (GradedPresentation.cyclic(R3, [p3("x*y"), p3("y*z")]), 2),
+        (GradedPresentation.cyclic(R3, [p3("x"), p3("y"), p3("z")]), 0),
+        (GradedPresentation.cyclic(R3, [p3("x^2"), p3("y^3"), p3("z")]), 0),
+        (GradedPresentation.cyclic(R3, [p3("x*y - z^2")]), 2),
+        (GradedPresentation.cyclic(R3, [p3("1")]), -1),
+        (GradedPresentation(R3, ((0,), (1,)), ()), 3),
+        (GradedPresentation(R3, (), ()), -1),
+    ]
+    for P, dim in cases:
+        assert dimension_matches_oracle(P) == dim
+
+
+def test_module_dimension_random():
+    rng = random.Random(71)
+    for _ in range(12):
+        nvars = rng.randint(2, 3)
+        ring = standard_graded_ring(tuple(f"x{i}" for i in range(nvars)))
+        if rng.random() < 0.5:
+            gens = [
+                Polynomial.monomial(e)
+                for e in random_monomial_ideal(rng, nvars, max_gens=3, max_exp=2)
+            ]
+        else:
+            gens = random_homogeneous_binomial_ideal(rng, nvars, max_gens=2, max_deg=3)
+        dimension_matches_oracle(
+            GradedPresentation.cyclic(ring, [g for g in gens if not g.is_zero()])
+        )
+    rng = random.Random(73)
+    ring = standard_graded_ring(("x", "y"))
+    for _ in range(8):
+        t = rng.randint(1, 2)
+        shifts = tuple((rng.randint(-1, 1),) for _ in range(t))
+        cols = []
+        for _ in range(rng.randint(1, 3)):
+            col = [Polynomial.zero(2)] * t
+            col[rng.randrange(t)] = Polynomial.monomial((rng.randint(0, 2), rng.randint(0, 2)))
+            cols.append(tuple(col))
+        dimension_matches_oracle(GradedPresentation(ring, shifts, tuple(cols)))
+
+
+def test_qlc_total_reaches_below_a_dimension_above_the_grading_rank():
+    # R/<xy, xz>: dimension 2, depth 1, grading rank 1
+    P = GradedPresentation.cyclic(R3, [p3("x*y"), p3("x*z")])
+    assert not qlc(P, 1).is_empty
+    assert qlc_total(P).contains_point((F(0),))
+    assert qlc_total(P) == remove_redundancy(list(qlc(P, 0).planes) + list(qlc(P, 1).planes))
+
+
+def test_qlc_total_keeps_the_top_cohomology_below_the_grading_rank():
+    # dim M = 0 < d = 1: the sum over i < d of the rank-jump test includes
+    # H^0, the top one; the zero module has nothing
+    R1 = standard_graded_ring(("x",))
+    P = GradedPresentation.cyclic(R1, [parse_polynomial("x", R1)])
+    assert module_dimension(P) == 0
+    assert [(p.base, p.span) for p in qlc_total(P).planes] == [((F(0),), ())]
+    assert qlc_total(GradedPresentation(R1, (), ())).is_empty

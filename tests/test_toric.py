@@ -2,14 +2,24 @@ import random
 
 import pytest
 
-from helpers import hilbert_quotient_dim, standard_monomial_count
+from helpers import (
+    elimination_toric_ideal,
+    hilbert_quotient_dim,
+    random_toric_matrix,
+    standard_monomial_count,
+)
+from quasidegrees import groebner, toric
 from quasidegrees.groebner import buchberger, ideal_equal, initial_ideal, normal_form
-from quasidegrees.linalg import IntMatrix, integer_kernel
+from quasidegrees.linalg import IntMatrix, integer_kernel, rational_rank
 from quasidegrees.parse import parse_polynomial
 from quasidegrees.poly import (
+    GREVLEX,
+    LEX,
     ColumnLatticeError,
     GradingNotPositiveError,
+    graded_ring,
     homogeneous_degree,
+    standard_graded_ring,
 )
 from quasidegrees.stdpairs import degree_via_pairs
 from quasidegrees.toric import (
@@ -17,9 +27,33 @@ from quasidegrees.toric import (
     normalized_volume,
     to_a_graded_ring,
     toric_ideal,
+    toric_volume,
 )
 
 A35 = IntMatrix(((1, 1, 1, 1, 1), (0, 0, 1, 1, 0), (0, 1, 1, 0, -2)))
+
+
+def curve(exponents):
+    return IntMatrix(((1,) * len(exponents), tuple(exponents)))
+
+
+# the running example, the Sturmfels-Takayama curve, the rational normal
+# curves of degree 3-6, a gap curve, the 3-cube and a hexagon
+CORPUS = {
+    "A35": A35,
+    "sturmfels_takayama": curve((0, 1, 3, 4)),
+    **{f"rnc{k}": curve(tuple(range(k + 1))) for k in range(3, 7)},
+    "gap_0259": curve((0, 2, 5, 9)),
+    "cube": IntMatrix(
+        (
+            (1,) * 8,
+            (0, 1, 0, 1, 0, 1, 0, 1),
+            (0, 0, 1, 1, 0, 0, 1, 1),
+            (0, 0, 0, 0, 1, 1, 1, 1),
+        )
+    ),
+    "hexagon": IntMatrix(((1,) * 6, (0, 1, 2, 2, 1, 0), (0, 0, 1, 2, 2, 1))),
+}
 
 
 def test_to_a_graded_ring_defaults():
@@ -157,3 +191,100 @@ def test_random_kernel_binomials_vanish_in_toric_ideal():
         minus = tuple(max(-x, 0) for x in u)
         f = Polynomial(5, [(plus, 1), (minus, -1)])
         assert normal_form(f, gb).is_zero()
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_toric_ideal_matches_elimination_reference(name, order):
+    A = CORPUS[name]
+    R = to_a_graded_ring(A, order=order)
+    assert toric_ideal(A, R) == elimination_toric_ideal(A, R)
+
+
+def test_toric_ideal_matches_elimination_reference_random():
+    rng = random.Random(83)
+    for _ in range(16):
+        A = random_toric_matrix(rng)
+        for order in (GREVLEX, LEX):
+            R = to_a_graded_ring(A, order=order)
+            assert toric_ideal(A, R) == elimination_toric_ideal(A, R), (A, order)
+
+
+# matrices whose integer_kernel basis has entries far above the bound of
+# random_toric_matrix (25, 22, 9 and 13), still fast for both algorithms
+WIDE_KERNEL = [
+    ((3, 3, 3, 2, 3, 1), (-1, 2, -1, -2, 4, -1), (2, 4, 2, -1, 1, 2)),
+    ((3, 2, 2, 2, 1), (-2, 0, 1, 0, 1), (4, -1, 0, -2, 0)),
+    ((1, 2, 2, 3, 3, 1), (2, 1, 1, 4, 0, 1)),
+    ((2, 2, 3, 3, 1), (1, 0, -2, 4, -2)),
+]
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+@pytest.mark.parametrize("rows", WIDE_KERNEL, ids=["k25", "k22", "k9", "k13"])
+def test_toric_ideal_matches_elimination_reference_wide_kernel(rows, order):
+    A = IntMatrix(rows)
+    assert max(abs(x) for u in integer_kernel(A) for x in u) > 3
+    R = to_a_graded_ring(A, order=order)
+    gb = toric_ideal(A, R)
+    assert gb == elimination_toric_ideal(A, R)
+    assert toric_volume(A, gb, order) == normalized_volume(A)
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+def test_toric_ideal_weights_come_from_the_matrix(order):
+    # rings whose grading is not A: the standard grading leaves a^2 - b
+    # inhomogeneous, and weights (1, 1, 2, 1) read from the second ring's
+    # heft break the saturation criterion on the twisted cubic
+    A = IntMatrix(((1, 2, 3),))
+    R = standard_graded_ring(("a", "b", "c"), order=order)
+    gb = toric_ideal(A, R)
+    assert gb == elimination_toric_ideal(A, R)
+    expected = [parse_polynomial(s, R) for s in ("a^2 - b", "a*b - c", "b^2 - a*c")]
+    assert ideal_equal(gb, expected, order)
+    cubic = CORPUS["rnc3"]
+    R = graded_ring(("a", "b", "c", "d"), [[1, 1, 2, 1]], order=order)
+    assert toric_ideal(cubic, R) == elimination_toric_ideal(cubic, R)
+
+
+def test_toric_ideal_never_saturates_through_elimination(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("toric_ideal reached groebner.saturate")
+
+    monkeypatch.setattr(groebner, "saturate", refuse)
+    monkeypatch.setattr(toric, "saturate", refuse)
+    for A in (A35, CORPUS["rnc4"], CORPUS["cube"]):
+        assert toric_ideal(A)
+    assert normalized_volume(A35) == 4
+
+
+def test_volume_from_lex_and_grevlex_bases_agree_random():
+    rng = random.Random(89)
+    for _ in range(16):
+        A = random_toric_matrix(rng)
+        grevlex = toric_ideal(A, to_a_graded_ring(A, order=GREVLEX))
+        lex = toric_ideal(A, to_a_graded_ring(A, order=LEX))
+        vol = toric_volume(A, grevlex, GREVLEX)
+        assert toric_volume(A, lex, LEX) == vol == normalized_volume(A), A
+        homogeneous = rational_rank(A.entries + ((1,) * A.ncols,)) == rational_rank(A.entries)
+        if homogeneous:
+            # standard-graded I_A: the lex count needs no conversion
+            lead = [max(g.terms, key=LEX.key) for g in lex]
+            assert degree_via_pairs(lead, A.ncols) == vol, A
+
+
+def test_volume_of_inhomogeneous_matrix_is_read_in_grevlex():
+    # I_A = <x2*x3 - x1>: lex leads with x1 (one top pair), grevlex with
+    # x2*x3 (two); the volume is the grevlex count from either basis
+    A = IntMatrix(((1, 1, 0), (1, 0, 1)))
+    lex = toric_ideal(A, to_a_graded_ring(A, order=LEX))
+    assert degree_via_pairs([max(g.terms, key=LEX.key) for g in lex], 3) == 1
+    assert toric_volume(A, lex, LEX) == normalized_volume(A) == 2
+
+
+def test_toric_ideal_of_a_matrix_without_heft():
+    # only a ring graded by something else admits A = [[1, -1]]; I_A is
+    # <ab - 1>, homogeneous for no positive weights
+    A = IntMatrix(((1, -1),))
+    R = standard_graded_ring(("a", "b"))
+    assert toric_ideal(A, R) == [parse_polynomial("a*b - 1", R)]
