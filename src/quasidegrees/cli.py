@@ -91,6 +91,10 @@ class Job:
             v = data["variables"]
             if not isinstance(v, list) or not all(isinstance(s, str) for s in v):
                 raise JobError("variables must be a list of strings")
+            if len(set(v)) != len(v):
+                raise JobError("duplicate variable names")
+            if matrix is not None and matrix.ncols != len(v):
+                raise JobError("matrix needs one column per variable")
             variables = tuple(v)
         ideal = None
         if "ideal" in data:
@@ -180,6 +184,8 @@ def build_ring(job: Job, order_name: str) -> GradedRing:
         if job.variables is None:
             raise JobError("explicit grading needs 'variables'")
         deg = _read_int_matrix(grading["matrix"], "grading matrix")
+        if deg.ncols != len(job.variables):
+            raise JobError("grading matrix needs one column per variable")
         heft = None
         if "heft" in grading:
             h = grading["heft"]
@@ -187,6 +193,8 @@ def build_ring(job: Job, order_name: str) -> GradedRing:
                 isinstance(e, int) and not isinstance(e, bool) for e in h
             ):
                 raise JobError("heft must be a list of integers")
+            if len(h) != deg.nrows:
+                raise JobError("heft needs one entry per row of the grading matrix")
             heft = tuple(h)
         return graded_ring(job.variables, degree_matrix=deg, heft=heft, order=order)
     if grading == "standard":
@@ -206,6 +214,8 @@ def build_presentation(job: Job, ring: GradedRing, allow_toric: bool) -> GradedP
     if job.presentation is not None:
         spec = job.presentation
         shifts = spec.shifts
+        if any(len(s) != ring.grading_rank for s in shifts):
+            raise JobError("presentation shifts need one entry per grading row")
         t = len(shifts)
         entries = [
             [parse_polynomial(cell, ring) for cell in row] for row in spec.rows

@@ -1,11 +1,20 @@
 """Groebner bases, syzygies, and saturation for ideals and submodules.
 
 Internal representation ("vecdict"): an element of a free module R^t is a
-dict mapping (component, exponent tuple) -> nonzero Fraction. Scalar
+dict mapping (component, exponent tuple) -> nonzero coefficient.
+Coefficients are exact rationals kept as ``int`` while they are integral
+and as ``Fraction`` otherwise: ``poly_to_vec`` and ``vector_to_vec``
+convert integral Fractions to int, and every division goes through
+``exact_div``, which returns an int whenever the quotient is one. Toric
+binomials have coefficients +-1, so their bases and syzygies mostly stay
+in the integers. Scalar
 polynomials embed as vectors with a single component 0. Module term
 orders are plain sort-key functions on (component, exponent) pairs, so
 position-over-term, term-over-position, and Schreyer-induced orders are
-all just different key constructors.
+all just different key constructors. Each key function computes the key
+of a term once and remembers it (``memoized_key``), so lead-term
+searches and Schreyer chains, whose level keys call the level before,
+pay for each term once per key function.
 
 The public functions speak Polynomial and tuple-of-Polynomial; the
 vecdict layer is exported as well because the resolution code builds on
@@ -39,8 +48,12 @@ from .poly import (
 )
 
 ModTerm = tuple[int, Exps]
-VecPoly = dict[ModTerm, Fraction]
-ScalarPoly = dict[Exps, Fraction]
+# an exact rational: an int while integral, a Fraction otherwise
+Coeff = int | Fraction
+# an element of R^t: (component, exponents) -> nonzero Coeff
+VecPoly = dict[ModTerm, Coeff]
+# an element of R: exponents -> nonzero Coeff
+ScalarPoly = dict[Exps, Coeff]
 ModKey = Callable[[ModTerm], object]
 
 Vector = tuple[Polynomial, ...]
@@ -49,14 +62,30 @@ Vector = tuple[Polynomial, ...]
 # --- module term orders ---
 
 
+class _KeyCache(dict):
+    """Sort keys of module terms, each computed on its first lookup."""
+
+    __slots__ = ("compute",)
+
+    def __init__(self, compute: ModKey) -> None:
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, mt: ModTerm):
+        k = self[mt] = self.compute(mt)
+        return k
+
+
+def memoized_key(compute: ModKey) -> ModKey:
+    """The key function ``compute``, remembering the key of every term it
+    has seen. A lookup of a known term runs no Python code."""
+    return _KeyCache(compute).__getitem__
+
+
 def top_key(order: MonomialOrder) -> ModKey:
     """Term-over-position key on a free module, lower component wins ties."""
     okey = order.key
-
-    def key(mt: ModTerm):
-        return (okey(mt[1]), -mt[0])
-
-    return key
+    return memoized_key(lambda mt: (okey(mt[1]), -mt[0]))
 
 
 def schreyer_key(parent_key: ModKey, leads: Sequence[ModTerm]) -> ModKey:
@@ -72,22 +101,38 @@ def schreyer_key(parent_key: ModKey, leads: Sequence[ModTerm]) -> ModKey:
         lp, le = leads[pos]
         return (parent_key((lp, exps_add(e, le))), -pos)
 
-    return key
+    return memoized_key(key)
+
+
+# --- coefficients ---
+
+
+def as_coeff(c: Coeff) -> Coeff:
+    """c as an int when it is integral."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def exact_div(a: Coeff, b: Coeff) -> Coeff:
+    """a / b exactly, as an int when the quotient is integral."""
+    if a.__class__ is int and b.__class__ is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return as_coeff(a / b)
 
 
 # --- vecdict helpers ---
 
 
 def poly_to_vec(f: Polynomial) -> VecPoly:
-    return {(0, e): c for e, c in f.terms.items()}
+    return {(0, e): as_coeff(c) for e, c in f.terms.items()}
 
 
 def vector_to_vec(v: Sequence[Polynomial]) -> VecPoly:
-    return {(i, e): c for i, f in enumerate(v) for e, c in f.terms.items()}
+    return {(i, e): as_coeff(c) for i, f in enumerate(v) for e, c in f.terms.items()}
 
 
 def vec_to_vector(p: VecPoly, ncomps: int, nvars: int) -> Vector:
-    comps: list[dict[Exps, Fraction]] = [dict() for _ in range(ncomps)]
+    comps: list[ScalarPoly] = [dict() for _ in range(ncomps)]
     for (i, e), c in p.items():
         comps[i][e] = c
     return tuple(Polynomial(nvars, comp) for comp in comps)
@@ -101,18 +146,18 @@ def vec_lead(p: VecPoly, mkey: ModKey) -> ModTerm:
     return max(p, key=mkey)
 
 
-def vec_sub_scaled(p: VecPoly, coeff: Fraction, shift: Exps, g: VecPoly) -> None:
+def vec_sub_scaled(p: VecPoly, coeff: Coeff, shift: Exps, g: VecPoly) -> None:
     """In place p -= coeff * x^shift * g."""
     for (pos, e), c in g.items():
         key = (pos, exps_add(shift, e))
-        v = p.get(key, Fraction(0)) - coeff * c
+        v = p.get(key, 0) - coeff * c
         if v:
             p[key] = v
         else:
             p.pop(key, None)
 
 
-def vec_scale(p: VecPoly, c: Fraction) -> VecPoly:
+def vec_scale(p: VecPoly, c: Coeff) -> VecPoly:
     return {k: c * v for k, v in p.items()} if c else {}
 
 
@@ -121,7 +166,7 @@ def scalar_mul_vec(q: ScalarPoly, v: VecPoly, acc: VecPoly) -> None:
     for me, mc in q.items():
         for (pos, e), c in v.items():
             key = (pos, exps_add(me, e))
-            val = acc.get(key, Fraction(0)) + mc * c
+            val = acc.get(key, 0) + mc * c
             if val:
                 acc[key] = val
             else:
@@ -153,8 +198,8 @@ def vec_divide(
             lpos, lexps = leads[i]
             if lpos == tpos and exps_divides(lexps, texps):
                 shift = exps_sub(texps, lexps)
-                coeff = c / g[leads[i]]
-                qs[i][shift] = qs[i].get(shift, Fraction(0)) + coeff
+                coeff = exact_div(c, g[leads[i]])
+                qs[i][shift] = qs[i].get(shift, 0) + coeff
                 vec_sub_scaled(p, coeff, shift, g)
                 break
         else:
@@ -172,7 +217,7 @@ def vec_normal_form(f: VecPoly, basis: Sequence[VecPoly], mkey: ModKey) -> VecPo
 
 def _spair_parts(
     fi: VecPoly, li: ModTerm, fj: VecPoly, lj: ModTerm
-) -> tuple[Exps, Fraction, Exps, Fraction]:
+) -> tuple[Exps, Coeff, Exps, Coeff]:
     """Multipliers (shift_i, coeff_i, shift_j, coeff_j) of the S-pair.
 
     S = coeff_i * x^shift_i * f_i - coeff_j * x^shift_j * f_j with both
@@ -181,9 +226,9 @@ def _spair_parts(
     lcm = exps_lcm(li[1], lj[1])
     return (
         exps_sub(lcm, li[1]),
-        1 / fi[li],
+        exact_div(1, fi[li]),
         exps_sub(lcm, lj[1]),
-        1 / fj[lj],
+        exact_div(1, fj[lj]),
     )
 
 
@@ -207,7 +252,7 @@ def vec_autoreduce(basis: list[VecPoly], mkey: ModKey) -> list[VecPoly]:
         others = kept[:i] + kept[i + 1 :]
         r = vec_normal_form(kept[i], others, mkey) if others else kept[i]
         lead = vec_lead(r, mkey)
-        kept[i] = vec_scale(r, 1 / r[lead])
+        kept[i] = vec_scale(r, exact_div(1, r[lead]))
     kept.sort(key=lambda g: mkey(vec_lead(g, mkey)))
     return kept
 
@@ -289,7 +334,7 @@ def _transcript_groebner(
             continue
         basis.append(dict(g))
         leads.append(vec_lead(g, mkey))
-        exprs.append({(idx, (0,) * _nvars_of(g)): Fraction(1)})
+        exprs.append({(idx, (0,) * _nvars_of(g)): 1})
         gen_index.append(idx)
     records: list[VecPoly] = []
     heap: list[tuple[int, int, int]] = []
@@ -306,7 +351,7 @@ def _transcript_groebner(
         vec_sub_scaled(s, cj, sj, basis[j])
         qs, r = vec_divide(s, basis, mkey, leads)
         sigma: VecPoly = {(i, si): ci}
-        v = sigma.get((j, sj), Fraction(0)) - cj
+        v = sigma.get((j, sj), 0) - cj
         if v:
             sigma[(j, sj)] = v
         else:
@@ -314,7 +359,7 @@ def _transcript_groebner(
         for k, q in enumerate(qs):
             for e, c in q.items():
                 key = (k, e)
-                val = sigma.get(key, Fraction(0)) - c
+                val = sigma.get(key, 0) - c
                 if val:
                     sigma[key] = val
                 else:
@@ -331,7 +376,7 @@ def _transcript_groebner(
             leads.append(lead)
             exprs.append(expr)
             knew = len(basis) - 1
-            sigma[(knew, (0,) * len(lead[1]))] = Fraction(-1)
+            sigma[(knew, (0,) * len(lead[1]))] = -1
             for m in range(knew):
                 if leads[m][0] == lead[0]:
                     heapq.heappush(heap, (_pair_priority(leads[m], lead), m, knew))
@@ -359,7 +404,7 @@ def vec_syzygies(gens: Sequence[VecPoly], mkey: ModKey, nvars: int) -> list[VecP
     out: list[VecPoly] = []
     for idx, g in enumerate(gens):
         if not g:
-            out.append({(idx, zero_exps): Fraction(1)})
+            out.append({(idx, zero_exps): 1})
     tr = _transcript_groebner(gens, mkey, record_pairs=True)
     for sigma in tr.pair_records:
         w: VecPoly = {}
@@ -373,7 +418,7 @@ def vec_syzygies(gens: Sequence[VecPoly], mkey: ModKey, nvars: int) -> list[VecP
         qs, r = vec_divide(g, tr.basis, mkey, tr.leads)
         if r:
             raise AssertionError("generator failed to reduce against its own basis")
-        w = {(idx, zero_exps): Fraction(1)}
+        w = {(idx, zero_exps): 1}
         for k, q in enumerate(qs):
             if q:
                 scalar_mul_vec({e: -c for e, c in q.items()}, tr.exprs[k], w)
@@ -545,13 +590,13 @@ def saturate(
     nvars = live[0].nvars
 
     def _lift(p: Polynomial) -> VecPoly:
-        return {(0, (0,) + e): c for e, c in p.terms.items()}
+        return {(0, (0,) + e): as_coeff(c) for e, c in p.terms.items()}
 
     big = [_lift(g) for g in live]
-    one_minus_tf: VecPoly = {(0, (0,) * (nvars + 1)): Fraction(1)}
+    one_minus_tf: VecPoly = {(0, (0,) * (nvars + 1)): 1}
     for e, c in f.terms.items():
         key = (0, (1,) + e)
-        one_minus_tf[key] = one_minus_tf.get(key, Fraction(0)) - c
+        one_minus_tf[key] = one_minus_tf.get(key, 0) - as_coeff(c)
     big.append(one_minus_tf)
     gb = vec_groebner(big, top_key(Elimination(1)), scalar=True)
     kept = []

@@ -29,7 +29,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from math import comb
 from typing import Sequence
 
@@ -38,6 +37,7 @@ from .groebner import (
     ModTerm,
     VecPoly,
     Vector,
+    exact_div,
     schreyer_key,
     top_key,
     vec_lead,
@@ -137,7 +137,7 @@ def _echelon_insert(echelon: dict[ModTerm, VecPoly], v: VecPoly, zero: Exps) -> 
         if row is None:
             echelon[t] = v
             return True
-        vec_sub_scaled(v, v[t] / row[t], zero, row)
+        vec_sub_scaled(v, exact_div(v[t], row[t]), zero, row)
     return False
 
 
@@ -282,7 +282,7 @@ def ext_presentation(P: GradedPresentation, j: int) -> GradedPresentation:
         K = vec_syzygies(tcols_vec, mkey, n)
     else:
         # the next differential is zero, so the kernel is everything
-        K = [{(k, (0,) * n): Fraction(1)} for k in range(t_j)]
+        K = [{(k, (0,) * n): 1} for k in range(t_j)]
     if not K:
         return GradedPresentation(ring, (), ())
     gen_shifts = tuple(_vec_degree_checked(w, dual_shifts, ring) for w in K)

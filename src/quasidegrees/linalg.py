@@ -147,6 +147,56 @@ def integer_kernel(A: IntMatrix | Iterable[Iterable[int]]) -> list[IntVec]:
     return basis
 
 
+def _gram_schmidt(b: Sequence[Sequence[int]]) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """Exact Gram–Schmidt data of b: the coefficients mu[i][j] (j < i) and
+    the squared lengths B[i] of the orthogonalized vectors."""
+    ortho: list[list[Fraction]] = []
+    mu: list[list[Fraction]] = []
+    B: list[Fraction] = []
+    for v in b:
+        w = [Fraction(x) for x in v]
+        row = []
+        for u, Bj in zip(ortho, B):
+            m = sum(x * y for x, y in zip(v, u)) / Bj
+            row.append(m)
+            w = [x - m * y for x, y in zip(w, u)]
+        ortho.append(w)
+        mu.append(row)
+        B.append(sum(x * x for x in w))
+    return mu, B
+
+
+def lll_reduce(basis: Sequence[Sequence[int]]) -> list[IntVec]:
+    """LLL-reduced basis (delta = 3/4) of the lattice spanned by linearly
+    independent integer vectors, in exact rational arithmetic.
+
+    The result spans the same lattice, is size-reduced (|mu_kj| <= 1/2)
+    and satisfies the Lovász condition B_k >= (3/4 - mu_k,k-1^2) B_(k-1).
+    Raises ValueError when the vectors are linearly dependent.
+    """
+    delta = Fraction(3, 4)
+    b = [list(map(int, v)) for v in basis]
+    mu, B = _gram_schmidt(b)
+    if any(not x for x in B):
+        raise ValueError("lattice basis vectors are linearly dependent")
+    k = 1
+    while k < len(b):
+        for j in reversed(range(k)):
+            q = round(mu[k][j])
+            if q:
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                for i in range(j):
+                    mu[k][i] -= q * mu[j][i]
+                mu[k][j] -= q
+        if B[k] >= (delta - mu[k][k - 1] ** 2) * B[k - 1]:
+            k += 1
+        else:
+            b[k - 1], b[k] = b[k], b[k - 1]
+            mu, B = _gram_schmidt(b)
+            k = max(k - 1, 1)
+    return [tuple(v) for v in b]
+
+
 def lattice_member(v: Sequence[int], basis: Sequence[Sequence[int]]) -> bool:
     """Is v an integer combination of the given integer vectors?"""
     if not basis:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, le, mul, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .linalg import (
@@ -29,25 +30,30 @@ from .linalg import (
 Exps = tuple[int, ...]
 
 
+# The exponent helpers run in every Groebner and standard-pair inner loop,
+# so they map builtin operators over the tuples instead of running
+# generator expressions.
+
+
 def exps_add(a: Exps, b: Exps) -> Exps:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def exps_sub(a: Exps, b: Exps) -> Exps:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def exps_divides(a: Exps, b: Exps) -> bool:
     """Does x^a divide x^b?"""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def exps_lcm(a: Exps, b: Exps) -> Exps:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def exps_coprime(a: Exps, b: Exps) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
+    return not any(map(mul, a, b))
 
 
 def support(e: Exps) -> tuple[int, ...]:

@@ -4,10 +4,10 @@ For a d x n integer matrix A whose columns span Z^d, the toric ideal is
 
     I_A = < x^u - x^v : u, v >= 0, A u = A v >,
 
-prime and homogeneous for the grading by A. It is computed from a basis
-of the saturated kernel lattice of A: the binomials of a lattice basis
-generate an ideal J with I_A = (J : (x_1 ... x_n)^inf), and that
-saturation is taken one variable at a time by the Bayer–Stillman
+prime and homogeneous for the grading by A. It is computed from an
+LLL-reduced basis of the saturated kernel lattice of A: the binomials of
+a lattice basis generate an ideal J with I_A = (J : (x_1 ... x_n)^inf),
+and that saturation is taken one variable at a time by the Bayer–Stillman
 criterion (Sturmfels, *Gröbner Bases and Convex Polytopes*, 1996,
 Ch. 12). Every binomial involved is homogeneous for the positive weights
 w = h A, where h is a heft of A. In an order that compares w-degrees
@@ -34,13 +34,14 @@ from .groebner import (
     ModKey,
     VecPoly,
     buchberger,
+    memoized_key,
     poly_to_vec,
     saturate,
     top_key,
     vec_groebner,
     vec_to_poly,
 )
-from .linalg import IntMatrix, as_int_matrix
+from .linalg import IntMatrix, as_int_matrix, integer_kernel, lll_reduce
 from .poly import (
     GREVLEX,
     GradedRing,
@@ -70,12 +71,16 @@ def to_a_graded_ring(
 
 
 def lattice_basis_binomials(A: IntMatrix | Iterable[Iterable[int]]) -> list[Polynomial]:
-    """Binomials x^(u+) - x^(u-) for a basis of the saturated kernel of A."""
-    from .linalg import integer_kernel
+    """Binomials x^(u+) - x^(u-) for an LLL-reduced basis of the saturated
+    kernel of A.
 
+    ``integer_kernel`` returns an echelon basis whose entries can run to
+    the hundreds even when I_A has generators of small degree; the
+    saturation works on the binomials of the reduced basis instead.
+    """
     A = as_int_matrix(A)
     out = []
-    for u in integer_kernel(A):
+    for u in lll_reduce(integer_kernel(A)):
         plus = tuple(max(x, 0) for x in u)
         minus = tuple(max(-x, 0) for x in u)
         out.append(Polynomial(A.ncols, [(plus, 1), (minus, -1)]))
@@ -95,7 +100,7 @@ def _saturation_key(weights: Sequence[int], last: int) -> ModKey:
             tuple(-e[k] for k in rest),
         )
 
-    return key
+    return memoized_key(key)
 
 
 def _divide_out(g: VecPoly, j: int) -> VecPoly:

@@ -330,6 +330,37 @@ def test_unknown_job_keys(job_file, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("command", ["std-pairs", "qdeg", "qlc", "toric"])
+def test_duplicate_variables_are_a_validation_error(job_file, capsys, command):
+    path = job_file({"variables": ["x", "x"], "ideal": ["x"]})
+    code, _, err = run(capsys, [command, path])
+    assert code == 3
+    assert "duplicate variable names" in err
+
+
+@pytest.mark.parametrize("command", ["std-pairs", "qdeg", "qlc", "toric", "volume"])
+def test_variables_not_matching_the_matrix_are_a_validation_error(job_file, capsys, command):
+    path = job_file({"matrix": [[1, 1], [0, 1]], "variables": ["a"]})
+    code, _, err = run(capsys, [command, path])
+    assert code == 3
+    assert "one column per variable" in err
+
+
+@pytest.mark.parametrize(
+    "grading,message",
+    [
+        ({"matrix": [[1, 1, 1]]}, "one column per variable"),
+        ({"matrix": [[1, 1]], "heft": [1, 1]}, "one entry per row"),
+    ],
+)
+def test_explicit_grading_of_the_wrong_shape(job_file, capsys, grading, message):
+    job = {"variables": ["s", "t"], "grading": grading, "ideal": ["s*t"]}
+    proc = run_module("qlc", job_file(job))
+    assert proc.returncode == 3
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_explicit_grading_object(job_file, capsys):
     job = {
         "variables": ["s", "t"],

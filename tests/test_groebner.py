@@ -247,6 +247,71 @@ def test_syzygy_completeness_koszul():
         assert not r
 
 
+# --- coefficients ---
+
+
+def test_exact_div_is_an_int_while_integral():
+    from quasidegrees.groebner import exact_div, poly_to_vec
+
+    assert type(exact_div(6, 3)) is int and exact_div(6, 3) == 2
+    assert type(exact_div(-1, -1)) is int and exact_div(-1, -1) == 1
+    assert exact_div(1, -2) == Fraction(-1, 2)
+    assert type(exact_div(Fraction(3, 2), Fraction(3, 4))) is int
+    assert exact_div(Fraction(3, 2), 2) == Fraction(3, 4)
+    assert exact_div(2, Fraction(4, 3)) == Fraction(3, 2)
+    vec = poly_to_vec(p2("x - 3*y + 1/2"))
+    assert [type(c) for c in vec.values()].count(int) == 2
+    assert vec[(0, (0, 0))] == Fraction(1, 2)
+
+
+SCALES = [Fraction(3, 2), Fraction(-5, 7), Fraction(2, 9), 3, -1]
+
+
+def test_rational_and_non_unit_coefficients():
+    # generators scaled by 3/2, -5/7, ... take the division, S-pair and
+    # monic-rescaling steps out of the integers: the reduced basis is the
+    # one of the unscaled generators, syzygies vanish and lifts rebuild
+    from quasidegrees.groebner import top_key, vec_lift, vec_to_vector, vector_to_vec
+
+    rng = random.Random(137)
+    nvars = 2
+    for _ in range(12):
+        t = rng.randint(1, 2)
+        vectors = [
+            tuple(random_ideal(rng, nvars, 1, 3, 2)[0] for _ in range(t))
+            for _ in range(rng.randint(2, 3))
+        ]
+        scales = [rng.choice(SCALES) for _ in vectors]
+        scaled = [tuple(f * c for f in v) for v, c in zip(vectors, scales)]
+        for order in (GREVLEX, LEX):
+            assert module_groebner(scaled, order) == module_groebner(vectors, order)
+            if t == 1:
+                ideal = [v[0] for v in vectors]
+                assert buchberger([v[0] for v in scaled], order) == buchberger(ideal, order)
+            check_syzygies(scaled, syzygies(scaled, order))
+            # targets: combinations of the generators with rational weights
+            targets = []
+            for _ in range(3):
+                target = tuple(Polynomial.zero(nvars) for _ in range(t))
+                for v in scaled:
+                    q = random_ideal(rng, nvars, 1, 2, 1)[0] * rng.choice(SCALES)
+                    target = tuple(a + q * b for a, b in zip(target, v))
+                if any(target):
+                    targets.append(target)
+            lifts = vec_lift(
+                [vector_to_vec(x) for x in targets],
+                [vector_to_vec(v) for v in scaled],
+                top_key(order),
+            )
+            for x, w in zip(targets, lifts):
+                qs = vec_to_vector(w, len(scaled), nvars)
+                rebuilt = tuple(
+                    sum((q * v[k] for q, v in zip(qs, scaled)), Polynomial.zero(nvars))
+                    for k in range(t)
+                )
+                assert rebuilt == x
+
+
 # --- module bases ---
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import WIDE_KERNEL, random_toric_matrix
 from quasidegrees.linalg import (
     IntMatrix,
     column_lattice_is_full,
@@ -12,6 +13,7 @@ from quasidegrees.linalg import (
     integer_kernel,
     integer_row_echelon,
     lattice_member,
+    lll_reduce,
     rational_rank,
     rref,
     solve_linear,
@@ -158,3 +160,49 @@ def test_solve_linear_random_consistency(seed):
     if x is not None:
         for row, b in zip(rows, rhs):
             assert sum(Fraction(a) * xx for a, xx in zip(row, x)) == b
+
+
+# --- LLL ---
+
+
+def _gram_schmidt_data(b):
+    """mu[k][j] and squared lengths B[k], computed from scratch."""
+    ortho, mu = [], []
+    for v in b:
+        w = [Fraction(x) for x in v]
+        row = []
+        for u in ortho:
+            m = Fraction(sum(x * y for x, y in zip(v, u))) / sum(x * x for x in u)
+            row.append(m)
+            w = [x - m * y for x, y in zip(w, u)]
+        ortho.append(w)
+        mu.append(row)
+    return mu, [sum(x * x for x in w) for w in ortho]
+
+
+def _lll_matrices():
+    rng = random.Random(97)
+    return [random_toric_matrix(rng) for _ in range(16)] + [IntMatrix(r) for r in WIDE_KERNEL]
+
+
+@pytest.mark.parametrize("A", _lll_matrices())
+def test_lll_reduce_keeps_the_lattice_and_reduces_it(A):
+    kernel = integer_kernel(A)
+    reduced = lll_reduce(kernel)
+    assert len(reduced) == len(kernel)
+    assert all(lattice_member(v, kernel) for v in reduced)
+    assert all(lattice_member(v, reduced) for v in kernel)
+    mu, B = _gram_schmidt_data(reduced)
+    for k in range(len(reduced)):
+        assert all(abs(m) <= Fraction(1, 2) for m in mu[k])
+        if k:
+            assert B[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * B[k - 1]
+
+
+def test_lll_reduce_small_cases():
+    assert lll_reduce([]) == []
+    assert lll_reduce([(3, -4)]) == [(3, -4)]
+    # the classic example: (1, 1, 1), (-1, 0, 2), (3, 5, 6)
+    assert lll_reduce([(1, 1, 1), (-1, 0, 2), (3, 5, 6)]) == [(0, 1, 0), (1, 0, 1), (-1, 0, 2)]
+    with pytest.raises(ValueError):
+        lll_reduce([(1, 2), (2, 4)])

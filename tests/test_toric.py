@@ -1,8 +1,10 @@
 import random
+import time
 
 import pytest
 
 from helpers import (
+    WIDE_KERNEL,
     elimination_toric_ideal,
     hilbert_quotient_dim,
     random_toric_matrix,
@@ -210,16 +212,6 @@ def test_toric_ideal_matches_elimination_reference_random():
             assert toric_ideal(A, R) == elimination_toric_ideal(A, R), (A, order)
 
 
-# matrices whose integer_kernel basis has entries far above the bound of
-# random_toric_matrix (25, 22, 9 and 13), still fast for both algorithms
-WIDE_KERNEL = [
-    ((3, 3, 3, 2, 3, 1), (-1, 2, -1, -2, 4, -1), (2, 4, 2, -1, 1, 2)),
-    ((3, 2, 2, 2, 1), (-2, 0, 1, 0, 1), (4, -1, 0, -2, 0)),
-    ((1, 2, 2, 3, 3, 1), (2, 1, 1, 4, 0, 1)),
-    ((2, 2, 3, 3, 1), (1, 0, -2, 4, -2)),
-]
-
-
 @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
 @pytest.mark.parametrize("rows", WIDE_KERNEL, ids=["k25", "k22", "k9", "k13"])
 def test_toric_ideal_matches_elimination_reference_wide_kernel(rows, order):
@@ -229,6 +221,22 @@ def test_toric_ideal_matches_elimination_reference_wide_kernel(rows, order):
     gb = toric_ideal(A, R)
     assert gb == elimination_toric_ideal(A, R)
     assert toric_volume(A, gb, order) == normalized_volume(A)
+
+
+# its echelon kernel basis has entries up to 100, such as
+# (63, -15, -85, 100, -40, 1, 0); the LLL-reduced one stays below 4
+LONG_KERNEL = IntMatrix(
+    ((1, 1, 2, 2, 2, 2, 2), (2, 0, 1, 0, 1, -1, 2), (2, 2, -1, -1, 2, -1, 2))
+)
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+def test_toric_ideal_of_a_long_kernel_basis(order):
+    R = to_a_graded_ring(LONG_KERNEL, order=order)
+    start = time.perf_counter()
+    gb = toric_ideal(LONG_KERNEL, R)
+    assert time.perf_counter() - start < 2.0
+    assert gb == elimination_toric_ideal(LONG_KERNEL, R)
 
 
 @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
