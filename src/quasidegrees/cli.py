@@ -76,7 +76,12 @@ class Job:
     def load(cls, path: str) -> "Job":
         with open(path, "rb") as fh:
             raw = fh.read()
-        data = json.loads(raw.decode("utf-8"))
+        try:
+            data = json.loads(raw.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ParseError("job file is not UTF-8", exc.start) from None
+        except RecursionError:
+            raise ParseError("JSON in job file is nested too deep") from None
         if not isinstance(data, dict):
             raise JobError("job document must be a JSON object")
         known = {"matrix", "variables", "grading", "ideal", "presentation"}

@@ -20,6 +20,16 @@ The public functions speak Polynomial and tuple-of-Polynomial; the
 vecdict layer is exported as well because the resolution code builds on
 it directly.
 
+Every basis, syzygy and lift here comes from one Buchberger pair loop,
+``_buchberger``. ``vec_groebner`` runs it without a transcript and
+autoreduces the result. ``vec_syzygies`` and ``vec_lift`` run it with a
+transcript, which keeps, for every basis element, its expression in the
+generators and, for every S-pair that reduces to zero, that reduction as
+a syzygy among the basis elements. The coprime-lead-term criterion skips
+pairs only in a run without a transcript on an ideal (every generator
+term in component 0): it is false for submodules, and a transcript must
+keep every pair.
+
 Division is deterministic (first listed divisor wins), pair selection is
 the normal strategy (smallest lcm degree first, then input order), and
 reduced bases are sorted by lead term, so every function here returns the
@@ -257,25 +267,47 @@ def vec_autoreduce(basis: list[VecPoly], mkey: ModKey) -> list[VecPoly]:
     return kept
 
 
-def vec_groebner(
-    gens: Iterable[VecPoly],
-    mkey: ModKey,
-    *,
-    scalar: bool = False,
-    reduce: bool = True,
-) -> list[VecPoly]:
-    """Groebner basis of the submodule generated by ``gens``.
+def _in_gens(sigma: VecPoly, exprs: Sequence[VecPoly]) -> VecPoly:
+    """sum c * x^e * exprs[k] over the terms c * x^e e_k of sigma: a
+    combination of basis elements rewritten in the generators."""
+    w: VecPoly = {}
+    for (k, e), c in sigma.items():
+        scalar_mul_vec({e: c}, exprs[k], w)
+    return w
+
+
+def _quotients(qs: Sequence[ScalarPoly]) -> VecPoly:
+    """Division quotients q_k as the vecdict sum q_k e_k."""
+    return {(k, e): c for k, q in enumerate(qs) for e, c in q.items()}
+
+
+def _buchberger(
+    gens: Iterable[VecPoly], mkey: ModKey, *, transcript: bool
+) -> tuple[list[VecPoly], list[ModTerm], list[VecPoly], list[VecPoly]]:
+    """The one pair loop: a Groebner basis H of the submodule generated
+    by the nonzero gens, returned as (H, lead terms, exprs, relations).
 
     Pair selection: smallest lcm total degree first, ties by insertion
-    order. When ``scalar`` is set the coprime-lead-term criterion is
-    applied; it is only valid for ideals (single component), not for
-    general submodules, so callers must not set it for t > 1.
-
-    Returns the reduced basis (minimal, monic, tail-reduced, sorted) when
-    ``reduce`` is true, otherwise the raw accumulated basis.
+    order. With a transcript, exprs[k] writes H[k] as a combination of
+    the gens (a vecdict over the generator index space), and relations
+    holds, for every S-pair that reduced to zero, that reduction as a
+    syzygy of the H (a vecdict over the H index space). A pair that
+    adds an element gives a syzygy that is zero once written in the
+    gens, so relations and exprs together hold every pair, as
+    Schreyer's theorem needs. Without a transcript both lists stay
+    empty, and the coprime-lead-term criterion may skip pairs.
     """
-    basis = [dict(g) for g in gens if g]
-    leads = [vec_lead(g, mkey) for g in basis]
+    basis: list[VecPoly] = []
+    leads: list[ModTerm] = []
+    exprs: list[VecPoly] = []
+    relations: list[VecPoly] = []
+    for idx, g in enumerate(gens):
+        if g:
+            basis.append(dict(g))
+            leads.append(vec_lead(g, mkey))
+            if transcript:
+                exprs.append({(idx, (0,) * len(leads[-1][1])): 1})
+    coprime = not transcript and all(pos == 0 for g in basis for pos, _ in g)
     heap: list[tuple[int, int, int]] = []
     for j in range(len(basis)):
         for i in range(j):
@@ -284,13 +316,23 @@ def vec_groebner(
     while heap:
         _, i, j = heapq.heappop(heap)
         li, lj = leads[i], leads[j]
-        if scalar and exps_coprime(li[1], lj[1]):
+        if coprime and exps_coprime(li[1], lj[1]):
             continue
         si, ci, sj, cj = _spair_parts(basis[i], li, basis[j], lj)
         s: VecPoly = {}
         vec_sub_scaled(s, -ci, si, basis[i])
         vec_sub_scaled(s, cj, sj, basis[j])
-        r = vec_divide(s, basis, mkey, leads)[1]
+        qs, r = vec_divide(s, basis, mkey, leads)
+        if transcript:
+            # sum_k sigma_k H_k = S - sum_k q_k H_k = r
+            zero = (0,) * len(si)
+            sigma = vec_scale(_quotients(qs), -1)
+            vec_sub_scaled(sigma, -ci, si, {(i, zero): 1})
+            vec_sub_scaled(sigma, cj, sj, {(j, zero): 1})
+            if r:
+                exprs.append(_in_gens(sigma, exprs))
+            else:
+                relations.append(sigma)
         if r:
             lead = vec_lead(r, mkey)
             basis.append(r)
@@ -299,129 +341,45 @@ def vec_groebner(
             for m in range(k):
                 if leads[m][0] == lead[0]:
                     heapq.heappush(heap, (_pair_priority(leads[m], lead), m, k))
-    return vec_autoreduce(basis, mkey) if reduce else basis
+    return basis, leads, exprs, relations
 
 
-# --- transcripts, syzygies, lifting ---
+def vec_groebner(gens: Iterable[VecPoly], mkey: ModKey) -> list[VecPoly]:
+    """Reduced Groebner basis (minimal, monic, tail-reduced, sorted by
+    lead term) of the submodule generated by ``gens``: ``_buchberger``
+    without a transcript, then ``vec_autoreduce``."""
+    return vec_autoreduce(_buchberger(gens, mkey, transcript=False)[0], mkey)
 
 
-@dataclass
-class _Transcript:
-    """A Groebner basis H of <gens> with bookkeeping.
-
-    exprs[k] writes H[k] as a combination of the original generators: a
-    vecdict over the *generator index* space. pair_records holds, for
-    every processed S-pair, its syzygy among the H (a vecdict over the
-    H index space); complete because no pair is ever skipped.
-    """
-
-    basis: list[VecPoly]
-    leads: list[ModTerm]
-    exprs: list[VecPoly]
-    pair_records: list[VecPoly]
-    gen_index: list[int]
-
-
-def _transcript_groebner(
-    gens: Sequence[VecPoly], mkey: ModKey, *, record_pairs: bool
-) -> _Transcript:
-    basis: list[VecPoly] = []
-    leads: list[ModTerm] = []
-    exprs: list[VecPoly] = []
-    gen_index: list[int] = []
-    for idx, g in enumerate(gens):
-        if not g:
-            continue
-        basis.append(dict(g))
-        leads.append(vec_lead(g, mkey))
-        exprs.append({(idx, (0,) * _nvars_of(g)): 1})
-        gen_index.append(idx)
-    records: list[VecPoly] = []
-    heap: list[tuple[int, int, int]] = []
-    for j in range(len(basis)):
-        for i in range(j):
-            if leads[i][0] == leads[j][0]:
-                heapq.heappush(heap, (_pair_priority(leads[i], leads[j]), i, j))
-    while heap:
-        _, i, j = heapq.heappop(heap)
-        li, lj = leads[i], leads[j]
-        si, ci, sj, cj = _spair_parts(basis[i], li, basis[j], lj)
-        s: VecPoly = {}
-        vec_sub_scaled(s, -ci, si, basis[i])
-        vec_sub_scaled(s, cj, sj, basis[j])
-        qs, r = vec_divide(s, basis, mkey, leads)
-        sigma: VecPoly = {(i, si): ci}
-        v = sigma.get((j, sj), 0) - cj
-        if v:
-            sigma[(j, sj)] = v
-        else:
-            sigma.pop((j, sj), None)
-        for k, q in enumerate(qs):
-            for e, c in q.items():
-                key = (k, e)
-                val = sigma.get(key, 0) - c
-                if val:
-                    sigma[key] = val
-                else:
-                    sigma.pop(key, None)
-        if r:
-            expr: VecPoly = {}
-            scalar_mul_vec({si: ci}, exprs[i], expr)
-            scalar_mul_vec({sj: -cj}, exprs[j], expr)
-            for k, q in enumerate(qs):
-                if q:
-                    scalar_mul_vec({e: -c for e, c in q.items()}, exprs[k], expr)
-            lead = vec_lead(r, mkey)
-            basis.append(r)
-            leads.append(lead)
-            exprs.append(expr)
-            knew = len(basis) - 1
-            sigma[(knew, (0,) * len(lead[1]))] = -1
-            for m in range(knew):
-                if leads[m][0] == lead[0]:
-                    heapq.heappush(heap, (_pair_priority(leads[m], lead), m, knew))
-        if record_pairs:
-            records.append(sigma)
-    return _Transcript(basis, leads, exprs, records, gen_index)
-
-
-def _nvars_of(g: VecPoly) -> int:
-    return len(next(iter(g))[1])
+# --- syzygies and lifting ---
 
 
 def vec_syzygies(gens: Sequence[VecPoly], mkey: ModKey, nvars: int) -> list[VecPoly]:
     """Generators of {(q_1..q_s) : sum q_i gens_i = 0} as vecdicts over
     the generator index space.
 
-    Built from a transcripted Buchberger run: every processed S-pair
-    contributes its syzygy among the basis elements (pushed back through
-    the transcript), and the columns of I - M N (where M rewrites the
+    Built from a transcripted Buchberger run: every S-pair that reduced
+    to zero contributes its syzygy among the basis elements (rewritten
+    in the generators), and the columns of I - M N (where M rewrites the
     basis in terms of the generators and N divides the generators by the
     basis) pick up redundancy of the generators themselves. Zero
     generators contribute unit syzygies.
     """
     zero_exps = (0,) * nvars
-    out: list[VecPoly] = []
-    for idx, g in enumerate(gens):
-        if not g:
-            out.append({(idx, zero_exps): 1})
-    tr = _transcript_groebner(gens, mkey, record_pairs=True)
-    for sigma in tr.pair_records:
-        w: VecPoly = {}
-        for (k, e), c in sigma.items():
-            scalar_mul_vec({e: c}, tr.exprs[k], w)
+    out: list[VecPoly] = [{(idx, zero_exps): 1} for idx, g in enumerate(gens) if not g]
+    basis, leads, exprs, relations = _buchberger(gens, mkey, transcript=True)
+    for sigma in relations:
+        w = _in_gens(sigma, exprs)
         if w:
             out.append(w)
     for idx, g in enumerate(gens):
         if not g:
             continue
-        qs, r = vec_divide(g, tr.basis, mkey, tr.leads)
+        qs, r = vec_divide(g, basis, mkey, leads)
         if r:
             raise AssertionError("generator failed to reduce against its own basis")
         w = {(idx, zero_exps): 1}
-        for k, q in enumerate(qs):
-            if q:
-                scalar_mul_vec({e: -c for e, c in q.items()}, tr.exprs[k], w)
+        vec_sub_scaled(w, 1, zero_exps, _in_gens(_quotients(qs), exprs))
         if w:
             out.append(w)
     return out
@@ -435,17 +393,13 @@ def vec_lift(
     Returns one vecdict over the generator index space per target. Raises
     ValueError if a target is not in the submodule generated by gens.
     """
-    tr = _transcript_groebner(gens, mkey, record_pairs=False)
+    basis, leads, exprs, _ = _buchberger(gens, mkey, transcript=True)
     out: list[VecPoly] = []
     for t in targets:
-        qs, r = vec_divide(t, tr.basis, mkey, tr.leads)
+        qs, r = vec_divide(t, basis, mkey, leads)
         if r:
             raise ValueError("element does not lie in the submodule")
-        w: VecPoly = {}
-        for k, q in enumerate(qs):
-            if q:
-                scalar_mul_vec(q, tr.exprs[k], w)
-        out.append(w)
+        out.append(_in_gens(_quotients(qs), exprs))
     return out
 
 
@@ -458,7 +412,6 @@ class GroebnerBasis:
 
     generators: tuple[Polynomial, ...]
     order: MonomialOrder
-    reduced: bool = True
 
     def __iter__(self):
         return iter(self.generators)
@@ -487,7 +440,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> Gr
     nvars = nz[0].nvars
     if any(g.nvars != nvars for g in nz):
         raise ValueError("generators over different rings")
-    gb = vec_groebner([poly_to_vec(g) for g in nz], top_key(order), scalar=True)
+    gb = vec_groebner([poly_to_vec(g) for g in nz], top_key(order))
     return GroebnerBasis(tuple(vec_to_poly(g, nvars) for g in gb), order)
 
 
@@ -532,14 +485,9 @@ def syzygies(
     """
     if not gens:
         return []
-    first = gens[0]
-    if isinstance(first, Polynomial):
-        nvars = first.nvars
-        vecs = [poly_to_vec(g) for g in gens]  # type: ignore[arg-type]
-    else:
-        nvars = first[0].nvars
-        vecs = [vector_to_vec(v) for v in gens]  # type: ignore[arg-type]
-    syz = vec_syzygies(vecs, top_key(order), nvars)
+    vectors = [(g,) for g in gens] if isinstance(gens[0], Polynomial) else gens
+    nvars = vectors[0][0].nvars
+    syz = vec_syzygies([vector_to_vec(v) for v in vectors], top_key(order), nvars)
     return [vec_to_vector(s, len(gens), nvars) for s in syz]
 
 
@@ -554,16 +502,11 @@ def initial_module(
     """
     if not gens:
         return {}
-    first = gens[0]
-    if isinstance(first, Polynomial):
-        ncomp = 1
-        vecs = [poly_to_vec(g) for g in gens if not g.is_zero()]  # type: ignore[union-attr]
-    else:
-        ncomp = len(first)
-        vecs = [vector_to_vec(v) for v in gens if any(f for f in v)]  # type: ignore[arg-type]
+    vectors = [(g,) for g in gens] if isinstance(gens[0], Polynomial) else gens
+    vecs = [vector_to_vec(v) for v in vectors if any(f for f in v)]
     mkey = top_key(order)
-    out: dict[int, list[Exps]] = {i: [] for i in range(ncomp)}
-    for g in vec_groebner(vecs, mkey, scalar=(ncomp == 1)):
+    out: dict[int, list[Exps]] = {i: [] for i in range(len(vectors[0]))}
+    for g in vec_groebner(vecs, mkey):
         pos, exps = vec_lead(g, mkey)
         out[pos].append(exps)
     return out
@@ -598,7 +541,7 @@ def saturate(
         key = (0, (1,) + e)
         one_minus_tf[key] = one_minus_tf.get(key, 0) - as_coeff(c)
     big.append(one_minus_tf)
-    gb = vec_groebner(big, top_key(Elimination(1)), scalar=True)
+    gb = vec_groebner(big, top_key(Elimination(1)))
     kept = []
     for g in gb:
         if all(e[0] == 0 for (_, e) in g):

@@ -93,17 +93,27 @@ class GradedPresentation:
 class FreeResolution:
     """F_0 <- F_1 <- ... <- F_L with graded free modules.
 
-    ``shifts[i]`` lists the generator degrees of F_i; ``differentials[i]``
-    holds the columns of the map F_(i+1) -> F_i as vectors in F_i.
+    ``shifts[i]`` lists the generator degrees of F_i. ``columns[i]`` holds
+    the columns of the map F_(i+1) -> F_i as vecdicts over F_i, the form
+    the resolution and Ext code work in; ``differentials[i]`` holds the
+    same columns as tuples of Polynomials, converted on first use.
     """
 
     ring: GradedRing
     shifts: tuple[Shifts, ...]
-    differentials: tuple[tuple[Vector, ...], ...]
+    columns: tuple[tuple[VecPoly, ...], ...]
+
+    @cached_property
+    def differentials(self) -> tuple[tuple[Vector, ...], ...]:
+        n = self.ring.nvars
+        return tuple(
+            tuple(vec_to_vector(w, self.rank(i), n) for w in cols)
+            for i, cols in enumerate(self.columns)
+        )
 
     @property
     def length(self) -> int:
-        return len(self.differentials)
+        return len(self.columns)
 
     def rank(self, i: int) -> int:
         return len(self.shifts[i])
@@ -209,7 +219,7 @@ def free_resolution(P: GradedPresentation, max_length: int | None = None) -> Fre
     if max_length is not None and max_length < 0:
         raise ValueError("negative resolution length")
     shift_levels: list[Shifts] = [P.shifts]
-    diffs: list[tuple[Vector, ...]] = []
+    diffs: list[tuple[VecPoly, ...]] = []
     key: ModKey = top_key(ring.order)
     cols = [vector_to_vec(c) for c in P.columns if any(f for f in c)]
     while cols and (max_length is None or len(diffs) < max_length):
@@ -217,7 +227,7 @@ def free_resolution(P: GradedPresentation, max_length: int | None = None) -> Fre
         degs = [_vec_degree_checked(w, shift_levels[level], ring) for w in cols]
         keep = _minimal_subset(cols, degs, ring)
         cols = [cols[k] for k in keep]
-        diffs.append(tuple(vec_to_vector(w, len(shift_levels[level]), n) for w in cols))
+        diffs.append(tuple(cols))
         shift_levels.append(tuple(degs[k] for k in keep))
         if len(diffs) == max_length:
             break
@@ -227,28 +237,17 @@ def free_resolution(P: GradedPresentation, max_length: int | None = None) -> Fre
     return FreeResolution(ring, tuple(shift_levels), tuple(diffs))
 
 
-def apply_matrix(columns: Sequence[Vector], v: Vector, nvars: int, t_out: int) -> Vector:
-    """Image of v under the map whose j-th column is columns[j]."""
-    acc = [Polynomial.zero(nvars) for _ in range(t_out)]
-    for q, col in zip(v, columns):
-        if q.is_zero():
-            continue
-        for k, entry in enumerate(col):
-            acc[k] = acc[k] + q * entry
-    return tuple(acc)
-
-
-def _transpose_columns(columns: Sequence[Vector], t_source: int, nvars: int) -> list[Vector]:
+def _transpose(columns: Sequence[VecPoly], t: int) -> list[VecPoly]:
     """Columns of the transposed matrix.
 
     ``columns`` are the s columns of a map R^s -> R^t; the transpose maps
     R^t -> R^s and its t columns are returned (the k-th collects entry k
     of every original column).
     """
-    t = len(columns[0]) if columns else 0
-    out = []
-    for k in range(t):
-        out.append(tuple(columns[m][k] for m in range(len(columns))))
+    out: list[VecPoly] = [{} for _ in range(t)]
+    for m, col in enumerate(columns):
+        for (k, e), c in col.items():
+            out[k][(m, e)] = c
     return out
 
 
@@ -276,10 +275,7 @@ def ext_presentation(P: GradedPresentation, j: int) -> GradedPresentation:
     dual_shifts = tuple(tuple(-x for x in s) for s in res.shifts[j])
     mkey = top_key(ring.order)
     if j < L:
-        phi_next = res.differentials[j]
-        tcols = _transpose_columns(phi_next, t_j, n)
-        tcols_vec = [vector_to_vec(c) for c in tcols]
-        K = vec_syzygies(tcols_vec, mkey, n)
+        K = vec_syzygies(_transpose(res.columns[j], t_j), mkey, n)
     else:
         # the next differential is zero, so the kernel is everything
         K = [{(k, (0,) * n): 1} for k in range(t_j)]
@@ -288,9 +284,7 @@ def ext_presentation(P: GradedPresentation, j: int) -> GradedPresentation:
     gen_shifts = tuple(_vec_degree_checked(w, dual_shifts, ring) for w in K)
     relations: list[VecPoly] = list(vec_syzygies(K, mkey, n))
     if j >= 1:
-        phi_j = res.differentials[j - 1]
-        targets = [vector_to_vec(c) for c in _transpose_columns(phi_j, res.rank(j - 1), n)]
-        targets = [tv for tv in targets if tv]
+        targets = [tv for tv in _transpose(res.columns[j - 1], res.rank(j - 1)) if tv]
         if targets:
             relations.extend(vec_lift(targets, K, mkey))
     cols = tuple(

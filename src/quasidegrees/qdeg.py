@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .groebner import Vector, top_key, vec_groebner, vec_lead, vector_to_vec
+from .groebner import Vector, initial_module
 from .planes import AffinePlane, QuasidegreeSet
 from .poly import ANY_DEGREE, Exps, GradedRing, Polynomial
 
@@ -231,17 +231,11 @@ def quasidegrees_module(
             raise InhomogeneousError()
         if any(not f.is_zero() for f in col):
             live.append(col)
-    lead_cols: list[list[Optional[Term]]] = []
-    if live:
-        mkey = top_key(ring.order)
-        gb = vec_groebner([vector_to_vec(v) for v in live], mkey)
-        for g in gb:
-            pos, exps = vec_lead(g, mkey)
-            col: list[Optional[Term]] = [None] * t
-            col[pos] = (Fraction(1), exps)
-            lead_cols.append(col)
+    lead = initial_module(live, ring.order)
+    leads = [(pos, exps) for pos in range(t) for exps in lead.get(pos, [])]
     entries = tuple(
-        tuple(lead_cols[j][k] for j in range(len(lead_cols))) for k in range(t)
+        tuple((Fraction(1), exps) if pos == k else None for pos, exps in leads)
+        for k in range(t)
     )
     phi = MonomialMatrix(ring, shifts, entries)
     return quasidegrees_monomial(phi)

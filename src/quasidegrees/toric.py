@@ -139,9 +139,9 @@ def toric_ideal(
     weights = [sum(hi * ai for hi, ai in zip(h, col)) for col in A.columns()]
     gens = [poly_to_vec(g) for g in binomials]
     for j in range(ring.nvars):
-        gb = vec_groebner(gens, _saturation_key(weights, j), scalar=True)
+        gb = vec_groebner(gens, _saturation_key(weights, j))
         gens = [_divide_out(g, j) for g in gb]
-    gb = vec_groebner(gens, top_key(ring.order), scalar=True)
+    gb = vec_groebner(gens, top_key(ring.order))
     return [vec_to_poly(g, ring.nvars) for g in gb]
 
 

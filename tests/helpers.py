@@ -118,6 +118,17 @@ def graded_map_rank(ring: GradedRing, columns, source_shifts, beta) -> int:
     return rational_rank(dense)
 
 
+def apply_matrix(columns, v, nvars: int, t_out: int):
+    """Image of the vector v under the map whose j-th column is columns[j]."""
+    acc = [Polynomial.zero(nvars) for _ in range(t_out)]
+    for q, col in zip(v, columns):
+        if q.is_zero():
+            continue
+        for k, entry in enumerate(col):
+            acc[k] = acc[k] + q * entry
+    return tuple(acc)
+
+
 def free_module_dim(ring: GradedRing, shifts, beta) -> int:
     """dim_Q of the beta piece of the free module R(-shifts)."""
     return sum(

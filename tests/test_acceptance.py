@@ -16,6 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from helpers import (
+    apply_matrix,
     hilbert_quotient_dim,
     random_homogeneous_binomial_ideal,
     random_ideal,
@@ -45,7 +46,7 @@ from quasidegrees import (
     toric_ideal,
 )
 from quasidegrees.cli import main as cli_main
-from quasidegrees.homology import apply_matrix, dual_shift_plane
+from quasidegrees.homology import dual_shift_plane
 from quasidegrees.planes import QuasidegreeSet
 from quasidegrees.poly import exps_divides, exps_lcm
 from quasidegrees.qdeg import vector_degree

@@ -289,6 +289,24 @@ def test_bad_json(job_file, capsys):
     assert "JSON" in err
 
 
+def test_job_file_not_utf8_is_parse_error(tmp_path):
+    path = tmp_path / "job.json"
+    path.write_bytes(b"\xff\xfe{}")
+    proc = run_module("qdeg", str(path))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "UTF-8" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_deeply_nested_json_is_parse_error(job_file):
+    proc = run_module("qdeg", job_file("[" * 100_000 + "]" * 100_000))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "nested" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_missing_file(capsys):
     code, _, err = run(capsys, ["volume", "/nonexistent/job.json"])
     assert code == 3

@@ -327,6 +327,15 @@ def test_module_groebner_position_up():
     assert sorted(gb, key=str) == sorted([(x, z), (z, x)], key=str)
 
 
+def test_module_groebner_keeps_coprime_pairs():
+    # the leads x*e0 and y*e0 are coprime, yet their S-pair (0, y) does
+    # not reduce: the coprime criterion holds only for ideals
+    x, y, one = p2("x"), p2("y"), p2("1")
+    z = Polynomial.zero(2)
+    gb = module_groebner([(x, one), (y, z)])
+    assert (z, y) in gb
+
+
 def test_initial_module_and_ideal():
     gens = [p2("x*y - 1"), p2("y^2 - 1")]
     assert sorted(initial_ideal(gens)) == [(0, 2), (1, 0)]

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    apply_matrix,
     complex_is_exact_at,
     dimension_via_standard_pairs,
     hilbert_quotient_dim,
@@ -14,7 +15,6 @@ from helpers import (
 from quasidegrees.homology import (
     FreeResolution,
     GradedPresentation,
-    apply_matrix,
     dual_shift_plane,
     ext_presentation,
     free_resolution,
