@@ -393,16 +393,16 @@ def parse_degree(text: str, rank: int) -> tuple[Fraction, ...]:
 def cmd_check_beta(job: Job, args) -> None:
     if job.matrix is None:
         raise JobError("check-beta needs a 'matrix' section")
+    if job.ideal is not None or job.presentation is not None:
+        raise JobError(
+            "check-beta classifies R/I_A for the job's matrix; "
+            "drop the 'ideal' and 'presentation' sections"
+        )
     ring = build_ring(job, args.order)
     beta = parse_degree(args.beta, ring.grading_rank)
-    P = build_presentation(job, ring, allow_toric=True)
-    total = qlc_total(P)
-    if job.ideal is None and job.presentation is None:
-        # P is R/I_A, presented by the reduced basis of I_A in the ring's order
-        vol = toric_volume(job.matrix, [col[0] for col in P.columns], ring.order)
-    else:
-        vol = normalized_volume(job.matrix)
-    jumping = total.contains_point(beta)
+    basis = toric_ideal(job.matrix, ring)
+    vol = toric_volume(job.matrix, basis, ring.order)
+    jumping = qlc_total(GradedPresentation.cyclic(ring, basis)).contains_point(beta)
     if jumping:
         lines = [f"RANK-JUMP at beta={_format_vector(beta)}"]
     else:

@@ -313,10 +313,7 @@ def qlc(P: GradedPresentation, i: int) -> QuasidegreeSet:
         return QuasidegreeSet(())
     q = quasidegrees_module(E.columns, E.shifts, ring)
     eps = ring.degree_sum
-    mapped = sorted(
-        (dual_shift_plane(p, eps) for p in q.planes), key=AffinePlane.sort_key
-    )
-    return QuasidegreeSet(tuple(mapped))
+    return QuasidegreeSet(tuple(dual_shift_plane(p, eps) for p in q.planes))
 
 
 def module_dimension(P: GradedPresentation) -> int:

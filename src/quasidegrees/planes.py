@@ -1,12 +1,11 @@
 """Finite unions of rational affine planes in Q^d.
 
-An AffinePlane is base + span{v_1..v_r}. The span is stored exactly as
-constructed (for a quasidegree computation the vectors are the degree
-columns of the face variables, which is what a reader wants to see); a
-canonical form (reduced row echelon span basis plus a base point reduced
-against the pivots) is computed on the side and drives set-equality,
-containment, and sorting. Two planes that are equal as subsets of Q^d
-always have the same canonical form.
+An AffinePlane is base + span{v_1..v_r}, its span stored as the reduced
+row echelon basis. The base is kept as given (for a quasidegree plane,
+the degree of a standard root); equality, hashing and order read it
+reduced modulo the span, so two planes are equal exactly when they are
+the same subset of Q^d. A QuasidegreeSet keeps one plane per set, the
+one with the least base, in sorted order.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .linalg import in_span, rref
+from .linalg import rref
 
 RatVec = tuple[Fraction, ...]
 
@@ -24,35 +23,46 @@ def _as_ratvec(v: Iterable) -> RatVec:
     return tuple(Fraction(x) for x in v)
 
 
-@dataclass(frozen=True)
+def _reduce(v: Sequence[Fraction], span: tuple[RatVec, ...]) -> RatVec:
+    """v minus its multiples of the RREF rows, zero at every pivot."""
+    out = list(v)
+    for row in span:
+        p = next(i for i, x in enumerate(row) if x)
+        f = out[p]
+        if f:
+            out = [a - f * r for a, r in zip(out, row)]
+    return tuple(out)
+
+
+@dataclass(frozen=True, eq=False)
 class AffinePlane:
     """The set base + sum of Q-multiples of the span vectors."""
 
     base: RatVec
     span: tuple[RatVec, ...] = ()
-    canonical_base: RatVec = field(init=False, compare=False, repr=False)
-    canonical_span: tuple[RatVec, ...] = field(init=False, compare=False, repr=False)
+    _key: tuple[RatVec, tuple[RatVec, ...]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         base = _as_ratvec(self.base)
-        span = tuple(_as_ratvec(v) for v in self.span)
-        if any(len(v) != len(base) for v in span):
+        rows = [_as_ratvec(v) for v in self.span]
+        if any(len(v) != len(base) for v in rows):
             raise ValueError("span vectors must match the base dimension")
+        R, _, rank = rref(rows)
+        span = R[:rank]
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "span", span)
-        if span:
-            R, pivots, rank = rref(span)
-            cspan = R[:rank]
-            cbase = list(base)
-            for row, p in zip(cspan, pivots):
-                f = cbase[p]
-                if f:
-                    cbase = [b - f * r for b, r in zip(cbase, row)]
-        else:
-            cspan = ()
-            cbase = list(base)
-        object.__setattr__(self, "canonical_base", tuple(cbase))
-        object.__setattr__(self, "canonical_span", tuple(cspan))
+        object.__setattr__(self, "_key", (_reduce(base, span), span))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, AffinePlane):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __lt__(self, other: "AffinePlane") -> bool:
+        return self._key < other._key
 
     @property
     def ambient_dim(self) -> int:
@@ -60,32 +70,22 @@ class AffinePlane:
 
     @property
     def dimension(self) -> int:
-        return len(self.canonical_span)
-
-    def same_set(self, other: "AffinePlane") -> bool:
-        return (
-            self.canonical_base == other.canonical_base
-            and self.canonical_span == other.canonical_span
-        )
+        return len(self.span)
 
     def contains_point(self, beta: Sequence) -> bool:
         beta = _as_ratvec(beta)
         if len(beta) != self.ambient_dim:
             raise ValueError("point has the wrong dimension")
-        diff = tuple(b - c for b, c in zip(beta, self.base))
-        return in_span(diff, self.canonical_span)
-
-    def sort_key(self):
-        return (self.canonical_base, self.canonical_span, self.base, self.span)
+        return _reduce(beta, self.span) == self._key[0]
 
 
 def plane_contains(outer: AffinePlane, inner: AffinePlane) -> bool:
     """Is inner a subset of outer?"""
     if outer.ambient_dim != inner.ambient_dim:
         raise ValueError("planes in different ambient spaces")
-    if not outer.contains_point(inner.base):
-        return False
-    return all(in_span(v, outer.canonical_span) for v in inner.canonical_span)
+    return outer.contains_point(inner.base) and not any(
+        any(_reduce(v, outer.span)) for v in inner.span
+    )
 
 
 @dataclass(frozen=True)
@@ -95,10 +95,13 @@ class QuasidegreeSet:
     planes: tuple[AffinePlane, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "planes", tuple(self.planes))
-        dims = {p.ambient_dim for p in self.planes}
-        if len(dims) > 1:
+        least: dict[AffinePlane, AffinePlane] = {}
+        for p in self.planes:
+            if p not in least or p.base < least[p].base:
+                least[p] = p
+        if len({p.ambient_dim for p in least}) > 1:
             raise ValueError("planes in different ambient spaces")
+        object.__setattr__(self, "planes", tuple(sorted(least.values())))
 
     @property
     def is_empty(self) -> bool:
@@ -114,24 +117,16 @@ class QuasidegreeSet:
         return len(self.planes)
 
 
-def point_in_qdeg(beta: Sequence, q: QuasidegreeSet) -> bool:
-    return q.contains_point(beta)
+def remove_redundancy(q: QuasidegreeSet | Iterable[AffinePlane]) -> QuasidegreeSet:
+    """Drop every plane strictly contained in another plane of the union.
 
-
-def remove_redundancy(q: QuasidegreeSet | Sequence[AffinePlane]) -> QuasidegreeSet:
-    """Drop every plane contained in another plane of the union.
-
-    Planes are scanned in input order; a plane is dropped as soon as some
-    other plane still in the running contains it (so among set-equal
-    duplicates the last one survives). The result is sorted canonically
-    and the union of planes is unchanged.
+    The union of the planes is unchanged.
     """
-    planes = list(q.planes) if isinstance(q, QuasidegreeSet) else list(q)
-    kept = set(range(len(planes)))
-    for i in range(len(planes)):
-        for j in sorted(kept):
-            if j != i and plane_contains(planes[j], planes[i]):
-                kept.discard(i)
-                break
-    out = sorted((planes[j] for j in sorted(kept)), key=AffinePlane.sort_key)
-    return QuasidegreeSet(tuple(out))
+    planes = QuasidegreeSet(tuple(q)).planes
+    return QuasidegreeSet(
+        tuple(
+            p
+            for p in planes
+            if not any(o != p and plane_contains(o, p) for o in planes)
+        )
+    )

@@ -172,19 +172,15 @@ def _planes_for_row(
 def quasidegrees_monomial(phi: MonomialMatrix) -> QuasidegreeSet:
     """Quasidegree set of coker(phi) for a split monomial matrix.
 
-    Planes are deduplicated by their raw (base, span) data only; use
-    remove_redundancy to collapse set-equal planes.
+    Set-equal planes from different standard pairs or rows collapse to
+    the one with the least base; use remove_redundancy to also drop
+    planes strictly inside others.
     """
     ring = phi.ring
     planes: list[AffinePlane] = []
     for k, gens in enumerate(phi.row_ideals()):
         planes.extend(_planes_for_row(ring, phi.row_shifts[k], gens))
-    planes.sort(key=AffinePlane.sort_key)
-    out = []
-    for p in planes:
-        if not out or out[-1] != p:
-            out.append(p)
-    return QuasidegreeSet(tuple(out))
+    return QuasidegreeSet(tuple(planes))
 
 
 def vector_degree(vec: Vector, shifts: Sequence[Sequence[int]], ring: GradedRing):

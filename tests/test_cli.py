@@ -12,6 +12,7 @@ from quasidegrees.groebner import ideal_equal
 from quasidegrees.homology import GradedPresentation, qlc
 from quasidegrees.linalg import IntMatrix
 from quasidegrees.parse import parse_polynomial
+from quasidegrees.planes import AffinePlane
 from quasidegrees.toric import to_a_graded_ring, toric_ideal
 
 MONOMIAL_JOB = {
@@ -112,13 +113,10 @@ def test_qdeg_text_and_reduce(job_file, capsys):
     path = job_file(MONOMIAL_JOB)
     code, out, _ = run(capsys, ["qdeg", path])
     assert code == 0
-    assert out.strip().splitlines() == [
-        "base (0) span {(1)}",
-        "base (0) span {(1), (1)}",
-    ]
+    assert out.strip().splitlines() == ["base (0) span {(1)}"]
     code, out, _ = run(capsys, ["qdeg", path, "--reduce"])
     assert code == 0
-    assert out.strip().splitlines() == ["base (0) span {(1), (1)}"]
+    assert out.strip().splitlines() == ["base (0) span {(1)}"]
 
 
 def test_qdeg_binomial_needs_general(job_file, capsys):
@@ -142,14 +140,11 @@ def test_qdeg_presentation_section(job_file, capsys):
         },
     }
     # row 0 carries <x^2> at shift 0: pairs (1,{y}) and (x,{y});
-    # row 1 carries <y> at shift 1: pair (1,{x}); the two base-1 planes
-    # coincide and collapse to one
+    # row 1 carries <y> at shift 1: pair (1,{x}); in Q^1 all three planes
+    # are the whole line and print once, from the least base
     code, out, _ = run(capsys, ["qdeg", job_file(job)])
     assert code == 0
-    assert out.strip().splitlines() == [
-        "base (0) span {(1)}",
-        "base (1) span {(1)}",
-    ]
+    assert out.strip().splitlines() == ["base (0) span {(1)}"]
 
 
 def test_qdeg_inhomogeneous_presentation(job_file, capsys):
@@ -450,3 +445,67 @@ def test_qlc_monomial_demo_is_union_of_its_degrees(capsys):
     total = json.loads(out)["planes"]
     assert total
     assert total == planes
+
+
+def _machine_planes(out):
+    return [AffinePlane(p["base"], p["span"]) for p in json.loads(out)["planes"]]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["qdeg"], ["qdeg", "--reduce"], ["qdeg", "--general"], ["qlc", "--i", "2"]],
+    ids=["qdeg", "qdeg_reduce", "qdeg_general", "qlc_i2"],
+)
+def test_monomial_demo_prints_each_plane_once(capsys, argv):
+    # the y-axis and the xz-plane of R/<xy, yz> give the same line of
+    # degrees; it used to print twice, once with the span {(1), (1)}
+    path = str(JOBS / "monomial_demo.json")
+    code, out, _ = run(capsys, [argv[0], path, *argv[1:], "--format", "machine"])
+    assert code == 0
+    planes = _machine_planes(out)
+    assert planes
+    assert len(set(planes)) == len(planes)
+    assert all(p.span == ((1,),) for p in planes)
+
+
+# the benchmark's std5_a ideal as its seed-1 relabelling writes it
+STD5_A_JOB = {
+    "variables": ["g", "t", "n", "p", "u"],
+    "ideal": [
+        "g^3*p^2*u",
+        "g^2*n^4*p^4",
+        "t^3*p^4*u",
+        "g*t^4*p^3",
+        "g^4*t*p^3",
+        "g^4*t^3*n^4*p^4",
+    ],
+}
+
+
+@pytest.mark.parametrize("extra", [[], ["--reduce"]], ids=["plain", "reduce"])
+def test_qlc_text_does_not_depend_on_the_order(job_file, capsys, extra):
+    # lex and grevlex give different initial modules of the Ext modules,
+    # hence different spanning sets for the same planes
+    path = job_file(STD5_A_JOB)
+    code, grevlex, _ = run(capsys, ["qlc", path, "--order", "grevlex", *extra])
+    assert code == 0
+    code, lex, _ = run(capsys, ["qlc", path, "--order", "lex", *extra])
+    assert code == 0
+    assert grevlex and lex == grevlex
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {"ideal": ["x1*x3 - x2*x4"]},
+        {"presentation": {"shifts": [[0, 0, 0]], "matrix": [["x1"]]}},
+    ],
+    ids=["ideal", "presentation"],
+)
+def test_check_beta_rejects_a_module_besides_the_matrix(job_file, capsys, extra):
+    # vol(A) belongs to R/I_A; a job naming another module would mix the two
+    job = dict(A35_JOB, variables=["x1", "x2", "x3", "x4", "x5"], **extra)
+    code, out, err = run(capsys, ["check-beta", job_file(job), "0,0,1"])
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and "R/I_A" in err

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,7 +8,6 @@ from quasidegrees.planes import (
     AffinePlane,
     QuasidegreeSet,
     plane_contains,
-    point_in_qdeg,
     remove_redundancy,
 )
 
@@ -41,26 +41,39 @@ def test_point_plane_is_just_its_base():
     assert not p.contains_point((1, 3))
 
 
-def test_canonical_form_collapses_spanning_sets():
+def test_span_is_stored_in_rref():
     p = AffinePlane((0, 0), ((1, 1), (2, 2)))
     q = AffinePlane((0, 0), ((-3, -3),))
-    assert p.same_set(q)
-    assert p != q  # raw data differs
+    assert p == q and hash(p) == hash(q)
     assert p.dimension == 1
-    assert p.canonical_span == ((F(1), F(1)),)
+    assert p.span == q.span == ((F(1), F(1)),)
+    assert AffinePlane((0, 0, 0), ((1, 2, 0), (1, 3, 1))).span == (
+        (F(1), F(0), F(-2)),
+        (F(0), F(1), F(1)),
+    )
 
 
-def test_canonical_base_is_reduced_against_pivots():
+def test_equality_reduces_base_against_pivots_but_keeps_it():
     p = AffinePlane((5, 7), ((1, 0),))
-    assert p.canonical_base == (F(0), F(7))
     q = AffinePlane((-2, 7), ((1, 0),))
-    assert p.same_set(q)
+    assert p == q and hash(p) == hash(q)
+    assert p.base == (F(5), F(7))
+    assert q.base == (F(-2), F(7))
 
 
-def test_same_set_requires_same_base_modulo_span():
+def test_equality_requires_same_base_modulo_span():
     p = AffinePlane((0, 0), ((1, 0),))
     q = AffinePlane((0, 1), ((1, 0),))
-    assert not p.same_set(q)
+    assert p != q
+    assert AffinePlane((0, 0)) != AffinePlane((0, 0), ((1, 0),))
+
+
+def test_order_follows_the_set_not_the_base():
+    line = AffinePlane((3, 0), ((1, 0),))  # the x-axis, reduced base (0, 0)
+    point = AffinePlane((1, 0))
+    assert line < point
+    assert not point < line
+    assert sorted([point, line]) == [line, point]
 
 
 def test_contains_point_running_example():
@@ -89,20 +102,31 @@ def test_quasidegree_set_membership():
             AffinePlane((0, 1)),
         )
     )
-    assert point_in_qdeg((5, 0), q)
-    assert point_in_qdeg((0, 1), q)
-    assert not point_in_qdeg((1, 1), q)
+    assert q.contains_point((5, 0))
+    assert q.contains_point((0, 1))
+    assert not q.contains_point((1, 1))
     assert not QuasidegreeSet(()).contains_point(())  # empty union in Q^0
 
 
-def test_remove_redundancy_keeps_later_duplicate():
-    # mirrors the golden pair: a line recorded twice, once with a
-    # redundant second span vector; the later raw form survives
-    p1 = AffinePlane((0,), ((1,),))
-    p2 = AffinePlane((0,), ((1,), (1,)))
-    out = remove_redundancy(QuasidegreeSet((p1, p2)))
-    assert out.planes == (p2,)
-    assert out.planes[0].span == ((F(1),), (F(1),))
+def test_quasidegree_set_collapses_set_equal_planes_to_least_base():
+    # the monomial_demo case: the line Q recorded from two standard pairs,
+    # once with a repeated span vector, plus a copy based at 3
+    planes = [
+        AffinePlane((0,), ((1,),)),
+        AffinePlane((0,), ((1,), (1,))),
+        AffinePlane((3,), ((2,),)),
+    ]
+    for perm in itertools.permutations(planes):
+        q = QuasidegreeSet(perm)
+        assert len(q) == 1
+        (p,) = q.planes
+        assert p.base == (F(0),)
+        assert p.span == ((F(1),),)
+    two = QuasidegreeSet(
+        (AffinePlane((5, 1), ((1, 0),)), AffinePlane((-2, 1), ((3, 0),)))
+    )
+    assert [p.base for p in two] == [(F(-2), F(1))]
+    assert remove_redundancy(two) == two
 
 
 def test_remove_redundancy_chain():
@@ -115,6 +139,7 @@ def test_remove_redundancy_chain():
 
 def test_remove_redundancy_properties_random():
     rng = random.Random(41)
+    shuffler = random.Random(42)  # kept apart so the planes drawn stay the same
     for _ in range(40):
         d = rng.randint(1, 3)
         planes = [random_plane(rng, d) for _ in range(rng.randint(1, 5))]
@@ -131,10 +156,17 @@ def test_remove_redundancy_properties_random():
                 pt = random_point_on(rng, p)
                 assert out.contains_point(pt)
         for a in out:
-            assert any(a == p for p in planes)
+            assert any(a == p and a.base == p.base for p in planes)
         # idempotent
         again = remove_redundancy(out)
         assert again.planes == out.planes
+        # the set does not depend on the order of its planes
+        shuffled = planes[:]
+        shuffler.shuffle(shuffled)
+        q = QuasidegreeSet(tuple(planes))
+        r = QuasidegreeSet(tuple(shuffled))
+        assert r == q
+        assert [p.base for p in r] == [p.base for p in q]
 
 
 def test_sorting_is_deterministic():
