@@ -259,18 +259,6 @@ def rational_rank(rows: Iterable[Sequence[Fraction | int]]) -> int:
     return rref(rows)[2]
 
 
-def in_span(v: Sequence[Fraction | int], basis: Sequence[Sequence[Fraction | int]]) -> bool:
-    """Is v in the Q-linear span of the given vectors?"""
-    basis = [tuple(row) for row in basis]
-    v = tuple(v)
-    if any(len(row) != len(v) for row in basis):
-        raise ValueError("dimension mismatch")
-    if not basis:
-        return not any(v)
-    r = rational_rank(basis)
-    return rational_rank(basis + [v]) == r
-
-
 def solve_linear(
     rows: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction | int]
 ) -> RatVec | None:

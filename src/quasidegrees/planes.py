@@ -5,7 +5,9 @@ row echelon basis. The base is kept as given (for a quasidegree plane,
 the degree of a standard root); equality, hashing and order read it
 reduced modulo the span, so two planes are equal exactly when they are
 the same subset of Q^d. A QuasidegreeSet keeps one plane per set, the
-one with the least base, in sorted order.
+one with the least base of those it is given, in sorted order. A map
+applied afterwards can reverse that choice: homology.qlc dualises with
+base -> -base - eps, so it prints the greatest of the candidate images.
 """
 
 from __future__ import annotations

@@ -136,15 +136,18 @@ def test_qdeg_presentation_section(job_file, capsys):
         "grading": "standard",
         "presentation": {
             "shifts": [[0], [1]],
-            "matrix": [["x^2", "0"], ["0", "y"]],
+            "matrix": [["x^2", "0", "0"], ["0", "x", "y"]],
         },
     }
-    # row 0 carries <x^2> at shift 0: pairs (1,{y}) and (x,{y});
-    # row 1 carries <y> at shift 1: pair (1,{x}); in Q^1 all three planes
-    # are the whole line and print once, from the least base
+    # row 0 carries <x^2> at shift 0: pairs (1,{y}) and (x,{y}), both the
+    # whole line, which prints once from the least base; row 1 carries
+    # <x, y> at shift 1: pair (1,{}), the point 1
     code, out, _ = run(capsys, ["qdeg", job_file(job)])
     assert code == 0
-    assert out.strip().splitlines() == ["base (0) span {(1)}"]
+    assert out.strip().splitlines() == [
+        "base (0) span {(1)}",
+        "base (1) span {}",
+    ]
 
 
 def test_qdeg_inhomogeneous_presentation(job_file, capsys):

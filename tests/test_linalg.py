@@ -9,7 +9,6 @@ from helpers import WIDE_KERNEL, random_toric_matrix
 from quasidegrees.linalg import (
     IntMatrix,
     column_lattice_is_full,
-    in_span,
     integer_kernel,
     integer_row_echelon,
     lattice_member,
@@ -128,15 +127,6 @@ def test_rref_idempotent_random():
         assert R1 == R2
         assert piv1 == piv2
         assert rank1 == rank2
-
-
-def test_in_span():
-    assert in_span((2, 2), [(1, 1)])
-    assert not in_span((1, 0), [(1, 1)])
-    assert in_span((0, 0), [])
-    assert not in_span((1,), [])
-    with pytest.raises(ValueError):
-        in_span((1, 0), [(1, 0, 0)])
 
 
 def test_solve_linear():

@@ -82,15 +82,17 @@ def test_quasidegrees_monomial_multirow():
         R3,
         ((0,), (1,)),
         (
-            (mono(R3, "x"), None),
-            (None, mono(R3, "y")),
+            (mono(R3, "x"), None, None, None),
+            (None, mono(R3, "x"), mono(R3, "y"), mono(R3, "z")),
         ),
     )
     q = quasidegrees_monomial(m)
-    # <x> and <y> each have the single pair (1, {other two vars}); the
-    # two rows differ only by their shifts, so both planes are the whole
-    # line and the one based at the smaller shift is kept
-    assert [(p.base, p.span) for p in q.planes] == [((F(0),), ((F(1),),))]
+    # <x> at shift 0 has the single pair (1, {y, z}), the whole line;
+    # <x, y, z> at shift 1 has the single pair (1, {}), the point 1
+    assert [(p.base, p.span) for p in q.planes] == [
+        ((F(0),), ((F(1),),)),
+        ((F(1),), ()),
+    ]
 
 
 def test_vector_degree():
