@@ -59,7 +59,7 @@ class JobError(ValueError):
 
 @dataclass(frozen=True)
 class PresentationSpec:
-    shifts: tuple[tuple[Fraction, ...], ...]
+    shifts: tuple[tuple[int, ...], ...]
     rows: tuple[tuple[str, ...], ...]
 
 
@@ -137,17 +137,17 @@ def _read_int_matrix(obj, what: str) -> IntMatrix:
     return IntMatrix(tuple(tuple(row) for row in obj))
 
 
-def _read_scalar(obj, what: str) -> Fraction:
-    if isinstance(obj, bool):
+def _read_shift(obj, what: str) -> int:
+    """A shift entry: an integer, or a string naming one ("2", "4/2")."""
+    if isinstance(obj, bool) or not isinstance(obj, (int, str)):
         raise JobError(f"{what} must be an integer or a fraction string")
-    if isinstance(obj, int):
-        return Fraction(obj)
-    if isinstance(obj, str):
-        try:
-            return Fraction(obj)
-        except (ValueError, ZeroDivisionError):
-            raise JobError(f"{what}: bad fraction {obj!r}") from None
-    raise JobError(f"{what} must be an integer or a fraction string")
+    try:
+        value = Fraction(obj)
+    except (ValueError, ZeroDivisionError):
+        raise JobError(f"{what}: bad fraction {obj!r}") from None
+    if value.denominator != 1:
+        raise JobError(f"{what}: {obj!r} is not an integer")
+    return value.numerator
 
 
 def _read_presentation(obj) -> PresentationSpec:
@@ -162,7 +162,7 @@ def _read_presentation(obj) -> PresentationSpec:
     for k, s in enumerate(shifts_obj):
         if not isinstance(s, list):
             raise JobError("presentation shifts must be a list of degree vectors")
-        shifts.append(tuple(_read_scalar(c, f"shift {k}") for c in s))
+        shifts.append(tuple(_read_shift(c, f"shift {k}") for c in s))
     rows_obj = obj["matrix"]
     if not isinstance(rows_obj, list) or len(rows_obj) != len(shifts):
         raise JobError("presentation matrix must have one row per shift")

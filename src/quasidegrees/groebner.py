@@ -21,19 +21,26 @@ vecdict layer is exported as well because the resolution code builds on
 it directly.
 
 Every basis, syzygy and lift here comes from one Buchberger pair loop,
-``_buchberger``. ``vec_groebner`` runs it without a transcript and
-autoreduces the result. ``vec_syzygies`` and ``vec_lift`` run it with a
-transcript, which keeps, for every basis element, its expression in the
-generators and, for every S-pair that reduces to zero, that reduction as
-a syzygy among the basis elements. The coprime-lead-term criterion skips
-pairs only in a run without a transcript on an ideal (every generator
-term in component 0): it is false for submodules, and a transcript must
-keep every pair.
+``_buchberger``. Generators and S-pairs wait in one queue by degree, so
+a generator is reduced against the basis of everything below its degree
+before it joins, and one whose normal form is zero is not added; with a
+heft degree on homogeneous input the generators kept are a minimal
+generating set. ``vec_groebner`` runs the loop without a transcript and
+autoreduces the result. ``vec_syzygies``, ``vec_minimal_syzygies`` and
+``vec_lift`` run it with a transcript, which keeps, for every basis
+element, its expression in the generators and, for every S-pair or
+generator that reduces to zero, that reduction as a syzygy. The
+coprime-lead-term criterion skips pairs only in a run without a
+transcript on an ideal (every generator term in component 0): it is
+false for submodules, and a transcript must keep every pair.
 
-Division is deterministic (first listed divisor wins), pair selection is
-the normal strategy (smallest lcm degree first, then input order), and
-reduced bases are sorted by lead term, so every function here returns the
-same answer on the same input, independent of dict iteration order.
+Division is deterministic (first listed divisor wins), the queue takes
+the least degree first (the total degree of a pair's lcm or of a
+generator's lead term, unless the caller passes another degree), pairs
+before generators at equal degree, then pairs and generators each in
+the order they were queued, and reduced bases are sorted by lead term,
+so every function here returns the same answer on the same input,
+independent of dict iteration order.
 """
 
 from __future__ import annotations
@@ -242,8 +249,9 @@ def _spair_parts(
     )
 
 
-def _pair_priority(li: ModTerm, lj: ModTerm) -> int:
-    return sum(exps_lcm(li[1], lj[1]))
+def _total_degree(mt: ModTerm) -> int:
+    """The default degree of a module term: the total degree of x^e."""
+    return sum(mt[1])
 
 
 def vec_autoreduce(basis: list[VecPoly], mkey: ModKey) -> list[VecPoly]:
@@ -281,77 +289,117 @@ def _quotients(qs: Sequence[ScalarPoly]) -> VecPoly:
     return {(k, e): c for k, q in enumerate(qs) for e, c in q.items()}
 
 
-def _buchberger(
-    gens: Iterable[VecPoly], mkey: ModKey, *, transcript: bool
-) -> tuple[list[VecPoly], list[ModTerm], list[VecPoly], list[VecPoly]]:
-    """The one pair loop: a Groebner basis H of the submodule generated
-    by the nonzero gens, returned as (H, lead terms, exprs, relations).
+@dataclass
+class _Run:
+    """What one ``_buchberger`` run found (see there)."""
 
-    Pair selection: smallest lcm total degree first, ties by insertion
-    order. With a transcript, exprs[k] writes H[k] as a combination of
-    the gens (a vecdict over the generator index space), and relations
-    holds, for every S-pair that reduced to zero, that reduction as a
-    syzygy of the H (a vecdict over the H index space). A pair that
-    adds an element gives a syzygy that is zero once written in the
-    gens, so relations and exprs together hold every pair, as
-    Schreyer's theorem needs. Without a transcript both lists stay
-    empty, and the coprime-lead-term criterion may skip pairs.
+    basis: list[VecPoly]
+    leads: list[ModTerm]
+    kept: list[int]
+    exprs: list[VecPoly]
+    relations: list[VecPoly]
+    dropped: list[VecPoly]
+
+
+def _buchberger(
+    gens: Iterable[VecPoly],
+    mkey: ModKey,
+    *,
+    transcript: bool,
+    degree: Callable[[ModTerm], int] = _total_degree,
+) -> _Run:
+    """The one pair loop: a Groebner basis H of the submodule generated by
+    ``gens``, built degree by degree, with its lead terms.
+
+    Generators and S-pairs share one queue. A generator waits at the
+    degree of its lead term, a pair at the degree of its lcm term, and
+    at equal degree pairs come first, then by input order. A generator
+    whose normal form against H so far is zero is dropped; otherwise
+    that normal form joins H and the generator's index joins ``kept``
+    (reported in input order). When every generator is homogeneous for
+    ``degree`` (a heft degree), H is a Groebner basis up to degree delta
+    by the time a generator of degree delta is tested, so a generator is
+    dropped exactly when it lies in the submodule of the kept generators
+    before it, and the kept ones generate minimally.
+
+    With a transcript, exprs[k] writes H[k] in the gens (a vecdict over
+    the generator index space; e_g - sum q_k exprs[k] for a kept
+    generator g), relations holds every S-pair that reduced to zero as a
+    syzygy of H (over the H index space), and dropped holds every
+    dropped generator's reduction e_g - sum q_k exprs[k] as a syzygy of
+    the gens. A pair that adds an element, like a kept generator, gives
+    a syzygy that is zero once written in the gens, so these hold every
+    syzygy Schreyer's theorem needs. Without a transcript the
+    coprime-lead-term criterion may skip pairs on an ideal (every
+    generator term in component 0).
     """
-    basis: list[VecPoly] = []
-    leads: list[ModTerm] = []
-    exprs: list[VecPoly] = []
-    relations: list[VecPoly] = []
-    for idx, g in enumerate(gens):
-        if g:
-            basis.append(dict(g))
-            leads.append(vec_lead(g, mkey))
-            if transcript:
-                exprs.append({(idx, (0,) * len(leads[-1][1])): 1})
-    coprime = not transcript and all(pos == 0 for g in basis for pos, _ in g)
-    heap: list[tuple[int, int, int]] = []
-    for j in range(len(basis)):
-        for i in range(j):
-            if leads[i][0] == leads[j][0]:
-                heapq.heappush(heap, (_pair_priority(leads[i], leads[j]), i, j))
+    gens = list(gens)
+    run = _Run([], [], [], [], [], [])
+    basis, leads, exprs = run.basis, run.leads, run.exprs
+    coprime = not transcript and all(pos == 0 for g in gens for pos, _ in g)
+    zero = next(((0,) * len(e) for g in gens for _, e in g), ())
+    # (degree, 0, i, j) is the pair (i, j); (degree, 1, idx, 0) the generator idx
+    heap: list[tuple[int, int, int, int]] = [
+        (degree(vec_lead(g, mkey)), 1, idx, 0) for idx, g in enumerate(gens) if g
+    ]
+    heapq.heapify(heap)
     while heap:
-        _, i, j = heapq.heappop(heap)
-        li, lj = leads[i], leads[j]
-        if coprime and exps_coprime(li[1], lj[1]):
-            continue
-        si, ci, sj, cj = _spair_parts(basis[i], li, basis[j], lj)
-        s: VecPoly = {}
-        vec_sub_scaled(s, -ci, si, basis[i])
-        vec_sub_scaled(s, cj, sj, basis[j])
+        _, is_gen, i, j = heapq.heappop(heap)
+        if is_gen:
+            s = gens[i]
+        else:
+            li, lj = leads[i], leads[j]
+            if coprime and exps_coprime(li[1], lj[1]):
+                continue
+            si, ci, sj, cj = _spair_parts(basis[i], li, basis[j], lj)
+            s = {}
+            vec_sub_scaled(s, -ci, si, basis[i])
+            vec_sub_scaled(s, cj, sj, basis[j])
         qs, r = vec_divide(s, basis, mkey, leads)
         if transcript:
-            # sum_k sigma_k H_k = S - sum_k q_k H_k = r
-            zero = (0,) * len(si)
-            sigma = vec_scale(_quotients(qs), -1)
-            vec_sub_scaled(sigma, -ci, si, {(i, zero): 1})
-            vec_sub_scaled(sigma, cj, sj, {(j, zero): 1})
-            if r:
-                exprs.append(_in_gens(sigma, exprs))
+            if is_gen:
+                # g - sum_k q_k H_k = r, written in the gens
+                w = {(i, zero): 1}
+                vec_sub_scaled(w, 1, zero, _in_gens(_quotients(qs), exprs))
+                (exprs if r else run.dropped).append(w)
             else:
-                relations.append(sigma)
+                # sum_k sigma_k H_k = S - sum_k q_k H_k = r
+                sigma = vec_scale(_quotients(qs), -1)
+                vec_sub_scaled(sigma, -ci, si, {(i, zero): 1})
+                vec_sub_scaled(sigma, cj, sj, {(j, zero): 1})
+                if r:
+                    exprs.append(_in_gens(sigma, exprs))
+                else:
+                    run.relations.append(sigma)
         if r:
+            if is_gen:
+                run.kept.append(i)
             lead = vec_lead(r, mkey)
             basis.append(r)
             leads.append(lead)
             k = len(basis) - 1
             for m in range(k):
                 if leads[m][0] == lead[0]:
-                    heapq.heappush(heap, (_pair_priority(leads[m], lead), m, k))
-    return basis, leads, exprs, relations
+                    lcm = (lead[0], exps_lcm(leads[m][1], lead[1]))
+                    heapq.heappush(heap, (degree(lcm), 0, m, k))
+    run.kept.sort()
+    return run
 
 
 def vec_groebner(gens: Iterable[VecPoly], mkey: ModKey) -> list[VecPoly]:
     """Reduced Groebner basis (minimal, monic, tail-reduced, sorted by
     lead term) of the submodule generated by ``gens``: ``_buchberger``
     without a transcript, then ``vec_autoreduce``."""
-    return vec_autoreduce(_buchberger(gens, mkey, transcript=False)[0], mkey)
+    return vec_autoreduce(_buchberger(gens, mkey, transcript=False).basis, mkey)
 
 
 # --- syzygies and lifting ---
+
+
+def _pair_syzygies(run: _Run) -> list[VecPoly]:
+    """The nonzero syzygies of the S-pairs that reduced to zero, written
+    in the generators."""
+    return [w for sigma in run.relations if (w := _in_gens(sigma, run.exprs))]
 
 
 def vec_syzygies(gens: Sequence[VecPoly], mkey: ModKey, nvars: int) -> list[VecPoly]:
@@ -360,29 +408,30 @@ def vec_syzygies(gens: Sequence[VecPoly], mkey: ModKey, nvars: int) -> list[VecP
 
     Built from a transcripted Buchberger run: every S-pair that reduced
     to zero contributes its syzygy among the basis elements (rewritten
-    in the generators), and the columns of I - M N (where M rewrites the
-    basis in terms of the generators and N divides the generators by the
-    basis) pick up redundancy of the generators themselves. Zero
-    generators contribute unit syzygies.
+    in the generators), and every generator that reduced to zero against
+    the basis before it contributes its reduction. Zero generators
+    contribute unit syzygies.
     """
-    zero_exps = (0,) * nvars
-    out: list[VecPoly] = [{(idx, zero_exps): 1} for idx, g in enumerate(gens) if not g]
-    basis, leads, exprs, relations = _buchberger(gens, mkey, transcript=True)
-    for sigma in relations:
-        w = _in_gens(sigma, exprs)
-        if w:
-            out.append(w)
-    for idx, g in enumerate(gens):
-        if not g:
-            continue
-        qs, r = vec_divide(g, basis, mkey, leads)
-        if r:
-            raise AssertionError("generator failed to reduce against its own basis")
-        w = {(idx, zero_exps): 1}
-        vec_sub_scaled(w, 1, zero_exps, _in_gens(_quotients(qs), exprs))
-        if w:
-            out.append(w)
-    return out
+    units = [{(idx, (0,) * nvars): 1} for idx, g in enumerate(gens) if not g]
+    run = _buchberger(gens, mkey, transcript=True)
+    return units + _pair_syzygies(run) + run.dropped
+
+
+def vec_minimal_syzygies(
+    gens: Sequence[VecPoly], mkey: ModKey, degree: Callable[[ModTerm], int]
+) -> tuple[list[int], list[VecPoly]]:
+    """A minimal generating subset of homogeneous ``gens`` and the
+    syzygies among it, from one transcripted run that takes the gens in
+    order of ``degree``, a heft degree they are homogeneous for.
+
+    Returns the indices of the kept generators, in input order, and
+    generators of the syzygy module of the kept generators alone, as
+    vecdicts over 0..s-1 for s kept generators.
+    """
+    run = _buchberger(gens, mkey, transcript=True, degree=degree)
+    index = {g: k for k, g in enumerate(run.kept)}
+    syz = [{(index[g], e): c for (g, e), c in w.items()} for w in _pair_syzygies(run)]
+    return run.kept, syz
 
 
 def vec_lift(
@@ -393,13 +442,13 @@ def vec_lift(
     Returns one vecdict over the generator index space per target. Raises
     ValueError if a target is not in the submodule generated by gens.
     """
-    basis, leads, exprs, _ = _buchberger(gens, mkey, transcript=True)
+    run = _buchberger(gens, mkey, transcript=True)
     out: list[VecPoly] = []
     for t in targets:
-        qs, r = vec_divide(t, basis, mkey, leads)
+        qs, r = vec_divide(t, run.basis, mkey, run.leads)
         if r:
             raise ValueError("element does not lie in the submodule")
-        out.append(_in_gens(_quotients(qs), exprs))
+        out.append(_in_gens(_quotients(qs), run.exprs))
     return out
 
 

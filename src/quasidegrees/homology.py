@@ -14,42 +14,43 @@ nothing).
 
 Ext is computed from a minimal graded free resolution: repeated Schreyer
 syzygy computations, each level ordered by the lead terms of the previous
-level's generators, and each level cut down to a minimal generating
-subset (graded Nakayama, by exact linear algebra degree by degree) before
-its syzygies are taken. F_0 is the presentation's free module as given,
-so when the presentation has no unit entry the ranks are the graded
-Betti numbers; the length is at most nvars. A presentation builds that
-resolution once, on first use, and every Ext of it, hence every local
-cohomology module that ``qlc`` and ``qlc_total`` ask for, reads the
-same one.
+level's generators. One Buchberger run per level takes the level's
+columns in heft-degree order and gives both a minimal generating subset
+of them (a column is dropped when it reduces to zero against the basis
+of everything of lower degree and the kept columns before it) and the
+syzygies among that subset. F_0 is the presentation's free module as
+given, so when the presentation has no unit entry the ranks are the
+graded Betti numbers; the length is at most nvars. A presentation builds
+that resolution once, on first use, and every Ext of it, hence every
+local cohomology module that ``qlc`` and ``qlc_total`` ask for, reads
+the same one.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
-from typing import Sequence
+from operator import mul
+from typing import Callable, Sequence
 
 from .groebner import (
     ModKey,
     ModTerm,
     VecPoly,
     Vector,
-    exact_div,
     schreyer_key,
     top_key,
     vec_lead,
     vec_lift,
-    vec_sub_scaled,
+    vec_minimal_syzygies,
     vec_syzygies,
     vec_to_vector,
     vector_to_vec,
 )
 from .planes import AffinePlane, QuasidegreeSet, remove_redundancy
-from .poly import Exps, GradedRing, Polynomial, exps_add, exps_divides, exps_sub
-from .qdeg import InhomogeneousError, quasidegrees_module, vector_degree
+from .poly import GradedRing, Polynomial
+from .qdeg import InhomogeneousError, integral_shifts, quasidegrees_module, vector_degree
 
 Shifts = tuple[tuple[int, ...], ...]
 
@@ -63,7 +64,7 @@ class GradedPresentation:
     columns: tuple[Vector, ...]
 
     def __post_init__(self) -> None:
-        shifts = tuple(tuple(int(x) for x in s) for s in self.shifts)
+        shifts = integral_shifts(self.shifts)
         d = self.ring.grading_rank
         if any(len(s) != d for s in shifts):
             raise ValueError("shift has the wrong grading rank")
@@ -132,90 +133,30 @@ def _vec_degree_checked(w: VecPoly, shifts: Shifts, ring: GradedRing) -> tuple[i
     return deg
 
 
-def _echelon_insert(echelon: dict[ModTerm, VecPoly], v: VecPoly, zero: Exps) -> bool:
-    """Add v to a sparse row echelon keyed by each row's largest term.
-
-    With distinct keys, the largest term of any nonzero combination of
-    rows is one of the keys, so v lies in the span exactly when top
-    reduction clears it. Returns True (and stores the reduced v) when v
-    is independent of the rows.
-    """
-    v = dict(v)
-    while v:
-        t = max(v)
-        row = echelon.get(t)
-        if row is None:
-            echelon[t] = v
-            return True
-        vec_sub_scaled(v, exact_div(v[t], row[t]), zero, row)
-    return False
-
-
-def _minimal_subset(
-    cols: Sequence[VecPoly], degs: Sequence[tuple[int, ...]], ring: GradedRing
-) -> list[int]:
-    """Indices of a minimal generating subset of the module spanned by cols.
-
-    Graded Nakayama: walking the degrees in heft order, a column of degree
-    delta is redundant iff it lies in the Q-span of the degree-delta
-    multiples x^a * g of the kept columns g of lower degree together with
-    the kept columns of degree delta. Each degree gets one sparse echelon
-    over the module terms. Only multiples connected to the column through
-    shared terms can take part in writing it, so they are found by a walk
-    outward from its terms (x^a * g meets the term x^e e_p exactly when
-    x^a = x^e / t for a term t e_p of g) instead of by enumerating every
-    monomial of the degree gap. Indices come back in their input order.
-    """
-    zero = (0,) * ring.nvars
-    heft = ring.heft
-    order = sorted(
-        range(len(cols)),
-        key=lambda k: (sum(h * d for h, d in zip(heft, degs[k])), degs[k], k),
-    )
-    kept: list[int] = []
-    for _, group in itertools.groupby(order, key=degs.__getitem__):
-        lower = list(kept)
-        echelon: dict[ModTerm, VecPoly] = {}
-        visited: set[ModTerm] = set()
-        multiples: set[tuple[int, Exps]] = set()
-        for k in group:
-            stack = [t for t in cols[k] if t not in visited]
-            visited.update(stack)
-            while stack:
-                pos, e = stack.pop()
-                for m in lower:
-                    for mpos, me in cols[m]:
-                        if mpos != pos or not exps_divides(me, e):
-                            continue
-                        a = exps_sub(e, me)
-                        if (m, a) in multiples:
-                            continue
-                        multiples.add((m, a))
-                        shifted = {(p, exps_add(a, x)): c for (p, x), c in cols[m].items()}
-                        _echelon_insert(echelon, shifted, zero)
-                        fresh = [t for t in shifted if t not in visited]
-                        visited.update(fresh)
-                        stack.extend(fresh)
-            if _echelon_insert(echelon, cols[k], zero):
-                kept.append(k)
-    return sorted(kept)
+def _heft_degree(ring: GradedRing, shifts: Shifts) -> Callable[[ModTerm], int]:
+    """The heft degree heft . (deg x^e + shifts[pos]) of a term x^e e_pos
+    of the free module whose generators have degrees ``shifts``."""
+    weights = [sum(map(mul, ring.heft, ring.degree(j))) for j in range(ring.nvars)]
+    shift_heft = [sum(map(mul, ring.heft, s)) for s in shifts]
+    return lambda mt: shift_heft[mt[0]] + sum(map(mul, weights, mt[1]))
 
 
 def free_resolution(P: GradedPresentation, max_length: int | None = None) -> FreeResolution:
     """Minimal graded free resolution of coker(P), cut after ``max_length``
     differentials when that is given.
 
-    Each level keeps a minimal generating subset of its columns (see
-    ``_minimal_subset``) before its syzygies are taken, starting with the
-    presentation's own columns; F_0 is the presentation's free module as
-    given. Every differential after the first therefore has no unit
-    entry, and when the first has none either the ranks are the graded
-    Betti numbers of coker(P). Syzygies come from
-    Schreyer's construction on the kept columns, so the resolution ends,
-    after at most nvars differentials, when a syzygy module vanishes.
+    One transcripted Buchberger run per level (``vec_minimal_syzygies``)
+    takes that level's columns in heft-degree order, starting with the
+    presentation's own columns, and gives both a minimal generating
+    subset of them (the columns themselves, in input order) and the
+    syzygies among that subset, which become the next level's columns.
+    F_0 is the presentation's free module as given. Every differential
+    after the first therefore has no unit entry, and when the first has
+    none either the ranks are the graded Betti numbers of coker(P). The
+    syzygies are Schreyer's, so the resolution ends, after at most nvars
+    differentials, when a syzygy module vanishes.
     """
     ring = P.ring
-    n = ring.nvars
     if max_length is not None and max_length < 0:
         raise ValueError("negative resolution length")
     shift_levels: list[Shifts] = [P.shifts]
@@ -223,15 +164,11 @@ def free_resolution(P: GradedPresentation, max_length: int | None = None) -> Fre
     key: ModKey = top_key(ring.order)
     cols = [vector_to_vec(c) for c in P.columns if any(f for f in c)]
     while cols and (max_length is None or len(diffs) < max_length):
-        level = len(diffs)
-        degs = [_vec_degree_checked(w, shift_levels[level], ring) for w in cols]
-        keep = _minimal_subset(cols, degs, ring)
+        degs = [_vec_degree_checked(w, shift_levels[-1], ring) for w in cols]
+        keep, syz = vec_minimal_syzygies(cols, key, _heft_degree(ring, shift_levels[-1]))
         cols = [cols[k] for k in keep]
         diffs.append(tuple(cols))
         shift_levels.append(tuple(degs[k] for k in keep))
-        if len(diffs) == max_length:
-            break
-        syz = vec_syzygies(cols, key, n)
         key = schreyer_key(key, [vec_lead(w, key) for w in cols])
         cols = syz
     return FreeResolution(ring, tuple(shift_levels), tuple(diffs))

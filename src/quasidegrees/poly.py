@@ -235,8 +235,9 @@ class Polynomial:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def lead_term(self, order: MonomialOrder) -> tuple[Exps, Fraction]:

@@ -55,6 +55,14 @@ class InhomogeneousError(ValueError):
         super().__init__("inhomogeneous generator")
 
 
+def integral_shifts(shifts: Sequence[Sequence]) -> tuple[tuple[int, ...], ...]:
+    """Degree shifts as int tuples; ValueError for a non-integral entry."""
+    out = tuple(tuple(int(x) for x in s) for s in shifts)
+    if out != tuple(tuple(s) for s in shifts):
+        raise ValueError("degree shifts must be integers")
+    return out
+
+
 @dataclass(frozen=True)
 class MonomialMatrix:
     """A t x s matrix of monomials presenting a module R^t(-shifts)/im.
@@ -69,7 +77,7 @@ class MonomialMatrix:
     entries: tuple[tuple[Optional[Term], ...], ...]
 
     def __post_init__(self) -> None:
-        shifts = tuple(tuple(int(x) for x in s) for s in self.row_shifts)
+        shifts = integral_shifts(self.row_shifts)
         d = self.ring.grading_rank
         if any(len(s) != d for s in shifts):
             raise ValueError("row shift has the wrong grading rank")
@@ -218,7 +226,7 @@ def quasidegrees_module(
     monomial-matrix algorithm on the result.
     """
     t = len(row_shifts)
-    shifts = tuple(tuple(int(x) for x in s) for s in row_shifts)
+    shifts = integral_shifts(row_shifts)
     live: list[Vector] = []
     for col in columns:
         if len(col) != t:

@@ -336,6 +336,30 @@ def test_missing_sections(job_file, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("command", ["qdeg", "qlc"])
+def test_non_integral_shift_is_a_validation_error(job_file, capsys, command):
+    job = {
+        "variables": ["x", "y"],
+        "grading": "standard",
+        "presentation": {"shifts": [["1/2"]], "matrix": [["x", "y"]]},
+    }
+    code, out, err = run(capsys, [command, job_file(job)])
+    assert code == 3
+    assert out == ""
+    assert err == "error: shift 0: '1/2' is not an integer\n"
+
+
+def test_integral_fraction_shift_is_accepted(job_file, capsys):
+    job = {
+        "variables": ["x", "y"],
+        "grading": "standard",
+        "presentation": {"shifts": [["4/2"]], "matrix": [["x", "y"]]},
+    }
+    code, out, _ = run(capsys, ["qdeg", job_file(job)])
+    assert code == 0
+    assert out == "base (2) span {}\n"
+
+
 def test_grading_not_positive(job_file, capsys):
     code, _, _ = run(capsys, ["toric", job_file({"matrix": [[1, -1]]})])
     assert code == 3

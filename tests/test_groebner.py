@@ -247,6 +247,20 @@ def test_syzygy_completeness_koszul():
         assert not r
 
 
+
+def test_syzygies_of_a_dropped_generator_generate():
+    # x + y reduces to zero against x and y, so its syzygy comes from its
+    # reduction: (1, 1, -1) must lie in the span of the syzygies
+    from quasidegrees.groebner import top_key, vec_divide, vector_to_vec
+
+    gens = [p2("x"), p2("y"), p2("x + y")]
+    syz = syzygies(gens)
+    check_syzygies(gens, syz)
+    one = Polynomial.constant(2, 1)
+    basis = [vector_to_vec(v) for v in module_groebner(syz)]
+    _, r = vec_divide(vector_to_vec((one, one, -one)), basis, top_key(GREVLEX))
+    assert not r
+
 # --- coefficients ---
 
 

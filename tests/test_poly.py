@@ -126,6 +126,24 @@ def test_powers(f, k):
     assert f ** k == expected
 
 
+def test_power_does_no_squaring_past_the_last_bit(monkeypatch):
+    f = Polynomial(2, {(1, 0): 1, (0, 1): 1})
+    expected = Polynomial.constant(2, 1)
+    for _ in range(16):
+        expected = expected * f
+    calls = []
+    mul = Polynomial.__mul__
+
+    def counting_mul(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting_mul)
+    assert f ** 16 == expected
+    # four squarings reach f^16, one product takes it into the result
+    assert len(calls) == 5
+
+
 # --- graded rings ---
 
 

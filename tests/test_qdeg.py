@@ -40,6 +40,16 @@ def test_monomial_matrix_validation():
         MonomialMatrix(R3, ((0, 0),), ((mono(R3, "x"),),))
 
 
+def test_non_integral_shifts_are_rejected():
+    x = parse_polynomial("x", R3)
+    with pytest.raises(ValueError):
+        MonomialMatrix(R3, ((F(1, 2),),), ((mono(R3, "x"),),))
+    with pytest.raises(ValueError):
+        quasidegrees_module([(x,)], ((F(1, 2),),), R3)
+    # an integral Fraction is the integer it names
+    assert MonomialMatrix(R3, ((F(4, 2),),), ((mono(R3, "x"),),)).row_shifts == ((2,),)
+
+
 def test_monomial_matrix_nonsplit_detected():
     m = MonomialMatrix(
         R3,
