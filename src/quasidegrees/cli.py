@@ -24,7 +24,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .homology import GradedPresentation, qlc, qlc_total
 from .linalg import IntMatrix
@@ -254,20 +254,30 @@ def _plane_json(plane) -> dict:
     }
 
 
-def _planes_output(q: QuasidegreeSet, reduce_planes: bool):
-    if reduce_planes:
-        q = remove_redundancy(q)
-    return q
-
-
-def _emit(args, text_lines: list[str], machine: dict) -> None:
+def _emit(
+    args, text_lines: Callable[[], list[str]], machine: Callable[[], dict]
+) -> None:
+    """Print the result in the format asked for; only that one is built."""
     if args.format == "machine":
-        machine["command"] = args.command
-        machine["input_sha256"] = args.job_digest
-        print(json.dumps(machine, indent=2, sort_keys=True))
+        doc = machine()
+        doc["command"] = args.command
+        doc["input_sha256"] = args.job_digest
+        print(json.dumps(doc, indent=2, sort_keys=True))
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
+
+
+def _emit_planes(args, q: QuasidegreeSet, if_empty: list[str]) -> None:
+    """Emit the planes of ``q``, with those strictly inside others dropped
+    under --reduce; text mode prints ``if_empty`` for none."""
+    if args.reduce:
+        q = remove_redundancy(q)
+    _emit(
+        args,
+        lambda: [format_plane(p) for p in q.planes] or if_empty,
+        lambda: {"planes": [_plane_json(p) for p in q.planes]},
+    )
 
 
 def _monomial_exps(job: Job, ring: GradedRing) -> list[tuple[int, ...]]:
@@ -290,16 +300,20 @@ def cmd_std_pairs(job: Job, args) -> None:
     exps = _monomial_exps(job, ring)
     pairs = standard_pairs(exps, ring.nvars)
     deg = degree_from_pairs(pairs)
-    lines = []
-    for p in pairs:
-        root = render_polynomial(Polynomial.monomial(p.root), ring)
-        face = ", ".join(ring.names[i] for i in p.face)
-        lines.append(f"{root} * [{face}]")
-    lines.append(f"degree {deg}")
+
+    def text_lines() -> list[str]:
+        lines = []
+        for p in pairs:
+            root = render_polynomial(Polynomial.monomial(p.root), ring)
+            face = ", ".join(ring.names[i] for i in p.face)
+            lines.append(f"{root} * [{face}]")
+        lines.append(f"degree {deg}")
+        return lines
+
     _emit(
         args,
-        lines,
-        {
+        text_lines,
+        lambda: {
             "pairs": [{"root": list(p.root), "face": list(p.face)} for p in pairs],
             "degree": deg,
         },
@@ -314,12 +328,7 @@ def cmd_qdeg(job: Job, args) -> None:
     else:
         phi = monomial_matrix_from_vectors(P.columns, P.shifts, ring)
         q = quasidegrees_monomial(phi)
-    q = _planes_output(q, args.reduce)
-    _emit(
-        args,
-        [format_plane(p) for p in q.planes],
-        {"planes": [_plane_json(p) for p in q.planes]},
-    )
+    _emit_planes(args, q, [])
 
 
 def cmd_toric(job: Job, args) -> None:
@@ -328,14 +337,14 @@ def cmd_toric(job: Job, args) -> None:
     ring = build_ring(job, args.order)
     gens = toric_ideal(job.matrix, ring)
     lines = [render_polynomial(g, ring) for g in gens]
-    _emit(args, lines, {"generators": lines})
+    _emit(args, lambda: lines, lambda: {"generators": lines})
 
 
 def cmd_volume(job: Job, args) -> None:
     if job.matrix is None:
         raise JobError("volume needs a 'matrix' section")
     vol = normalized_volume(job.matrix)
-    _emit(args, [f"volume {vol}"], {"volume": vol})
+    _emit(args, lambda: [f"volume {vol}"], lambda: {"volume": vol})
 
 
 def cmd_qlc(job: Job, args) -> None:
@@ -350,12 +359,7 @@ def cmd_qlc(job: Job, args) -> None:
         q = qlc(P, args.i)
     else:
         q = qlc_total(P)
-    q = _planes_output(q, args.reduce)
-    _emit(
-        args,
-        [format_plane(p) for p in q.planes] or ["empty"],
-        {"planes": [_plane_json(p) for p in q.planes]},
-    )
+    _emit_planes(args, q, ["empty"])
 
 
 # a degree argument: comma-separated integers or fractions, each signed;
@@ -409,8 +413,8 @@ def cmd_check_beta(job: Job, args) -> None:
         lines = [f"EXPECTED-RANK vol(A)={vol} at beta={_format_vector(beta)}"]
     _emit(
         args,
-        lines,
-        {
+        lambda: lines,
+        lambda: {
             "beta": [str(c) for c in beta],
             "status": "RANK-JUMP" if jumping else "EXPECTED-RANK",
             "volume": vol,

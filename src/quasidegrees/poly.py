@@ -230,6 +230,9 @@ class Polynomial:
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
             raise ValueError("negative power")
+        if len(self.terms) == 1:
+            ((e, c),) = self.terms.items()
+            return Polynomial.monomial(tuple(k * x for x in e), c**k)
         result = Polynomial.constant(self.nvars, 1)
         base = self
         while k:

@@ -18,10 +18,17 @@ in (I_Z : m^∞) but not in I_Z: the pair fails to be maximal iff, for some
 i off Z, the pair (x^u with u_i = 0, Z ∪ {i}) avoids I, that is iff x^u
 is outside I_Z : x_i^∞ (Hoşten–Smith, "Monomial ideals", 2002;
 Sturmfels–Trung–Vogel, Math. Ann. 1995). ``standard_pairs`` therefore
-builds each face's roots from the finite set (I_Z : m^∞) minus I_Z. With g
-minimal generators and p pairs, the cost is 2^n faces times a polynomial
-in g for the projections and saturations, plus O(p * n^2 * g) for the
-search. Large exponents cost only through p; there is no box to scan.
+builds each face's roots from the finite set (I_Z : m^∞) minus I_Z.
+
+Only faces with I_Z ≠ R can carry a pair. They form the complex
+Δ = {Z : no minimal generator of I is supported in Z}, which is closed
+under taking subsets, and I_Z : x_i^∞ = I_{Z ∪ {i}}. So the saturation
+of each face is read from the faces one step up; a face above Z that
+is not in Δ contributes the whole ring and drops out. The cost is a walk over Δ, not over all
+2^n faces, plus for each face an intersection of at most n ideals that
+is pruned by I_Z as it goes, plus O(p * n * g) for the search, with g
+minimal generators and p roots. Large exponents cost only through p;
+there is no box to scan.
 """
 
 from __future__ import annotations
@@ -64,13 +71,18 @@ class StandardPair:
 
 
 def minimal_generators(gens: list[Exps]) -> list[Exps]:
-    """Inclusion-minimal monomial generators, deduplicated and sorted."""
-    uniq = sorted(set(tuple(g) for g in gens))
-    out = []
-    for g in uniq:
-        if not any(h != g and exps_divides(h, g) for h in uniq):
-            out.append(g)
-    return out
+    """Inclusion-minimal monomial generators, deduplicated and sorted.
+
+    Candidates are tested in order of total degree, so each needs testing
+    only against the generators already kept: a proper divisor has a
+    smaller degree.
+    """
+    kept: list[Exps] = []
+    for g in sorted(set(map(tuple, gens)), key=sum):
+        if not any(exps_divides(h, g) for h in kept):
+            kept.append(g)
+    kept.sort()
+    return kept
 
 
 def pair_contains(p: StandardPair, q: StandardPair) -> bool:
@@ -84,52 +96,95 @@ def pair_contains(p: StandardPair, q: StandardPair) -> bool:
     return all(i in q.face for i in support(tuple(a - b for a, b in zip(p.root, q.root))))
 
 
-def _intersect(a: list[Exps], b: list[Exps]) -> list[Exps]:
-    """Minimal generators of <a> ∩ <b>: the lcms of all generator pairs."""
-    return minimal_generators([exps_lcm(g, h) for g in a for h in b])
+def _exponents(g) -> Exps:
+    """An exponent vector as an int tuple; ValueError unless every entry
+    is a non-negative integer."""
+    out = tuple(int(e) for e in g)
+    if out != tuple(g) or any(e < 0 for e in out):
+        raise ValueError(f"exponents must be non-negative integers, got {tuple(g)}")
+    return out
+
+
+def _saturation_roots(
+    ideal: list[Exps], above: list[list[Exps]], nvars: int
+) -> list[Exps]:
+    """Generators of (I_Z : m^∞), all outside I_Z, that every monomial of
+    (I_Z : m^∞) minus I_Z is a multiple of.
+
+    ``ideal`` holds the minimal generators of I_Z and ``above`` those of
+    each I_{Z ∪ {i}} ≠ R. A generator inside I_Z is dropped, since all its
+    multiples lie in I_Z too; when an ideal keeps none, nothing is left.
+    A minimal generator h of I_{Z ∪ {i}} lies in I_Z only if it is one of
+    I_Z's own: a generator of I_Z dividing h has no x_i either, so it lies
+    in I_{Z ∪ {i}} and equals h.
+    """
+
+    def outside(u: Exps) -> bool:
+        return not any(exps_divides(g, u) for g in ideal)
+
+    own = set(ideal)
+    factors = []
+    for gens in above:
+        kept = [g for g in gens if g not in own]
+        if not kept:
+            return []
+        factors.append(kept)
+    factors.sort(key=len)
+    roots = [(0,) * nvars]
+    for kept in factors:
+        lcms = [exps_lcm(a, b) for a in roots for b in kept]
+        roots = minimal_generators([u for u in lcms if outside(u)])
+        if not roots:
+            break
+    return roots
 
 
 def standard_pairs(gens: list[Exps], nvars: int) -> list[StandardPair]:
     """All standard pairs of the monomial ideal generated by ``gens``.
 
-    For each face Z, with I_Z the projected ideal and m the ideal of the
-    variables off Z, the roots are the monomials of (I_Z : m^∞) outside
-    I_Z. The saturation is the intersection of the colons by each x_i off
-    Z (a colon by x_i^∞ zeroes coordinate i of every generator), and its
-    difference with I_Z is found by stepping one variable at a time from
-    the saturation's minimal generators, never entering I_Z. Pairs come
-    back sorted by root, then face.
+    Walks the faces Z of Δ = {Z : no minimal generator is supported in Z},
+    found with support bit masks, and projects each I_Z once from
+    I_{Z − max Z}. For each face, with m the ideal of the variables off Z,
+    the roots are the monomials of (I_Z : m^∞) outside I_Z. The saturation
+    is the intersection of the I_{Z ∪ {i}} = I_Z : x_i^∞ over the faces
+    Z ∪ {i} of Δ, pruned by I_Z, and its difference with I_Z is found by
+    stepping one variable at a time from its generators, never entering
+    I_Z. Pairs come back sorted by root, then face. Raises ValueError for
+    a negative or non-integral exponent.
     """
-    gens = [tuple(int(e) for e in g) for g in gens]
+    gens = [_exponents(g) for g in gens]
     if len(set(map(len, gens))) > 1 or (gens and len(gens[0]) != nvars):
         raise ValueError("generator exponent length mismatch")
     gens = minimal_generators(gens)
+    supports = [sum(1 << i for i, e in enumerate(g) if e) for g in gens]
+    if 0 in supports:
+        return []  # the unit ideal
+    ideals = {0: gens}  # face bit mask -> minimal generators of I_Z
+    faces = [0]
+    for bits in faces:
+        for j in range(bits.bit_length(), nvars):
+            child = bits | 1 << j
+            if all(s & ~child for s in supports):
+                projected = [g[:j] + (0,) + g[j + 1 :] for g in ideals[bits]]
+                ideals[child] = minimal_generators(projected)
+                faces.append(child)
     out: list[StandardPair] = []
-    for bits in range(1 << nvars):
-        face = frozenset(i for i in range(nvars) if bits >> i & 1)
-        comp = [i for i in range(nvars) if i not in face]
-        ideal = minimal_generators(
-            [tuple(0 if i in face else e for i, e in enumerate(g)) for g in gens]
-        )
-        if ideal and not any(ideal[0]):
-            continue  # I_Z is the whole ring
-        sat = [(0,) * nvars]
-        for i in comp:
-            sat = _intersect(sat, [g[:i] + (0,) + g[i + 1 :] for g in ideal])
-
-        def outside(u: Exps) -> bool:
-            return not any(exps_divides(g, u) for g in ideal)
-
-        roots = {u for u in sat if outside(u)}
+    for bits in faces:
+        ideal = ideals[bits]
+        comp = [i for i in range(nvars) if not bits >> i & 1]
+        above = [ideals[bits | 1 << i] for i in comp if bits | 1 << i in ideals]
+        roots = set(_saturation_roots(ideal, above, nvars))
         todo = list(roots)
         while todo:
             u = todo.pop()
             for i in comp:
                 v = u[:i] + (u[i] + 1,) + u[i + 1 :]
-                if v not in roots and outside(v):
+                if v not in roots and not any(exps_divides(g, v) for g in ideal):
                     roots.add(v)
                     todo.append(v)
-        out.extend(StandardPair(u, face) for u in roots)
+        if roots:
+            face = frozenset(i for i in range(nvars) if bits >> i & 1)
+            out.extend(StandardPair(u, face) for u in roots)
     out.sort(key=StandardPair.sort_key)
     return out
 

@@ -208,6 +208,23 @@ def random_monomial_ideal(rng: random.Random, nvars, max_gens=4, max_exp=4):
     return gens
 
 
+def scale_monomial_ideal(nvars, ngens, max_exp, seed):
+    """A seeded random monomial ideal for timing ``standard_pairs``.
+
+    With ``rng = random.Random(seed)``, the generators are drawn one after
+    the other, and each generator's exponents one variable at a time in
+    index order: ``rng.random() < 0.5`` gives exponent 0, and otherwise
+    ``rng.randint(1, max_exp)`` gives the exponent. All ``ngens`` tuples
+    are returned, in draw order, repeats and multiples included; the zero
+    tuple (the unit ideal) is kept too.
+    """
+    rng = random.Random(seed)
+    return [
+        tuple(0 if rng.random() < 0.5 else rng.randint(1, max_exp) for _ in range(nvars))
+        for _ in range(ngens)
+    ]
+
+
 def brute_force_standard_pairs(gens, nvars):
     """Reference standard pairs: box search over every face, then a filter.
 

@@ -144,6 +144,24 @@ def test_power_does_no_squaring_past_the_last_bit(monkeypatch):
     assert len(calls) == 5
 
 
+def test_power_of_a_monomial_scales_its_exponents(monkeypatch):
+    f = Polynomial.monomial((2, 0, 1), Fraction(3, 2))
+    products = []
+    for k in range(8):
+        expected = Polynomial.constant(3, 1)
+        for _ in range(k):
+            expected = expected * f
+        products.append(expected)
+    zero = Polynomial.zero(3)
+    monkeypatch.setattr(Polynomial, "__mul__", None)  # no product on this path
+    for k, expected in enumerate(products):
+        assert f**k == expected
+    assert (f**7).terms == {(14, 0, 7): Fraction(2187, 128)}
+    monkeypatch.undo()
+    assert zero**0 == Polynomial.constant(3, 1)
+    assert zero**3 == zero
+
+
 # --- graded rings ---
 
 

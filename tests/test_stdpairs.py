@@ -1,10 +1,15 @@
 import itertools
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
-from helpers import brute_force_standard_pairs, random_monomial_ideal
+from helpers import (
+    brute_force_standard_pairs,
+    random_monomial_ideal,
+    scale_monomial_ideal,
+)
 from quasidegrees.poly import exps_divides
 from quasidegrees.stdpairs import (
     StandardPair,
@@ -170,6 +175,17 @@ def test_standard_pairs_match_brute_force():
             g = rng.choice(gens)
             gens.append(tuple(e + rng.randint(0, 2) for e in g))
         cases.append((gens, nvars))
+    # pure powers x_i^a: every face holding i leaves the complex of faces
+    # with I_Z != R, so whole stars of faces are skipped
+    while len(cases) < 300:
+        nvars = rng.randint(2, 5)
+        gens = [
+            tuple(rng.randint(0, 3) if rng.random() < 0.6 else 0 for _ in range(nvars))
+            for _ in range(rng.randint(1, 4))
+        ]
+        for i in rng.sample(range(nvars), rng.randint(1, nvars - 1)):
+            gens.append(tuple(rng.randint(1, 3) if j == i else 0 for j in range(nvars)))
+        cases.append((gens, nvars))
     for gens, nvars in cases:
         assert standard_pairs(gens, nvars) == brute_force_standard_pairs(gens, nvars)
 
@@ -186,22 +202,16 @@ def test_standard_pairs_match_brute_force_five_variables():
     assert standard_pairs(gens, 5) == brute_force_standard_pairs(gens, 5)
 
 
-def test_standard_pairs_six_variables_cover_and_maximality():
-    # the box search and pairwise filter took over a minute on ideals of
-    # this shape
-    rng = random.Random(6)
-    nvars, bound = 6, 6
-    gens = [tuple(rng.randint(0, 4) for _ in range(nvars)) for _ in range(7)]
+def _check_cover_and_maximality(gens, nvars, pairs, bound):
+    """Every pair avoids the ideal, is maximal and is contained in no other
+    pair, and the pairs cover exactly the standard monomials of the box
+    [0, bound]^nvars."""
 
     def admissible(root, face):
         return not any(
             all(g[j] <= root[j] for j in range(nvars) if j not in face) for g in gens
         )
 
-    t0 = time.perf_counter()
-    pairs = standard_pairs(gens, nvars)
-    elapsed = time.perf_counter() - t0
-    assert elapsed < 10.0, f"standard_pairs took {elapsed:.1f}s"
     for p in pairs:
         assert admissible(p.root, p.face)
         for i in range(nvars):
@@ -222,3 +232,51 @@ def test_standard_pairs_six_variables_cover_and_maximality():
         if not in_ideal(e, gens)
     }
     assert covered == outside
+
+
+def test_standard_pairs_six_variables_cover_and_maximality():
+    # the box search and pairwise filter took over a minute on ideals of
+    # this shape
+    rng = random.Random(6)
+    nvars = 6
+    gens = [tuple(rng.randint(0, 4) for _ in range(nvars)) for _ in range(7)]
+    t0 = time.perf_counter()
+    pairs = standard_pairs(gens, nvars)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 10.0, f"standard_pairs took {elapsed:.1f}s"
+    _check_cover_and_maximality(gens, nvars, pairs, bound=6)
+
+
+def test_standard_pairs_ten_variables_cover_and_maximality():
+    # the time bound fails a walk over all 2^10 faces that intersects full
+    # lcm products for each (about 2 s with Python 3.11 on a 2-core VM)
+    nvars = 10
+    gens = scale_monomial_ideal(nvars, 16, 2, seed=10)
+    t0 = time.perf_counter()
+    pairs = standard_pairs(gens, nvars)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 1.5, f"standard_pairs took {elapsed:.1f}s"
+    assert len(pairs) == 399
+    # every root exponent is below the largest generator exponent, 2, so
+    # the box [0, 2]^10 holds every root and a step past it along each face
+    _check_cover_and_maximality(gens, nvars, pairs, bound=2)
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        [(1.5, 2)],
+        [(1, Fraction(1, 2))],
+        [(-1, 2)],
+        [(1, 0), (0, -3)],
+    ],
+)
+def test_non_integral_or_negative_exponents_are_rejected(gens):
+    with pytest.raises(ValueError):
+        standard_pairs(gens, 2)
+    with pytest.raises(ValueError):
+        degree_via_pairs(gens, 2)
+
+
+def test_integral_exponents_of_other_types_are_accepted():
+    assert standard_pairs([(2.0, Fraction(4, 2))], 2) == standard_pairs([(2, 2)], 2)
