@@ -18,6 +18,7 @@ split monomial matrix (rerun qdeg with --general).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import re
@@ -432,7 +433,14 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The argument parser of the command line.
+
+    It is built once per process: every later call returns the same
+    parser, which keeps no state between parse_args calls. Callers must
+    not add to it or change it.
+    """
     parser = argparse.ArgumentParser(
         prog="quasidegrees",
         description="quasidegree computations for multigraded modules",
@@ -493,8 +501,12 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(_shield_negative_degree(sys.argv[1:] if argv is None else argv))
+    """Run one command line (sys.argv[1:] by default); returns the exit code.
+
+    main can be called any number of times in one process; every call
+    reuses the parser that make_parser built once.
+    """
+    args = make_parser().parse_args(_shield_negative_degree(sys.argv[1:] if argv is None else argv))
     try:
         job = Job.load(args.job)
         args.job_digest = job.digest

@@ -166,6 +166,25 @@ def _gram_schmidt(b: Sequence[Sequence[int]]) -> tuple[list[list[Fraction]], lis
     return mu, B
 
 
+def _swap(b: list[list[int]], mu: list[list[Fraction]], B: list[Fraction], k: int) -> None:
+    """Swap b[k-1] and b[k] and update the Gram–Schmidt data in place.
+
+    Only the pair's squared lengths, the pair's own coefficient and the
+    coefficients of later vectors on the pair change (Cohen, A Course in
+    Computational Algebraic Number Theory, Alg. 2.6.3, SWAP).
+    """
+    b[k - 1], b[k] = b[k], b[k - 1]
+    m = mu[k][k - 1]
+    mu[k - 1], mu[k] = mu[k][: k - 1], mu[k - 1] + [m]
+    Bk = B[k] + m * m * B[k - 1]
+    mu[k][k - 1] = m * B[k - 1] / Bk
+    B[k - 1], B[k] = Bk, B[k - 1] * B[k] / Bk
+    for row in mu[k + 1 :]:
+        t = row[k]
+        row[k] = row[k - 1] - m * t
+        row[k - 1] = t + mu[k][k - 1] * row[k]
+
+
 def lll_reduce(basis: Sequence[Sequence[int]]) -> list[IntVec]:
     """LLL-reduced basis (delta = 3/4) of the lattice spanned by linearly
     independent integer vectors, in exact rational arithmetic.
@@ -191,8 +210,7 @@ def lll_reduce(basis: Sequence[Sequence[int]]) -> list[IntVec]:
         if B[k] >= (delta - mu[k][k - 1] ** 2) * B[k - 1]:
             k += 1
         else:
-            b[k - 1], b[k] = b[k], b[k - 1]
-            mu, B = _gram_schmidt(b)
+            _swap(b, mu, B, k)
             k = max(k - 1, 1)
     return [tuple(v) for v in b]
 

@@ -12,9 +12,10 @@ base -> -base - eps, so it prints the greatest of the candidate images.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .linalg import rref
 
@@ -36,6 +37,38 @@ def _reduce(v: Sequence[Fraction], span: tuple[RatVec, ...]) -> RatVec:
     return tuple(out)
 
 
+def rref_span(vectors: Iterable[Iterable]) -> tuple[RatVec, ...]:
+    """The reduced row echelon basis of the span of the vectors."""
+    R, _, rank = rref(vectors)
+    return R[:rank]
+
+
+def coset_key(span: tuple[RatVec, ...]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """A map on integer points that agrees on two points exactly when they
+    differ by a vector of ``span``, an RREF basis.
+
+    It is the reduction modulo the span scaled by the common denominator
+    of the span's entries, so it runs in integer arithmetic. A point's
+    entry at a pivot is the multiple of that pivot's row to subtract,
+    because the other rows vanish there.
+    """
+    scale = math.lcm(*(x.denominator for row in span for x in row))
+    rows = [
+        (next(i for i, x in enumerate(row) if x), [int(x * scale) for x in row])
+        for row in span
+    ]
+
+    def key(v: Sequence[int]) -> tuple[int, ...]:
+        out = [scale * x for x in v]
+        for p, row in rows:
+            f = v[p]
+            if f:
+                out = [a - f * r for a, r in zip(out, row)]
+        return tuple(out)
+
+    return key
+
+
 @dataclass(frozen=True, eq=False)
 class AffinePlane:
     """The set base + sum of Q-multiples of the span vectors."""
@@ -49,8 +82,7 @@ class AffinePlane:
         rows = [_as_ratvec(v) for v in self.span]
         if any(len(v) != len(base) for v in rows):
             raise ValueError("span vectors must match the base dimension")
-        R, _, rank = rref(rows)
-        span = R[:rank]
+        span = rref_span(rows)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "span", span)
         object.__setattr__(self, "_key", (_reduce(base, span), span))

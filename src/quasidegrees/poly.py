@@ -156,8 +156,12 @@ class Polynomial:
 
     @classmethod
     def variable(cls, nvars: int, j: int) -> "Polynomial":
-        e = tuple(1 if i == j else 0 for i in range(nvars))
-        return cls(nvars, [(e, Fraction(1))])
+        if not 0 <= j < nvars:
+            raise ValueError(f"variable index {j} is not in [0, {nvars})")
+        out = cls.__new__(cls)
+        out.nvars = nvars
+        out.terms = {tuple(1 if i == j else 0 for i in range(nvars)): Fraction(1)}
+        return out
 
     @classmethod
     def monomial(cls, exps: Sequence[int], coeff: Fraction | int = 1) -> "Polynomial":
@@ -232,7 +236,10 @@ class Polynomial:
             raise ValueError("negative power")
         if len(self.terms) == 1:
             ((e, c),) = self.terms.items()
-            return Polynomial.monomial(tuple(k * x for x in e), c**k)
+            out = Polynomial.__new__(Polynomial)
+            out.nvars = self.nvars
+            out.terms = {tuple(k * x for x in e): c**k}
+            return out
         result = Polynomial.constant(self.nvars, 1)
         base = self
         while k:

@@ -25,10 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from operator import add
+from typing import Callable, Optional, Sequence
 
 from .groebner import Vector, initial_module
-from .planes import AffinePlane, QuasidegreeSet
+from .planes import AffinePlane, QuasidegreeSet, RatVec, coset_key, rref_span
 from .poly import ANY_DEGREE, Exps, GradedRing, Polynomial
 
 Term = tuple[Fraction, Exps]
@@ -161,34 +162,41 @@ def monomial_matrix_from_vectors(
     return MonomialMatrix(ring, tuple(tuple(s) for s in row_shifts), tuple(tuple(r) for r in entries))
 
 
-def _planes_for_row(
-    ring: GradedRing, shift: Sequence[int], ideal_gens: list[Exps]
-) -> list[AffinePlane]:
-    from .stdpairs import standard_pairs
-
-    planes = []
-    for pair in standard_pairs(ideal_gens, ring.nvars):
-        deg = ring.multidegree(pair.root)
-        base = tuple(Fraction(a + b) for a, b in zip(deg, shift))
-        span = tuple(
-            tuple(Fraction(x) for x in ring.degree(i)) for i in sorted(pair.face)
-        )
-        planes.append(AffinePlane(base, span))
-    return planes
-
-
 def quasidegrees_monomial(phi: MonomialMatrix) -> QuasidegreeSet:
     """Quasidegree set of coker(phi) for a split monomial matrix.
 
     Set-equal planes from different standard pairs or rows collapse to
     the one with the least base; use remove_redundancy to also drop
     planes strictly inside others.
+
+    The pairs are grouped by their plane as a set before any AffinePlane
+    is built: each face's span is row-reduced once, a base is keyed by
+    its coset of that span in integer arithmetic, and only the least
+    base of each group becomes a plane.
     """
+    from .stdpairs import standard_pairs
+
     ring = phi.ring
-    planes: list[AffinePlane] = []
-    for k, gens in enumerate(phi.row_ideals()):
-        planes.extend(_planes_for_row(ring, phi.row_shifts[k], gens))
-    return QuasidegreeSet(tuple(planes))
+    # RREF span -> {coset key of a base: least base}, one entry per set
+    groups: dict[tuple[RatVec, ...], dict[tuple[int, ...], tuple[int, ...]]] = {}
+    # face -> (its coset key, its span's group)
+    faces: dict[frozenset[int], tuple[Callable, dict]] = {}
+    for shift, gens in zip(phi.row_shifts, phi.row_ideals()):
+        for pair in standard_pairs(gens, ring.nvars):
+            face = faces.get(pair.face)
+            if face is None:
+                span = rref_span(ring.degree(i) for i in sorted(pair.face))
+                face = faces[pair.face] = (coset_key(span), groups.setdefault(span, {}))
+            coset, group = face
+            base = tuple(map(add, ring.multidegree(pair.root), shift))
+            key = coset(base)
+            if key not in group or base < group[key]:
+                group[key] = base
+    return QuasidegreeSet(
+        tuple(
+            AffinePlane(base, span) for span, group in groups.items() for base in group.values()
+        )
+    )
 
 
 def vector_degree(vec: Vector, shifts: Sequence[Sequence[int]], ring: GradedRing):

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from quasidegrees.groebner import buchberger, initial_module, saturate
 from quasidegrees.linalg import IntMatrix, column_lattice_is_full, rational_rank
+from quasidegrees.planes import AffinePlane, QuasidegreeSet
 from quasidegrees.poly import (
     ANY_DEGREE,
     GradedRing,
@@ -312,3 +313,57 @@ def random_toric_matrix(rng: random.Random) -> IntMatrix:
         A = IntMatrix(tuple(tuple(r) for r in rows))
         if rational_rank(rows) == d and column_lattice_is_full(A):
             return A
+
+
+def gram_schmidt_data(b):
+    """mu[k][j] and squared lengths B[k], computed from scratch."""
+    ortho, mu = [], []
+    for v in b:
+        w = [Fraction(x) for x in v]
+        row = []
+        for u in ortho:
+            m = Fraction(sum(x * y for x, y in zip(v, u))) / sum(x * x for x in u)
+            row.append(m)
+            w = [x - m * y for x, y in zip(w, u)]
+        ortho.append(w)
+        mu.append(row)
+    return mu, [sum(x * x for x in w) for w in ortho]
+
+
+def reference_lll_reduce(basis):
+    """LLL with delta = 3/4 that recomputes the Gram–Schmidt data from
+    scratch after every swap; ``linalg.lll_reduce`` updates it instead and
+    must return the same list."""
+    delta = Fraction(3, 4)
+    b = [list(map(int, v)) for v in basis]
+    mu, B = gram_schmidt_data(b)
+    k = 1
+    while k < len(b):
+        for j in reversed(range(k)):
+            q = round(mu[k][j])
+            if q:
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                for i in range(j):
+                    mu[k][i] -= q * mu[j][i]
+                mu[k][j] -= q
+        if B[k] >= (delta - mu[k][k - 1] ** 2) * B[k - 1]:
+            k += 1
+        else:
+            b[k - 1], b[k] = b[k], b[k - 1]
+            mu, B = gram_schmidt_data(b)
+            k = max(k - 1, 1)
+    return [tuple(v) for v in b]
+
+
+def reference_quasidegrees_monomial(phi) -> QuasidegreeSet:
+    """Quasidegree set of a split monomial matrix with one AffinePlane per
+    standard pair of every row, collapsed by QuasidegreeSet alone."""
+    ring = phi.ring
+    planes = []
+    for shift, gens in zip(phi.row_shifts, phi.row_ideals()):
+        for pair in standard_pairs(gens, ring.nvars):
+            deg = ring.multidegree(pair.root)
+            base = tuple(Fraction(a + b) for a, b in zip(deg, shift))
+            span = tuple(ring.degree(i) for i in sorted(pair.face))
+            planes.append(AffinePlane(base, span))
+    return QuasidegreeSet(tuple(planes))

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from quasidegrees.cli import format_plane, main
+from quasidegrees.cli import format_plane, main, make_parser
 from quasidegrees.groebner import ideal_equal
 from quasidegrees.homology import GradedPresentation, qlc
 from quasidegrees.linalg import IntMatrix
@@ -260,6 +260,47 @@ def test_check_beta_negative_first_entry_without_double_dash(job_file, capsys):
     proc = run_module("check-beta", path, "-1/2,0,2", "--format", "machine")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["beta"] == ["-1/2", "0", "2"]
+
+
+def test_make_parser_builds_one_parser():
+    assert make_parser() is make_parser()
+
+
+def test_main_calls_in_a_row_print_what_fresh_processes_print(job_file, capsys):
+    # the one parser keeps nothing from an earlier call: not --reduce, not
+    # a usage error, not a degree moved behind '--'
+    two_rows = job_file(
+        {
+            "variables": ["x", "y"],
+            "grading": "standard",
+            "presentation": {
+                "shifts": [[0], [1]],
+                "matrix": [["x^2", "0", "0"], ["0", "x", "y"]],
+            },
+        },
+        "two_rows.json",
+    )
+    a35 = job_file(A35_JOB, "a35.json")
+    calls = [
+        (["qdeg", two_rows, "--reduce"], 0),
+        (["qdeg", two_rows], 0),
+        (["qdeg", two_rows, "--no-such-option"], 2),
+        (["check-beta", a35, "-1,0,3"], 0),
+        (["check-beta", a35, "--", "-1,0,3"], 0),
+    ]
+    outs = []
+    for argv, expected in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        proc = run_module(*argv)
+        assert code == proc.returncode == expected, argv
+        assert (captured.out, captured.err) == (proc.stdout, proc.stderr), argv
+        outs.append(captured.out)
+    assert outs[0] != outs[1]
+    assert outs[3] == outs[4] != ""
 
 
 def test_check_beta_machine(job_file, capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import WIDE_KERNEL, random_toric_matrix
+from helpers import WIDE_KERNEL, gram_schmidt_data, random_toric_matrix, reference_lll_reduce
 from quasidegrees.linalg import (
     IntMatrix,
     column_lattice_is_full,
@@ -155,21 +155,6 @@ def test_solve_linear_random_consistency(seed):
 # --- LLL ---
 
 
-def _gram_schmidt_data(b):
-    """mu[k][j] and squared lengths B[k], computed from scratch."""
-    ortho, mu = [], []
-    for v in b:
-        w = [Fraction(x) for x in v]
-        row = []
-        for u in ortho:
-            m = Fraction(sum(x * y for x, y in zip(v, u))) / sum(x * x for x in u)
-            row.append(m)
-            w = [x - m * y for x, y in zip(w, u)]
-        ortho.append(w)
-        mu.append(row)
-    return mu, [sum(x * x for x in w) for w in ortho]
-
-
 def _lll_matrices():
     rng = random.Random(97)
     return [random_toric_matrix(rng) for _ in range(16)] + [IntMatrix(r) for r in WIDE_KERNEL]
@@ -182,11 +167,28 @@ def test_lll_reduce_keeps_the_lattice_and_reduces_it(A):
     assert len(reduced) == len(kernel)
     assert all(lattice_member(v, kernel) for v in reduced)
     assert all(lattice_member(v, reduced) for v in kernel)
-    mu, B = _gram_schmidt_data(reduced)
+    mu, B = gram_schmidt_data(reduced)
     for k in range(len(reduced)):
         assert all(abs(m) <= Fraction(1, 2) for m in mu[k])
         if k:
             assert B[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * B[k - 1]
+
+
+@pytest.mark.parametrize("A", _lll_matrices())
+def test_lll_reduce_matches_the_full_recompute(A):
+    kernel = integer_kernel(A)
+    assert lll_reduce(kernel) == reference_lll_reduce(kernel)
+
+
+def test_lll_reduce_matches_the_full_recompute_on_random_bases():
+    # wider entries and up to seven vectors: most swaps have later vectors
+    # whose coefficients on the swapped pair must be updated
+    rng = random.Random(5)
+    for _ in range(80):
+        n = rng.randint(2, 7)
+        b = [[rng.randint(-30, 30) for _ in range(n)] for _ in range(rng.randint(2, n))]
+        if rational_rank(b) == len(b):
+            assert lll_reduce(b) == reference_lll_reduce(b)
 
 
 def test_lll_reduce_small_cases():

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -7,8 +8,10 @@ import pytest
 from quasidegrees.planes import (
     AffinePlane,
     QuasidegreeSet,
+    coset_key,
     plane_contains,
     remove_redundancy,
+    rref_span,
 )
 
 
@@ -59,6 +62,25 @@ def test_equality_reduces_base_against_pivots_but_keeps_it():
     assert p == q and hash(p) == hash(q)
     assert p.base == (F(5), F(7))
     assert q.base == (F(-2), F(7))
+
+
+def test_coset_key_agrees_exactly_on_points_of_one_translate():
+    # integer points, spans with fractional RREF entries among them
+    rng = random.Random(13)
+    for _ in range(200):
+        d = rng.randint(1, 4)
+        span = rref_span(
+            [rng.randint(-3, 3) for _ in range(d)] for _ in range(rng.randint(0, d))
+        )
+        key = coset_key(span)
+        v = tuple(rng.randint(-4, 4) for _ in range(d))
+        w = tuple(rng.randint(-4, 4) for _ in range(d))
+        if span and rng.random() < 0.5:
+            # move w onto the translate of v through an integer point
+            c = rng.randint(-3, 3) * math.lcm(*(x.denominator for x in span[0]))
+            w = tuple(int(a + c * x) for a, x in zip(v, span[0]))
+        assert all(type(x) is int for x in key(v))
+        assert (key(v) == key(w)) == (AffinePlane(v, span) == AffinePlane(w, span))
 
 
 def test_equality_requires_same_base_modulo_span():

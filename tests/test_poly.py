@@ -98,6 +98,17 @@ def test_polynomial_rejects_bad_exponents():
         Polynomial(2, [((-1, 0), 1)])
 
 
+@pytest.mark.parametrize("j", [2, 5, -1])
+def test_variable_rejects_an_index_out_of_range(j):
+    with pytest.raises(ValueError, match="variable index"):
+        Polynomial.variable(2, j)
+
+
+def test_variable_is_a_single_exponent_one():
+    assert Polynomial.variable(3, 1).terms == {(0, 1, 0): Fraction(1)}
+    assert Polynomial.variable(3, 1) == Polynomial.monomial((0, 1, 0))
+
+
 def test_lead_term():
     x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
     f = x * y + y * y * y

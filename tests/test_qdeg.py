@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from helpers import hilbert_coker_dim
+from helpers import hilbert_coker_dim, reference_quasidegrees_monomial
+from quasidegrees.cli import Job, build_presentation, build_ring
 from quasidegrees.linalg import IntMatrix
 from quasidegrees.parse import parse_polynomial
 from quasidegrees.planes import AffinePlane, remove_redundancy
@@ -207,3 +209,49 @@ def test_base_points_are_true_degrees():
         for p in q.planes:
             beta = tuple(int(b) for b in p.base)
             assert hilbert_coker_dim(ring, gens, ((0,),), beta) > 0
+
+
+# --- one plane per distinct set against one plane per standard pair ---
+
+# d = 1 and d = 2; each has variables of equal degree, so different faces
+# share a span, and the last has RREF spans with fractional entries
+DIFFERENTIAL_GRADINGS = [
+    ((1, 1, 1),),
+    ((1, 2, 2, 3),),
+    ((1, 1, 1, 1, 1), (0, 1, 1, 2, 3)),
+    ((2, 1, 1, 2), (1, 0, 1, 1)),
+]
+
+
+def assert_planes_match_reference(phi):
+    got = quasidegrees_monomial(phi).planes
+    want = reference_quasidegrees_monomial(phi).planes
+    assert got == want
+    assert [p.base for p in got] == [p.base for p in want]
+
+
+@pytest.mark.parametrize("degrees", DIFFERENTIAL_GRADINGS, ids=["d1", "d1w", "d2", "d2frac"])
+def test_quasidegrees_monomial_matches_one_plane_per_pair(degrees):
+    n, d = len(degrees[0]), len(degrees)
+    ring = graded_ring(tuple(f"x{i}" for i in range(n)), degrees)
+    rng = random.Random(101 * n + d)
+    for _ in range(25):
+        nrows = rng.randint(1, 3)
+        shifts = tuple(tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(nrows))
+        columns = []
+        for k in range(nrows):
+            for _ in range(rng.randint(1, 4)):
+                exps = tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(n))
+                columns.append((k, (rng.randint(1, 3), exps)))
+        rng.shuffle(columns)
+        entries = tuple(
+            tuple(term if row == k else None for row, term in columns) for k in range(nrows)
+        )
+        assert_planes_match_reference(MonomialMatrix(ring, shifts, entries))
+
+
+def test_quasidegrees_monomial_matches_one_plane_per_pair_on_the_demo_job():
+    job = Job.load(str(Path(__file__).resolve().parent.parent / "jobs" / "monomial_demo.json"))
+    ring = build_ring(job, "grevlex")
+    P = build_presentation(job, ring, allow_toric=False)
+    assert_planes_match_reference(monomial_matrix_from_vectors(P.columns, P.shifts, ring))
