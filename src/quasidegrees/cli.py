@@ -25,6 +25,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Optional, Sequence
 
 from .homology import GradedPresentation, qlc, qlc_total
@@ -255,6 +256,41 @@ def _plane_json(plane) -> dict:
     }
 
 
+def machine_text(obj, indent: str = "") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, for
+    documents whose dict keys are all strings; ``indent`` is the
+    indentation of the line ``obj`` starts on.
+
+    With ``indent`` set, ``json.dumps`` runs the pure-Python encoder. Here
+    strings go through the C string encoder and ints through
+    ``int.__repr__``, as ``json`` itself writes them; other scalars go to
+    ``json.dumps``.
+    """
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        items = [
+            encode_basestring_ascii(key) + ": " + machine_text(obj[key], inner)
+            for key in sorted(obj)
+        ]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        if all(type(x) is int for x in obj):
+            items = map(int.__repr__, obj)
+        else:
+            items = [machine_text(x, inner) for x in obj]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, int) and not isinstance(obj, bool):
+        return int.__repr__(obj)
+    return json.dumps(obj)
+
+
 def _emit(
     args, text_lines: Callable[[], list[str]], machine: Callable[[], dict]
 ) -> None:
@@ -263,7 +299,7 @@ def _emit(
         doc = machine()
         doc["command"] = args.command
         doc["input_sha256"] = args.job_digest
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(machine_text(doc))
     else:
         for line in text_lines():
             print(line)

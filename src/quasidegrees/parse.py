@@ -181,13 +181,44 @@ class _Parser:
         )
 
 
+def _monomial_exponents(text: str, ring: GradedRing) -> list[int] | None:
+    """The exponents of ``text`` when it is exactly NAME('^'INT)? factors
+    joined by '*', with no whitespace and every name in the ring; None
+    for any other text."""
+    exps = [0] * ring.nvars
+    for factor in text.split("*"):
+        name, caret, power = factor.partition("^")
+        if caret and not power.isdecimal():
+            return None
+        if not (
+            name.isascii()
+            and name[:1].isalpha()
+            and name.replace("_", "a").isalnum()
+        ):
+            return None
+        try:
+            j = ring.name_index(name)
+        except KeyError:
+            return None
+        exps[j] += int(power) if caret else 1
+    return exps
+
+
 def parse_polynomial(text: str, ring: GradedRing) -> Polynomial:
     """Parse ``text`` into a polynomial over ``ring``.
 
-    Raises ParseError (with a position) on malformed input and
-    UnknownVariableError for names not in the ring.
+    A single monomial such as ``x^2*y`` is read straight into its
+    exponents; any other text, malformed text included, goes through the
+    recursive descent. Raises ParseError (with a position) on malformed
+    input and UnknownVariableError for names not in the ring.
     """
-    return _Parser(text, ring).parse()
+    exps = _monomial_exponents(text, ring)
+    if exps is None:
+        return _Parser(text, ring).parse()
+    out = Polynomial.__new__(Polynomial)
+    out.nvars = ring.nvars
+    out.terms = {tuple(exps): Fraction(1)}
+    return out
 
 
 def _render_monomial(exps, names) -> str:

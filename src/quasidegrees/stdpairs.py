@@ -10,7 +10,8 @@ of a monomial and a set of variables with
 
 The standard pairs partition-cover the standard monomials (the monomials
 outside I), and the number of pairs with |Z| = dim R/I is the degree of
-R/I. Everything here works on plain exponent tuples.
+R/I. The public functions and ``StandardPair`` take and give plain
+exponent tuples; ``standard_pairs`` searches on packed words inside.
 
 Let I_Z be I with the face variables set to 1 and m the ideal of the
 other variables. Then (x^u, Z) is a standard pair exactly when x^u lies
@@ -26,16 +27,42 @@ under taking subsets, and I_Z : x_i^∞ = I_{Z ∪ {i}}. So the saturation
 of each face is read from the faces one step up; a face above Z that
 is not in Δ contributes the whole ring and drops out. The cost is a walk over Δ, not over all
 2^n faces, plus for each face an intersection of at most n ideals that
-is pruned by I_Z as it goes, plus O(p * n * g) for the search, with g
-minimal generators and p roots. Large exponents cost only through p;
-there is no box to scan.
+is pruned by I_Z as it goes, plus O(p * n * g) word operations for the
+search, with g minimal generators and p roots. Large exponents cost only
+through p and the width of a word; there is no box to scan.
+
+Packed words. ``standard_pairs`` packs each exponent vector u into one
+int, sum of u_i << (i * W), with fields of W = w + 1 bits: w data bits
+under one guard bit, and w the bit length of the largest generator
+exponent. With H the mask of the guard bits, and every field of u and v
+below 2^w:
+
+* x^g divides x^v iff ((v | H) - g) & H == H: a field of v | H minus
+  the same field of g keeps its guard bit iff v_i >= g_i, and no field
+  borrows from the next;
+* lcm(u, v) takes the fields of u where (u | H) - v keeps its guard,
+  and the fields of v elsewhere;
+* I_{Z ∪ {j}} comes from I_Z by masking out field j;
+* a step to x_i * x^v adds 1 << (i * W);
+* a proper divisor is a smaller int, so sorting words by value orders
+  them for minimalization.
+
+Why no field overflows. Let e_i be the largest exponent of x_i among the
+generators, so e_i < 2^w. Every saturation root and every monomial the
+search keeps is outside I_Z, but in I_Z : x_i^∞ for each i off Z, and
+has u_i = 0 for i in Z. If u_i >= e_i for some i off Z, a generator g
+of I_Z with x^g | x_i^k x^u would divide x^u itself, since g_i <= e_i;
+so u_i < e_i. An lcm of such words, or of them and generators, stays
+at most e_i in each field, and so does a step u + x_i tested against
+I_Z. Every word ever formed thus has fields at most e_i < 2^w, and
+the tests above are exact; with a narrower w they are not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .poly import Exps, exps_divides, exps_lcm, support
+from .poly import Exps, exps_divides, support
 
 
 @dataclass(frozen=True)
@@ -105,11 +132,32 @@ def _exponents(g) -> Exps:
     return out
 
 
+def _in_ideal(word: int, gens: list[int], guards: int) -> bool:
+    """Does some word of ``gens`` divide ``word``? ``guards`` is the mask H
+    of the guard bits."""
+    wg = word | guards
+    for g in gens:
+        if (wg - g) & guards == guards:
+            return True
+    return False
+
+
+def _minimal_words(words: list[int], guards: int) -> list[int]:
+    """Inclusion-minimal packed monomials, deduplicated, in increasing
+    order. A proper divisor is a smaller integer, so each word needs
+    testing only against the words already kept."""
+    kept: list[int] = []
+    for v in sorted(set(words)):
+        if not _in_ideal(v, kept, guards):
+            kept.append(v)
+    return kept
+
+
 def _saturation_roots(
-    ideal: list[Exps], above: list[list[Exps]], nvars: int
-) -> list[Exps]:
+    ideal: list[int], above: list[list[int]], guards: int, width: int
+) -> list[int]:
     """Generators of (I_Z : m^∞), all outside I_Z, that every monomial of
-    (I_Z : m^∞) minus I_Z is a multiple of.
+    (I_Z : m^∞) minus I_Z is a multiple of; packed words throughout.
 
     ``ideal`` holds the minimal generators of I_Z and ``above`` those of
     each I_{Z ∪ {i}} ≠ R. A generator inside I_Z is dropped, since all its
@@ -118,10 +166,6 @@ def _saturation_roots(
     I_Z's own: a generator of I_Z dividing h has no x_i either, so it lies
     in I_{Z ∪ {i}} and equals h.
     """
-
-    def outside(u: Exps) -> bool:
-        return not any(exps_divides(g, u) for g in ideal)
-
     own = set(ideal)
     factors = []
     for gens in above:
@@ -130,13 +174,28 @@ def _saturation_roots(
             return []
         factors.append(kept)
     factors.sort(key=len)
-    roots = [(0,) * nvars]
+    roots = [0]
     for kept in factors:
-        lcms = [exps_lcm(a, b) for a in roots for b in kept]
-        roots = minimal_generators([u for u in lcms if outside(u)])
+        lcms = set()
+        for a in roots:
+            ag = a | guards
+            for b in kept:
+                # fields where a >= b, widened to their data bits, pick a
+                ge = (ag - b) & guards
+                lcms.add(b ^ ((a ^ b) & (ge - (ge >> width))))
+        roots = _minimal_words(
+            [u for u in lcms if not _in_ideal(u, ideal, guards)], guards
+        )
         if not roots:
             break
     return roots
+
+
+def _pair(root: Exps, face: frozenset[int]) -> StandardPair:
+    """A StandardPair from a checked root and face, skipping the checks."""
+    p = object.__new__(StandardPair)
+    p.__dict__.update(root=root, face=face)
+    return p
 
 
 def standard_pairs(gens: list[Exps], nvars: int) -> list[StandardPair]:
@@ -151,42 +210,58 @@ def standard_pairs(gens: list[Exps], nvars: int) -> list[StandardPair]:
     stepping one variable at a time from its generators, never entering
     I_Z. Pairs come back sorted by root, then face. Raises ValueError for
     a negative or non-integral exponent.
+
+    The search runs on packed words (see the module docstring), with w
+    the bit length of the largest generator exponent.
     """
     gens = [_exponents(g) for g in gens]
     if len(set(map(len, gens))) > 1 or (gens and len(gens[0]) != nvars):
         raise ValueError("generator exponent length mismatch")
-    gens = minimal_generators(gens)
-    supports = [sum(1 << i for i, e in enumerate(g) if e) for g in gens]
+    width = max((e for g in gens for e in g), default=0).bit_length()
+    shifts = [i * (width + 1) for i in range(nvars)]
+    guards = sum(1 << (s + width) for s in shifts)
+    low = (1 << width) - 1
+    fields = [low << s for s in shifts]
+    words = [sum(e << s for e, s in zip(g, shifts)) for g in gens]
+    minimal = _minimal_words(words, guards)
+    supports = [sum(1 << i for i, f in enumerate(fields) if g & f) for g in minimal]
     if 0 in supports:
         return []  # the unit ideal
-    ideals = {0: gens}  # face bit mask -> minimal generators of I_Z
+    ideals = {0: minimal}  # face bit mask -> minimal generators of I_Z
     faces = [0]
     for bits in faces:
         for j in range(bits.bit_length(), nvars):
             child = bits | 1 << j
             if all(s & ~child for s in supports):
-                projected = [g[:j] + (0,) + g[j + 1 :] for g in ideals[bits]]
-                ideals[child] = minimal_generators(projected)
+                off = ~fields[j]
+                ideals[child] = _minimal_words([g & off for g in ideals[bits]], guards)
                 faces.append(child)
-    out: list[StandardPair] = []
+    found = []
     for bits in faces:
         ideal = ideals[bits]
         comp = [i for i in range(nvars) if not bits >> i & 1]
         above = [ideals[bits | 1 << i] for i in comp if bits | 1 << i in ideals]
-        roots = set(_saturation_roots(ideal, above, nvars))
+        roots = set(_saturation_roots(ideal, above, guards, width))
+        if not roots:
+            continue
+        steps = [1 << shifts[i] for i in comp]
         todo = list(roots)
         while todo:
             u = todo.pop()
-            for i in comp:
-                v = u[:i] + (u[i] + 1,) + u[i + 1 :]
-                if v not in roots and not any(exps_divides(g, v) for g in ideal):
+            for step in steps:
+                v = u + step
+                if v not in roots and not _in_ideal(v, ideal, guards):
                     roots.add(v)
                     todo.append(v)
-        if roots:
-            face = frozenset(i for i in range(nvars) if bits >> i & 1)
-            out.extend(StandardPair(u, face) for u in roots)
-    out.sort(key=StandardPair.sort_key)
-    return out
+        key = tuple(i for i in range(nvars) if bits >> i & 1)
+        # the CLI prints a face in its iteration order, which depends on how
+        # the set was built; build it as StandardPair's constructor does,
+        # by re-inserting the items of a first set
+        face = frozenset(i for i in frozenset(key))
+        for u in roots:
+            found.append((tuple(u >> s & low for s in shifts), key, face))
+    found.sort()
+    return [_pair(root, face) for root, _, face in found]
 
 
 def degree_from_pairs(pairs: list[StandardPair]) -> int:

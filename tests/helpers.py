@@ -19,6 +19,7 @@ from quasidegrees.poly import (
     Polynomial,
     exps_add,
     exps_divides,
+    exps_lcm,
     homogeneous_degree,
 )
 from quasidegrees.stdpairs import (
@@ -258,6 +259,71 @@ def brute_force_standard_pairs(gens, nvars):
         for p in candidates
         if not any(q is not p and pair_contains(p, q) for q in candidates)
     ]
+    out.sort(key=StandardPair.sort_key)
+    return out
+
+
+def delta_walk_standard_pairs(gens, nvars):
+    """Reference standard pairs: the face-complex walk on exponent tuples.
+
+    Walks the faces Z of Δ = {Z : no minimal generator is supported in Z}
+    and, for each, intersects the ideals I_{Z ∪ {i}} = I_Z : x_i^∞ one step
+    up, pruned by I_Z, to get the generators of (I_Z : m^∞) outside I_Z;
+    then steps one variable off Z at a time from those, never entering
+    I_Z. ``stdpairs.standard_pairs`` runs the same walk on packed words;
+    this one tests divisibility and takes lcms entry by entry, so it
+    shares no word arithmetic with it.
+    """
+    gens = minimal_generators(gens)
+    supports = [sum(1 << i for i, e in enumerate(g) if e) for g in gens]
+    if 0 in supports:
+        return []
+
+    def outside(u, ideal):
+        return not any(exps_divides(g, u) for g in ideal)
+
+    def saturation_roots(ideal, above):
+        own = set(ideal)
+        factors = []
+        for gens in above:
+            kept = [g for g in gens if g not in own]
+            if not kept:
+                return []
+            factors.append(kept)
+        factors.sort(key=len)
+        roots = [(0,) * nvars]
+        for kept in factors:
+            lcms = [exps_lcm(a, b) for a in roots for b in kept]
+            roots = minimal_generators([u for u in lcms if outside(u, ideal)])
+            if not roots:
+                break
+        return roots
+
+    ideals = {0: gens}
+    faces = [0]
+    for bits in faces:
+        for j in range(bits.bit_length(), nvars):
+            child = bits | 1 << j
+            if all(s & ~child for s in supports):
+                projected = [g[:j] + (0,) + g[j + 1 :] for g in ideals[bits]]
+                ideals[child] = minimal_generators(projected)
+                faces.append(child)
+    out = []
+    for bits in faces:
+        ideal = ideals[bits]
+        comp = [i for i in range(nvars) if not bits >> i & 1]
+        above = [ideals[bits | 1 << i] for i in comp if bits | 1 << i in ideals]
+        roots = set(saturation_roots(ideal, above))
+        todo = list(roots)
+        while todo:
+            u = todo.pop()
+            for i in comp:
+                v = u[:i] + (u[i] + 1,) + u[i + 1 :]
+                if v not in roots and outside(v, ideal):
+                    roots.add(v)
+                    todo.append(v)
+        face = frozenset(i for i in range(nvars) if bits >> i & 1)
+        out.extend(StandardPair(u, face) for u in roots)
     out.sort(key=StandardPair.sort_key)
     return out
 

@@ -6,8 +6,9 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
-from quasidegrees.cli import format_plane, main, make_parser
+from quasidegrees.cli import format_plane, machine_text, main, make_parser
 from quasidegrees.groebner import ideal_equal
 from quasidegrees.homology import GradedPresentation, qlc
 from quasidegrees.linalg import IntMatrix
@@ -577,3 +578,30 @@ def test_check_beta_rejects_a_module_besides_the_matrix(job_file, capsys, extra)
     assert code == 3
     assert out == ""
     assert err.count("\n") == 1 and "R/I_A" in err
+
+
+# strings with quotes, backslashes, control characters and non-ASCII text
+JSON_TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t éß 😀ab') | st.characters())
+JSON_DOCS = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.floats()
+    | JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(st.integers(), max_size=5)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(JSON_TEXT, inner, max_size=5),
+    max_leaves=25,
+)
+
+
+@given(JSON_DOCS)
+def test_machine_text_prints_what_json_dumps_prints(doc):
+    assert machine_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_machine_text_on_empty_and_flat_containers():
+    for doc in ({}, [], {"a": []}, {"a": {}}, [[]], {"b": [1, -2, 10**30], "a": [True, None]}):
+        assert machine_text(doc) == json.dumps(doc, indent=2, sort_keys=True)

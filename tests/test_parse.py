@@ -3,10 +3,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from quasidegrees import parse
 from quasidegrees.parse import (
     MAX_NESTING,
     ParseError,
     UnknownVariableError,
+    _Parser,
     parse_polynomial,
     render_polynomial,
 )
@@ -115,3 +117,49 @@ def exps_strategy():
 def test_render_parse_round_trip(terms):
     f = Polynomial(3, terms)
     assert parse_polynomial(render_polynomial(f, R3), R3) == f
+
+
+# a job may name a variable outside the NAME rule, such as x-1
+R_NAMES = standard_graded_ring(("x", "y", "x_1", "ab", "a", "Z9", "x-1"))
+NEAR_MISSES = [
+    "x", "x*x", "x^0", "x^02", "x^007*y", "ab*a^3*ab", "x_1^2*x_1", "Z9^10",
+    "x^2^3", "x*", "*x", "x**y", "x^", "^2", "", "x^2y", "x ^2", " x", "x ",
+    "x* y", "x\t", "x*w", "w", "x-1", "x-1^2", "x^-1", "x^y", "2*x", "x*2",
+    "x^+2", "(x)", "x^٣", "x^²", "é", "x*é", "_x", "x__", "x/2", "x^1.5",
+]
+
+
+def _outcome(parse, text, ring):
+    """The parsed terms with their coefficient types, or the error raised."""
+    try:
+        f = parse(text, ring)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.position
+    return f.nvars, [(e, type(c), c) for e, c in f.terms.items()]
+
+
+def _descent(text, ring):
+    return _Parser(text, ring).parse()
+
+
+@pytest.mark.parametrize("text", NEAR_MISSES)
+def test_single_monomial_reader_agrees_with_the_descent(text):
+    assert _outcome(parse_polynomial, text, R_NAMES) == _outcome(_descent, text, R_NAMES)
+
+
+def test_single_monomial_reader_reads_exponents(monkeypatch):
+    # a single monomial never reaches the descent
+    monkeypatch.setattr(parse, "_Parser", None)
+    assert parse_polynomial("x*x^3*ab^0*y", R_NAMES).terms == {(4, 1, 0, 0, 0, 0, 0): 1}
+    assert parse_polynomial("x^0", R_NAMES) == Polynomial.constant(7, 1)
+    assert parse_polynomial("x_1^02", R_NAMES).terms == {(0, 0, 2, 0, 0, 0, 0): 1}
+
+
+PIECES = ["x", "y", "x_1", "ab", "a", "b", "Z9", "x-1", "w", "é", "_", "*", "^",
+          "0", "2", "02", "10", "٣", " ", "+", "-", "(", ")", "/"]
+
+
+@given(st.lists(st.sampled_from(PIECES), max_size=8))
+def test_single_monomial_reader_agrees_with_the_descent_on_random_texts(pieces):
+    text = "".join(pieces)
+    assert _outcome(parse_polynomial, text, R_NAMES) == _outcome(_descent, text, R_NAMES)

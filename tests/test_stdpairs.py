@@ -7,6 +7,7 @@ import pytest
 
 from helpers import (
     brute_force_standard_pairs,
+    delta_walk_standard_pairs,
     random_monomial_ideal,
     scale_monomial_ideal,
 )
@@ -156,6 +157,23 @@ def test_standard_pairs_properties_random():
             assert any(pair_contains(q, p) for p in pairs)
 
 
+def _pairs_with_face_order(pairs):
+    """Roots and faces as the CLI prints them: a face in iteration order."""
+    return [(p.root, list(p.face)) for p in pairs]
+
+
+def _assert_matches_references(gens, nvars, brute_force=True):
+    pairs = standard_pairs(gens, nvars)
+    assert pairs == delta_walk_standard_pairs(gens, nvars)
+    if brute_force:
+        assert pairs == brute_force_standard_pairs(gens, nvars)
+    # the pairs built without the constructor's checks equal, face order
+    # included, those the constructor builds from a sorted face
+    rebuilt = [StandardPair(p.root, frozenset(sorted(p.face))) for p in pairs]
+    assert _pairs_with_face_order(pairs) == _pairs_with_face_order(rebuilt)
+    return pairs
+
+
 def test_standard_pairs_match_brute_force():
     rng = random.Random(20261018)
     cases = [
@@ -187,7 +205,7 @@ def test_standard_pairs_match_brute_force():
             gens.append(tuple(rng.randint(1, 3) if j == i else 0 for j in range(nvars)))
         cases.append((gens, nvars))
     for gens, nvars in cases:
-        assert standard_pairs(gens, nvars) == brute_force_standard_pairs(gens, nvars)
+        _assert_matches_references(gens, nvars)
 
 
 def test_standard_pairs_match_brute_force_five_variables():
@@ -200,6 +218,93 @@ def test_standard_pairs_match_brute_force_five_variables():
         (0, 1, 1, 0, 3),
     ]
     assert standard_pairs(gens, 5) == brute_force_standard_pairs(gens, 5)
+
+
+def _ideal_with_top_exponent(rng, nvars, top):
+    """A random ideal whose largest minimal-generator exponent is ``top``:
+    x_i^top, or x_i^top times another variable, beside generators with
+    entries below ``top``."""
+    while True:
+        gens = [
+            tuple(rng.randint(0, min(top - 1, 3)) for _ in range(nvars))
+            for _ in range(rng.randint(0, 3))
+        ]
+        g = [0] * nvars
+        i = rng.randrange(nvars)
+        g[i] = top
+        if nvars > 1 and rng.random() < 0.5:
+            g[rng.choice([j for j in range(nvars) if j != i])] = 1
+        gens.insert(rng.randint(0, len(gens)), tuple(g))
+        if tuple(g) in minimal_generators(gens):
+            return gens
+
+
+# largest exponents 2^k - 1, 2^k and 2^k + 1: the first is the largest a
+# field of w = k data bits holds, the other two need w = k + 1
+@pytest.mark.parametrize("top", [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65])
+def test_standard_pairs_match_references_at_field_boundaries(top):
+    rng = random.Random(1000 + top)
+    for _ in range(8):
+        nvars = rng.randint(1, 3)
+        gens = _ideal_with_top_exponent(rng, nvars, top)
+        small_box = top <= 9 or nvars == 1
+        _assert_matches_references(gens, nvars, brute_force=small_box)
+
+
+def test_standard_pairs_large_exponent_beside_exponent_one():
+    cases = [
+        ([(1000, 0)], 2),
+        ([(1000, 1, 0), (0, 1, 1)], 3),
+        ([(1000, 0, 0, 0), (0, 1, 0, 0), (1, 0, 1, 1), (0, 0, 1, 0)], 4),
+        ([(0, 1, 1, 0), (1000, 0, 0, 1), (1, 0, 1, 0), (0, 0, 0, 2)], 4),
+    ]
+    for gens, nvars in cases:
+        pairs = _assert_matches_references(gens, nvars, brute_force=False)
+        assert max(max(p.root) for p in pairs) == 999
+    # x^1000 * y: the roots x^0 .. x^999 along y and y^0 along x
+    assert len(standard_pairs([(1000, 1)], 2)) == 1001
+
+
+def test_standard_pairs_one_variable():
+    for gens in ([], [(0,)], [(1,)], [(5,)], [(5,), (3,), (8,)], [(7,), (0,)], [(64,)]):
+        _assert_matches_references(gens, 1)
+    _assert_matches_references([(1000,)], 1, brute_force=False)
+    assert [p.root for p in standard_pairs([(5,), (8,)], 1)] == [(e,) for e in range(5)]
+
+
+@pytest.mark.parametrize("top", [7, 8, 9, 16, 33])
+def test_standard_pairs_sixteen_variables(top):
+    # twelve variables lie in the ideal (nine with exponent 1, three with 2),
+    # so the faces live on the other four, x_15 among them: the field at
+    # the top of each word carries the largest exponent, in one generator
+    rng = random.Random(top)
+    nvars = 16
+    free = rng.sample(range(15), 3) + [15]
+    gens = []
+    for j, k in enumerate(j for j in range(nvars) if j not in free):
+        gens.append(tuple((2 if j < 3 else 1) if i == k else 0 for i in range(nvars)))
+    while len(gens) < 16:
+        g = tuple(rng.randint(0, 3) if i in free[:3] else 0 for i in range(nvars))
+        if any(g):
+            gens.append(g)
+    gens.append(tuple(top if i == 15 else int(i == free[0]) for i in range(nvars)))
+    pairs = _assert_matches_references(gens, nvars, brute_force=False)
+    assert max(p.root[15] for p in pairs) == top - 1
+
+
+def test_standard_pairs_repeated_non_minimal_and_zero_generators():
+    cases = [
+        ([(2, 1, 0), (2, 1, 0), (2, 1, 0)], 3),
+        ([(1, 1, 0), (2, 1, 0), (1, 3, 2), (1, 1, 0)], 3),
+        ([(0, 0), (3, 1)], 2),  # a zero generator: the unit ideal
+        ([(0, 0, 0)], 3),
+        ([(4, 0), (0, 0), (4, 0)], 2),
+        ([(8, 1), (8, 1), (16, 1), (0, 9)], 2),
+    ]
+    for gens, nvars in cases:
+        _assert_matches_references(gens, nvars)
+    assert standard_pairs([(0, 0), (3, 1)], 2) == []
+    assert standard_pairs([(2, 1, 0), (2, 1, 0)], 3) == standard_pairs([(2, 1, 0)], 3)
 
 
 def _check_cover_and_maximality(gens, nvars, pairs, bound):
