@@ -342,7 +342,7 @@ def cmd_std_pairs(job: Job, args) -> None:
         lines = []
         for p in pairs:
             root = render_polynomial(Polynomial.monomial(p.root), ring)
-            face = ", ".join(ring.names[i] for i in p.face)
+            face = ", ".join(ring.names[i] for i in sorted(p.face))
             lines.append(f"{root} * [{face}]")
         lines.append(f"degree {deg}")
         return lines
@@ -351,7 +351,7 @@ def cmd_std_pairs(job: Job, args) -> None:
         args,
         text_lines,
         lambda: {
-            "pairs": [{"root": list(p.root), "face": list(p.face)} for p in pairs],
+            "pairs": [{"root": list(p.root), "face": sorted(p.face)} for p in pairs],
             "degree": deg,
         },
     )

@@ -9,7 +9,8 @@ LLL-reduced basis of the saturated kernel lattice of A: the binomials of
 a lattice basis generate an ideal J with I_A = (J : (x_1 ... x_n)^inf),
 and that saturation is taken one variable at a time by the Bayer–Stillman
 criterion (Sturmfels, *Gröbner Bases and Convex Polytopes*, 1996,
-Ch. 12). Every binomial involved is homogeneous for the positive weights
+Ch. 12), but only by the variables the lattice basis forces (below).
+Every binomial involved is homogeneous for the positive weights
 w = h A, where h is a heft of A. In an order that compares w-degrees
 first and then reverse-lexicographically with x_j last, x_j divides the
 lead term of a w-homogeneous polynomial only if it divides every term,
@@ -17,6 +18,32 @@ so dividing each element of such a basis of J by its largest power of
 x_j gives a basis of (J : x_j^inf). No variable is added and nothing is
 eliminated; the last basis is converted to the ring's order. A matrix
 with no heft has no such weights and is saturated by elimination.
+
+Most saturations change nothing, and only the variables in σ are used
+(compare Hemmecke–Malkin, JSC 2009). For a set S of variables, a lattice
+binomial x^(u+) - x^(u-) *meets S on one side* when exactly one of its
+two monomials has a variable in S. Call a nonempty S *bad* when no basis
+binomial meets it on one side, and let T be the variables left out of σ.
+If no subset of T is bad, then
+
+    J : (x_σ)^inf = J : (x_1 ... x_n)^inf = I_A.
+
+Proof: an associated prime P of J : (x_σ)^inf is an associated prime of
+J that contains no x_i with i in σ, so the set S of variables in P lies
+in T. If S were nonempty, some basis binomial would meet it on one
+side: one of its monomials lies in P and the other, a product of
+variables outside P, does not, yet their difference lies in J ⊆ P. So
+no associated prime contains a variable, every variable is a nonzero
+divisor modulo J : (x_σ)^inf, and saturating by the others changes
+nothing. No heft is used.
+
+Bad sets are closed under union, so T has one largest bad subset: start
+from S = T and, while a binomial meets S on one side, remove its support
+from S (a bad subset of S avoids that binomial's variables in S). T is
+built greedily from x_n down to x_1, keeping x_j when T ∪ {j} has no bad
+subset; σ is the rest (``saturating_variables``). The order only picks
+among safe sets: from x_n down, the rational normal quartic and quintic
+need one saturation each where x_1 first needs two.
 
 The normalized volume of A (d! times the Euclidean volume of the convex
 hull of the columns and the origin, for pointed cases) equals the degree
@@ -79,12 +106,44 @@ def lattice_basis_binomials(A: IntMatrix | Iterable[Iterable[int]]) -> list[Poly
     saturation works on the binomials of the reduced basis instead.
     """
     A = as_int_matrix(A)
-    out = []
-    for u in lll_reduce(integer_kernel(A)):
-        plus = tuple(max(x, 0) for x in u)
-        minus = tuple(max(-x, 0) for x in u)
-        out.append(Polynomial(A.ncols, [(plus, 1), (minus, -1)]))
-    return out
+    return [_binomial(u) for u in lll_reduce(integer_kernel(A))]
+
+
+def _binomial(u: Sequence[int]) -> Polynomial:
+    plus = tuple(max(x, 0) for x in u)
+    minus = tuple(max(-x, 0) for x in u)
+    return Polynomial(len(u), [(plus, 1), (minus, -1)])
+
+
+def _largest_bad_set(sides: list[tuple[int, int]], skipped: int) -> int:
+    """The largest bad subset of ``skipped`` (a bit mask), empty when it is
+    safe to skip; ``sides`` holds each binomial's (u+, u-) support masks."""
+    bad = skipped
+    changed = True
+    while bad and changed:
+        changed = False
+        for plus, minus in sides:
+            if bool(plus & bad) != bool(minus & bad):
+                bad &= ~(plus | minus)
+                changed = True
+    return bad
+
+
+def saturating_variables(lattice: Sequence[Sequence[int]], nvars: int) -> list[int]:
+    """The variables σ by which the binomials of a lattice basis must be
+    saturated to give the lattice ideal (see the module docstring)."""
+    sides = [
+        (
+            sum(1 << i for i, x in enumerate(u) if x > 0),
+            sum(1 << i for i, x in enumerate(u) if x < 0),
+        )
+        for u in lattice
+    ]
+    skipped = 0
+    for j in reversed(range(nvars)):
+        if not _largest_bad_set(sides, skipped | 1 << j):
+            skipped |= 1 << j
+    return [j for j in range(nvars) if not skipped >> j & 1]
 
 
 def _saturation_key(weights: Sequence[int], last: int) -> ModKey:
@@ -116,29 +175,33 @@ def toric_ideal(
 ) -> list[Polynomial]:
     """Reduced Groebner basis of the toric ideal I_A in the ring's order.
 
-    The weights come from a heft of A itself, not from the ring, whose
-    grading need not be A. A matrix with no heft, which only such a ring
-    admits, is saturated by elimination (``groebner.saturate``) instead.
+    Saturates only by ``saturating_variables``. The weights come from a
+    heft of A itself, not from the ring, whose grading need not be A. A
+    matrix with no heft, which only such a ring admits, is saturated by
+    elimination (``groebner.saturate``) instead.
     """
     A = as_int_matrix(A)
     if ring is None:
         ring = to_a_graded_ring(A)
     if ring.nvars != A.ncols:
         raise ValueError("ring must have one variable per column of A")
-    binomials = lattice_basis_binomials(A)
-    if not binomials:
+    lattice = lll_reduce(integer_kernel(A))
+    if not lattice:
         return []
+    binomials = [_binomial(u) for u in lattice]
+    sigma = saturating_variables(lattice, ring.nvars)
     try:
         h = find_heft(A)
     except GradingNotPositiveError:
-        # no positive weights make I_A homogeneous, so the criterion does
-        # not apply (a ring with another grading lets such an A through)
-        for j in range(ring.nvars):
+        # no positive weights make I_A homogeneous, so the Bayer–Stillman
+        # criterion does not apply (a ring with another grading lets such
+        # an A through)
+        for j in sigma:
             binomials = saturate(binomials, ring.variable(j), ring.order)
         return list(buchberger(binomials, ring.order).generators)
     weights = [sum(hi * ai for hi, ai in zip(h, col)) for col in A.columns()]
     gens = [poly_to_vec(g) for g in binomials]
-    for j in range(ring.nvars):
+    for j in sigma:
         gb = vec_groebner(gens, _saturation_key(weights, j))
         gens = [_divide_out(g, j) for g in gb]
     gb = vec_groebner(gens, top_key(ring.order))

@@ -10,8 +10,21 @@ import itertools
 import random
 from fractions import Fraction
 
-from quasidegrees.groebner import buchberger, initial_module, saturate
-from quasidegrees.linalg import IntMatrix, column_lattice_is_full, rational_rank
+from quasidegrees.groebner import (
+    buchberger,
+    initial_module,
+    poly_to_vec,
+    saturate,
+    top_key,
+    vec_groebner,
+    vec_to_poly,
+)
+from quasidegrees.linalg import (
+    IntMatrix,
+    as_int_matrix,
+    column_lattice_is_full,
+    rational_rank,
+)
 from quasidegrees.planes import AffinePlane, QuasidegreeSet
 from quasidegrees.poly import (
     ANY_DEGREE,
@@ -20,6 +33,7 @@ from quasidegrees.poly import (
     exps_add,
     exps_divides,
     exps_lcm,
+    find_heft,
     homogeneous_degree,
 )
 from quasidegrees.stdpairs import (
@@ -28,7 +42,7 @@ from quasidegrees.stdpairs import (
     pair_contains,
     standard_pairs,
 )
-from quasidegrees.toric import lattice_basis_binomials
+from quasidegrees.toric import _divide_out, _saturation_key, lattice_basis_binomials
 
 
 def hilbert_quotient_dim(ring: GradedRing, gens, beta) -> int:
@@ -357,6 +371,25 @@ def elimination_toric_ideal(A, ring: GradedRing):
     for j in range(ring.nvars):
         gens = saturate(gens, ring.variable(j), ring.order)
     return list(buchberger(gens, ring.order).generators)
+
+
+def all_variables_toric_ideal(A, ring: GradedRing):
+    """Reference reduced basis of I_A in the ring's order, for A with a heft.
+
+    The lattice-basis binomials saturated by every variable in turn with
+    the Bayer–Stillman step of ``toric`` (a Groebner basis in
+    ``_saturation_key``, then ``_divide_out``); then converted to the
+    ring's order.
+    """
+    A = as_int_matrix(A)
+    gens = [poly_to_vec(g) for g in lattice_basis_binomials(A)]
+    if not gens:
+        return []
+    h = find_heft(A)
+    weights = [sum(hi * ai for hi, ai in zip(h, col)) for col in A.columns()]
+    for j in range(ring.nvars):
+        gens = [_divide_out(g, j) for g in vec_groebner(gens, _saturation_key(weights, j))]
+    return [vec_to_poly(g, ring.nvars) for g in vec_groebner(gens, top_key(ring.order))]
 
 
 # matrices whose integer_kernel basis has entries of 25, 22, 9 and 13

@@ -89,6 +89,19 @@ def test_std_pairs_machine(job_file, capsys):
     assert {"root": [0, 0, 0], "face": [0, 2]} in doc["pairs"]
 
 
+def test_std_pairs_print_faces_by_variable_index(job_file, capsys):
+    # the face {2, 9} iterates as 9, 2 in CPython, where 9 passes the size
+    # of a small frozenset's hash table
+    names = list("abcdefghkm")
+    job = {"variables": names, "grading": "standard", "ideal": list("abdefghk")}
+    code, out, _ = run(capsys, ["std-pairs", job_file(job)])
+    assert code == 0
+    assert out.splitlines() == ["1 * [c, m]", "degree 1"]
+    code, out, _ = run(capsys, ["std-pairs", job_file(job), "--format", "machine"])
+    assert code == 0
+    assert json.loads(out)["pairs"] == [{"root": [0] * 10, "face": [2, 9]}]
+
+
 def test_std_pairs_principal_power_is_linear(job_file, capsys):
     # x^3000*y^3000: 3000 pairs along each axis; the box search hung here
     job = {"variables": ["x", "y"], "grading": "standard", "ideal": ["x^3000*y^3000"]}

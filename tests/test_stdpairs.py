@@ -158,7 +158,7 @@ def test_standard_pairs_properties_random():
 
 
 def _pairs_with_face_order(pairs):
-    """Roots and faces as the CLI prints them: a face in iteration order."""
+    """Roots and faces, each face in its iteration order."""
     return [(p.root, list(p.face)) for p in pairs]
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -5,6 +6,7 @@ import pytest
 
 from helpers import (
     WIDE_KERNEL,
+    all_variables_toric_ideal,
     elimination_toric_ideal,
     hilbert_quotient_dim,
     random_toric_matrix,
@@ -12,7 +14,7 @@ from helpers import (
 )
 from quasidegrees import groebner, toric
 from quasidegrees.groebner import buchberger, ideal_equal, initial_ideal, normal_form
-from quasidegrees.linalg import IntMatrix, integer_kernel, rational_rank
+from quasidegrees.linalg import IntMatrix, integer_kernel, lll_reduce, rational_rank
 from quasidegrees.parse import parse_polynomial
 from quasidegrees.poly import (
     GREVLEX,
@@ -27,6 +29,7 @@ from quasidegrees.stdpairs import degree_via_pairs
 from quasidegrees.toric import (
     lattice_basis_binomials,
     normalized_volume,
+    saturating_variables,
     to_a_graded_ring,
     toric_ideal,
     toric_volume,
@@ -296,3 +299,117 @@ def test_toric_ideal_of_a_matrix_without_heft():
     A = IntMatrix(((1, -1),))
     R = standard_graded_ring(("a", "b"))
     assert toric_ideal(A, R) == [parse_polynomial("a*b - 1", R)]
+
+
+def _bad(S, lattice):
+    """No vector of the lattice basis meets S on exactly one side."""
+    return all(
+        any(u[i] > 0 for i in S) == any(u[i] < 0 for i in S) for u in lattice
+    )
+
+
+def _has_bad_subset(T, lattice):
+    return any(
+        _bad(S, lattice)
+        for r in range(1, len(T) + 1)
+        for S in itertools.combinations(sorted(T), r)
+    )
+
+
+def test_saturating_variables_leave_no_bad_subset_brute_force():
+    rng = random.Random(20261019)
+    cases = [[(1, 1)], [(1, 1, 0), (0, 1, -1)], [(-1, -2, 0)], [(1, -1, 0, 0)]]
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        lattice = []
+        for _ in range(rng.randint(1, 4)):
+            u = [rng.randint(-2, 2) for _ in range(n)]
+            sign = rng.random()
+            if sign < 0.15:
+                u = [abs(x) for x in u]  # x^u - 1
+            elif sign < 0.3:
+                u = [-abs(x) for x in u]  # 1 - x^(-u)
+            lattice.append(tuple(u))
+        cases.append(lattice)
+    for lattice in cases:
+        n = len(lattice[0])
+        sigma = saturating_variables(lattice, n)
+        assert sigma == sorted(set(sigma)) and all(0 <= j < n for j in sigma)
+        skipped = set(range(n)) - set(sigma)
+        assert not _has_bad_subset(skipped, lattice), lattice
+        # maximal: skipping one more variable leaves a bad subset
+        for j in sigma:
+            assert _has_bad_subset(skipped | {j}, lattice), (lattice, j)
+
+
+SCALE_MATRICES = {
+    "3x9": IntMatrix(
+        ((1,) * 9, (1, 4, 0, 2, 0, 3, 3, 3, 3), (1, 0, 3, 0, 3, 3, 4, 0, 3))
+    ),
+    "3x10": IntMatrix(
+        ((1,) * 10, (1, 1, 2, 3, 0, 0, 3, 2, 1, 1), (3, 3, 3, 1, 1, 1, 3, 0, 0, 1))
+    ),
+    "curve7": curve((0, 1, 4, 6, 9, 10, 13)),
+    "curve8": curve((4, 18, 2, 8, 3, 15, 14, 15)),
+}
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+@pytest.mark.parametrize("name", sorted(SCALE_MATRICES))
+def test_toric_ideal_matches_all_variables_reference(name, order):
+    A = SCALE_MATRICES[name]
+    R = to_a_graded_ring(A, order=order)
+    assert toric_ideal(A, R) == all_variables_toric_ideal(A, R)
+
+
+def test_toric_ideal_matches_all_variables_reference_random():
+    rng = random.Random(83)
+    for _ in range(16):
+        A = random_toric_matrix(rng)
+        for order in (GREVLEX, LEX):
+            R = to_a_graded_ring(A, order=order)
+            assert toric_ideal(A, R) == all_variables_toric_ideal(A, R), (A, order)
+
+
+def _lattice(A):
+    return [tuple(u) for u in lll_reduce(integer_kernel(A))]
+
+
+def test_toric_ideal_runs_one_groebner_basis_per_saturating_variable(monkeypatch):
+    runs = []
+
+    def counted(*args, **kwargs):
+        runs.append(1)
+        return groebner.vec_groebner(*args, **kwargs)
+
+    monkeypatch.setattr(toric, "vec_groebner", counted)
+    sigma = saturating_variables(_lattice(A35), 5)
+    assert len(sigma) < 5
+    assert toric_ideal(A35)
+    assert len(runs) == len(sigma) + 1
+
+
+@pytest.mark.parametrize(
+    "rows, names, expected, nsigma",
+    [
+        (((1, -1),), "ab", ["a*b - 1"], 0),
+        (((1, -1, 0, 0), (0, 0, 1, 1)), "abcd", ["a*b - 1", "c - d"], 1),
+    ],
+    ids=["ab-1", "ab-1,c-d"],
+)
+def test_toric_ideal_without_heft_saturates_by_sigma(
+    monkeypatch, rows, names, expected, nsigma
+):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return groebner.saturate(*args, **kwargs)
+
+    monkeypatch.setattr(toric, "saturate", counted)
+    A = IntMatrix(rows)
+    R = standard_graded_ring(tuple(names))
+    gb = toric_ideal(A, R)
+    assert len(calls) == len(saturating_variables(_lattice(A), A.ncols)) == nsigma
+    assert ideal_equal(gb, [parse_polynomial(s, R) for s in expected], R.order)
+    assert gb == elimination_toric_ideal(A, R)
