@@ -26,13 +26,29 @@ a generator is reduced against the basis of everything below its degree
 before it joins, and one whose normal form is zero is not added; with a
 heft degree on homogeneous input the generators kept are a minimal
 generating set. ``vec_groebner`` runs the loop without a transcript and
-autoreduces the result. ``vec_syzygies``, ``vec_minimal_syzygies`` and
-``vec_lift`` run it with a transcript, which keeps, for every basis
-element, its expression in the generators and, for every S-pair or
-generator that reduces to zero, that reduction as a syzygy. The
-coprime-lead-term criterion skips pairs only in a run without a
-transcript on an ideal (every generator term in component 0): it is
-false for submodules, and a transcript must keep every pair.
+autoreduces the result. ``vec_syzygies``, ``vec_minimal_syzygies``,
+``vec_lift`` and ``vec_syzygies_and_lifts`` run it with a transcript,
+which keeps, for every basis element, its expression in the generators
+and, for every S-pair or generator that reduces to zero, that reduction
+as a syzygy.
+
+Two criteria skip pairs. The chain criterion, in the strict form of
+Gebauer and Moeller, applies to every run, with or without a transcript:
+a pair (i, j) leaves the queue unreduced when another basis element k of
+its component has lead(k) | lcm(i, j) and lcm(i, k) and lcm(j, k) both
+proper divisors of lcm(i, j). With m the lcms and suitable scalars,
+S_ij = (m_ij/m_ik) S_ik + (m_ij/m_kj) S_kj, and the pair syzygies
+satisfy tau_ij = (m_ij/m_ik) tau_ik + (m_ij/m_kj) tau_kj plus a syzygy
+whose terms all lie below m_ij. Both pairs on the right have a smaller
+lcm, so by induction on the lcm in the term order (a well-order in which
+a proper divisor comes first) every skipped pair has a standard
+representation and its syzygy lies in the span of the syzygies kept:
+the basis is a Groebner basis and the transcript still generates
+(Schreyer's theorem, Eisenbud Thm 15.10). Strictness rules out two pairs
+of one lcm each skipped on account of the other. The coprime-lead-term
+criterion skips pairs only in a run without a transcript on an ideal
+(every generator term in component 0): it is false for submodules, and
+a transcript would lose the Koszul syzygies of the pairs it skips.
 
 Division is deterministic (first listed divisor wins), the queue takes
 the least degree first (the total degree of a pair's lcm or of a
@@ -48,6 +64,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import le
 from typing import Callable, Iterable, Sequence
 
 from .poly import (
@@ -291,7 +308,9 @@ def _quotients(qs: Sequence[ScalarPoly]) -> VecPoly:
 
 @dataclass
 class _Run:
-    """What one ``_buchberger`` run found (see there)."""
+    """What one ``_buchberger`` run found (see there), and the work it
+    did: pairs queued, skipped by each criterion and reduced to zero,
+    generators kept and dropped."""
 
     basis: list[VecPoly]
     leads: list[ModTerm]
@@ -299,6 +318,25 @@ class _Run:
     exprs: list[VecPoly]
     relations: list[VecPoly]
     dropped: list[VecPoly]
+    pairs_queued: int = 0
+    pairs_coprime: int = 0
+    pairs_chain: int = 0
+    pairs_zero: int = 0
+    gens_kept: int = 0
+    gens_dropped: int = 0
+
+
+def _chain_skips(L: Exps, li: Exps, lj: Exps, leads: Iterable[Exps]) -> bool:
+    """The chain criterion for the pair with leads x^li, x^lj and lcm x^L:
+    is there a lead x^l among ``leads`` (the basis leads of the pair's
+    component, li and lj among them) with x^l | x^L such that lcm(li, l)
+    and lcm(lj, l) both differ from L, so both properly divide it?"""
+    for l in leads:
+        # li and lj themselves fail the test; skip them without computing it
+        if l is not li and l is not lj and all(map(le, l, L)):
+            if tuple(map(max, li, l)) != L and tuple(map(max, lj, l)) != L:
+                return True
+    return False
 
 
 def _buchberger(
@@ -329,15 +367,31 @@ def _buchberger(
     dropped generator's reduction e_g - sum q_k exprs[k] as a syzygy of
     the gens. A pair that adds an element, like a kept generator, gives
     a syzygy that is zero once written in the gens, so these hold every
-    syzygy Schreyer's theorem needs. Without a transcript the
-    coprime-lead-term criterion may skip pairs on an ideal (every
-    generator term in component 0).
+    syzygy Schreyer's theorem needs but those of skipped pairs, which the
+    others generate.
+
+    A popped pair (i, j) is skipped by the chain criterion when some
+    basis element k of its component, present when the pair is popped,
+    has lead(k) | lcm(i, j) with lcm(i, k) and lcm(j, k) both proper
+    divisors of lcm(i, j); the module docstring proves this safe in any
+    pop order. ``degree`` is the total degree or a positive heft degree,
+    so a proper divisor has a smaller degree. On homogeneous input the
+    queue hands out pairs in order of degree, so (i, k) and (j, k) have
+    left it before (i, j), H is still a Groebner basis up to each degree
+    when that degree's generators are tested, and the criterion changes
+    none of the generators kept. Without a transcript the
+    coprime-lead-term criterion also skips pairs on an ideal (every
+    generator term in component 0). ``run`` counts the pairs queued,
+    skipped by each criterion and reduced to zero, and the generators
+    kept and dropped.
     """
     gens = list(gens)
     run = _Run([], [], [], [], [], [])
     basis, leads, exprs = run.basis, run.leads, run.exprs
     coprime = not transcript and all(pos == 0 for g in gens for pos, _ in g)
     zero = next(((0,) * len(e) for g in gens for _, e in g), ())
+    # lead exponents of the basis, by component
+    comp_leads: dict[int, list[Exps]] = {}
     # (degree, 0, i, j) is the pair (i, j); (degree, 1, idx, 0) the generator idx
     heap: list[tuple[int, int, int, int]] = [
         (degree(vec_lead(g, mkey)), 1, idx, 0) for idx, g in enumerate(gens) if g
@@ -350,6 +404,10 @@ def _buchberger(
         else:
             li, lj = leads[i], leads[j]
             if coprime and exps_coprime(li[1], lj[1]):
+                run.pairs_coprime += 1
+                continue
+            if _chain_skips(exps_lcm(li[1], lj[1]), li[1], lj[1], comp_leads[li[0]]):
+                run.pairs_chain += 1
                 continue
             si, ci, sj, cj = _spair_parts(basis[i], li, basis[j], lj)
             s = {}
@@ -371,17 +429,25 @@ def _buchberger(
                     exprs.append(_in_gens(sigma, exprs))
                 else:
                     run.relations.append(sigma)
-        if r:
+        if not r:
             if is_gen:
-                run.kept.append(i)
-            lead = vec_lead(r, mkey)
-            basis.append(r)
-            leads.append(lead)
-            k = len(basis) - 1
-            for m in range(k):
-                if leads[m][0] == lead[0]:
-                    lcm = (lead[0], exps_lcm(leads[m][1], lead[1]))
-                    heapq.heappush(heap, (degree(lcm), 0, m, k))
+                run.gens_dropped += 1
+            else:
+                run.pairs_zero += 1
+            continue
+        if is_gen:
+            run.kept.append(i)
+            run.gens_kept += 1
+        lead = vec_lead(r, mkey)
+        basis.append(r)
+        leads.append(lead)
+        comp_leads.setdefault(lead[0], []).append(lead[1])
+        k = len(basis) - 1
+        for m in range(k):
+            if leads[m][0] == lead[0]:
+                lcm = (lead[0], exps_lcm(leads[m][1], lead[1]))
+                heapq.heappush(heap, (degree(lcm), 0, m, k))
+                run.pairs_queued += 1
     run.kept.sort()
     return run
 
@@ -402,6 +468,25 @@ def _pair_syzygies(run: _Run) -> list[VecPoly]:
     return [w for sigma in run.relations if (w := _in_gens(sigma, run.exprs))]
 
 
+def _syzygies_of(gens: Sequence[VecPoly], run: _Run, nvars: int) -> list[VecPoly]:
+    """Generators of the syzygies of ``gens`` from their transcripted run:
+    units for zero generators, then the pair syzygies, then the
+    reductions of the dropped generators."""
+    units = [{(idx, (0,) * nvars): 1} for idx, g in enumerate(gens) if not g]
+    return units + _pair_syzygies(run) + run.dropped
+
+
+def _lifts_of(targets: Sequence[VecPoly], run: _Run, mkey: ModKey) -> list[VecPoly]:
+    """Each target divided by the run's basis and written in its gens."""
+    out: list[VecPoly] = []
+    for t in targets:
+        qs, r = vec_divide(t, run.basis, mkey, run.leads)
+        if r:
+            raise ValueError("element does not lie in the submodule")
+        out.append(_in_gens(_quotients(qs), run.exprs))
+    return out
+
+
 def vec_syzygies(gens: Sequence[VecPoly], mkey: ModKey, nvars: int) -> list[VecPoly]:
     """Generators of {(q_1..q_s) : sum q_i gens_i = 0} as vecdicts over
     the generator index space.
@@ -412,9 +497,7 @@ def vec_syzygies(gens: Sequence[VecPoly], mkey: ModKey, nvars: int) -> list[VecP
     the basis before it contributes its reduction. Zero generators
     contribute unit syzygies.
     """
-    units = [{(idx, (0,) * nvars): 1} for idx, g in enumerate(gens) if not g]
-    run = _buchberger(gens, mkey, transcript=True)
-    return units + _pair_syzygies(run) + run.dropped
+    return _syzygies_of(gens, _buchberger(gens, mkey, transcript=True), nvars)
 
 
 def vec_minimal_syzygies(
@@ -442,14 +525,16 @@ def vec_lift(
     Returns one vecdict over the generator index space per target. Raises
     ValueError if a target is not in the submodule generated by gens.
     """
+    return _lifts_of(targets, _buchberger(gens, mkey, transcript=True), mkey)
+
+
+def vec_syzygies_and_lifts(
+    gens: Sequence[VecPoly], targets: Sequence[VecPoly], mkey: ModKey, nvars: int
+) -> tuple[list[VecPoly], list[VecPoly]]:
+    """``vec_syzygies(gens, mkey, nvars)`` and ``vec_lift(targets, gens,
+    mkey)`` from one transcripted run of ``gens``."""
     run = _buchberger(gens, mkey, transcript=True)
-    out: list[VecPoly] = []
-    for t in targets:
-        qs, r = vec_divide(t, run.basis, mkey, run.leads)
-        if r:
-            raise ValueError("element does not lie in the submodule")
-        out.append(_in_gens(_quotients(qs), run.exprs))
-    return out
+    return _syzygies_of(gens, run, nvars), _lifts_of(targets, run, mkey)
 
 
 # --- public polynomial-level API ---

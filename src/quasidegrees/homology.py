@@ -18,12 +18,13 @@ level's generators. One Buchberger run per level takes the level's
 columns in heft-degree order and gives both a minimal generating subset
 of them (a column is dropped when it reduces to zero against the basis
 of everything of lower degree and the kept columns before it) and the
-syzygies among that subset. F_0 is the presentation's free module as
-given, so when the presentation has no unit entry the ranks are the
-graded Betti numbers; the length is at most nvars. A presentation builds
-that resolution once, on first use, and every Ext of it, hence every
-local cohomology module that ``qlc`` and ``qlc_total`` ask for, reads
-the same one.
+syzygies among that subset; the chain criterion keeps pairs whose
+syzygies the others generate out of the next level's candidates. F_0 is
+the presentation's free module as given, so when the presentation has
+no unit entry the ranks are the graded Betti numbers; the length is at
+most nvars. A presentation builds that resolution once, on first use,
+and every Ext of it, hence every local cohomology module that ``qlc``
+and ``qlc_total`` ask for, reads the same one.
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ from .groebner import (
     schreyer_key,
     top_key,
     vec_lead,
-    vec_lift,
     vec_minimal_syzygies,
     vec_syzygies,
+    vec_syzygies_and_lifts,
     vec_to_vector,
     vector_to_vec,
 )
@@ -153,8 +154,13 @@ def free_resolution(P: GradedPresentation, max_length: int | None = None) -> Fre
     F_0 is the presentation's free module as given. Every differential
     after the first therefore has no unit entry, and when the first has
     none either the ranks are the graded Betti numbers of coker(P). The
-    syzygies are Schreyer's, so the resolution ends, after at most nvars
-    differentials, when a syzygy module vanishes.
+    syzygies are Schreyer's, less those of the pairs the chain criterion
+    skips, which the others generate; so the resolution ends, after at
+    most nvars differentials, when a syzygy module vanishes. The
+    criterion leaves the ranks alone and shortens the candidate lists:
+    on the 3x9 toric ring of the scale tests in tests/test_homology.py
+    the levels are offered 879 columns in all instead of 1619, and keep
+    the same 455.
     """
     ring = P.ring
     if max_length is not None and max_length < 0:
@@ -194,9 +200,9 @@ def ext_presentation(P: GradedPresentation, j: int) -> GradedPresentation:
     The resolution F_* of coker P is dualized; Ext^j is
     ker(phi_(j+1)^T) / im(phi_j^T) inside F_j^T, whose generator degrees
     are the negated shifts of F_j. Generators: kernel elements K of the
-    transposed differential; relations: syzygies of K plus the columns of
-    phi_j^T lifted through K, all in one lift (one Groebner transcript of
-    K). The resolution is the one P shares across all j.
+    transposed differential; relations: syzygies of K, then the columns of
+    phi_j^T lifted through K, both from one transcripted Groebner run of
+    K. The resolution is the one P shares across all j.
     """
     ring = P.ring
     n = ring.nvars
@@ -219,14 +225,10 @@ def ext_presentation(P: GradedPresentation, j: int) -> GradedPresentation:
     if not K:
         return GradedPresentation(ring, (), ())
     gen_shifts = tuple(_vec_degree_checked(w, dual_shifts, ring) for w in K)
-    relations: list[VecPoly] = list(vec_syzygies(K, mkey, n))
-    if j >= 1:
-        targets = [tv for tv in _transpose(res.columns[j - 1], res.rank(j - 1)) if tv]
-        if targets:
-            relations.extend(vec_lift(targets, K, mkey))
-    cols = tuple(
-        vec_to_vector(r, len(K), n) for r in relations if r
-    )
+    # a zero row of phi_j lifts to zero, which is no relation
+    targets = _transpose(res.columns[j - 1], res.rank(j - 1)) if j else []
+    syz, lifts = vec_syzygies_and_lifts(K, targets, mkey, n)
+    cols = tuple(vec_to_vector(r, len(K), n) for r in syz + lifts if r)
     return GradedPresentation(ring, gen_shifts, cols)
 
 

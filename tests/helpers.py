@@ -10,6 +10,7 @@ import itertools
 import random
 from fractions import Fraction
 
+from quasidegrees import groebner
 from quasidegrees.groebner import (
     buchberger,
     initial_module,
@@ -170,6 +171,22 @@ def complex_is_exact_at(ring: GradedRing, shifts, differentials, beta) -> bool:
         if kernel != ranks[i]:
             return False
     return True
+
+
+def record_buchberger_runs(fn, *args):
+    """fn(*args) and the ``groebner._buchberger`` runs it made, in order."""
+    runs = []
+    inner = groebner._buchberger
+
+    def recording(*a, **kw):
+        runs.append(inner(*a, **kw))
+        return runs[-1]
+
+    groebner._buchberger = recording
+    try:
+        return fn(*args), runs
+    finally:
+        groebner._buchberger = inner
 
 
 def standard_monomial_count(ring: GradedRing, lead_exps, beta) -> int:

@@ -4,9 +4,12 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    free_module_dim,
+    graded_map_rank,
     hilbert_quotient_dim,
     random_homogeneous_binomial_ideal,
     random_ideal,
+    record_buchberger_runs,
     standard_monomial_count,
 )
 from quasidegrees.groebner import (
@@ -26,8 +29,10 @@ from quasidegrees.poly import (
     LEX,
     Polynomial,
     exps_divides,
+    exps_lcm,
     standard_graded_ring,
 )
+from quasidegrees.qdeg import vector_degree
 
 R2 = standard_graded_ring(("x", "y"))
 R3 = standard_graded_ring(("x", "y", "z"))
@@ -260,6 +265,87 @@ def test_syzygies_of_a_dropped_generator_generate():
     basis = [vector_to_vec(v) for v in module_groebner(syz)]
     _, r = vec_divide(vector_to_vec((one, one, -one)), basis, top_key(GREVLEX))
     assert not r
+
+
+def random_homogeneous_vectors(rng, ring, t, ngens, max_deg):
+    """``ngens`` nonzero homogeneous elements of R^t, each component zero
+    or one to three terms of the element's degree."""
+    out = []
+    while len(out) < ngens:
+        mons = list(ring.monomials_of_degree((rng.randint(1, max_deg),)))
+        vec = []
+        for _ in range(t):
+            picked = rng.sample(mons, min(len(mons), rng.randint(1, 3)))
+            coeffs = {m: Fraction(rng.choice((-2, -1, 1, 3))) for m in picked}
+            vec.append(Polynomial(ring.nvars, coeffs if rng.random() < 0.8 else {}))
+        if any(vec):
+            out.append(tuple(vec))
+    return out
+
+
+def test_syzygies_are_complete_when_the_chain_criterion_skips_pairs():
+    # homogeneous ideals and submodules of R^2 with five or six
+    # generators in three variables: the chain criterion skips pairs, and
+    # the syzygies still span the kernel of the generators in every degree
+    # up to the largest lcm of two basis leads or generator degree, which
+    # bounds the degrees of a generating set (Schreyer)
+    rng = random.Random(211)
+    fired = 0
+    for case in range(8):
+        t = 1 + case % 2
+        vectors = random_homogeneous_vectors(rng, R3, t, rng.randint(5, 6), 2)
+        gens = [v[0] for v in vectors] if t == 1 else vectors
+        syz, runs = record_buchberger_runs(syzygies, gens)
+        (run,) = runs
+        fired += run.pairs_chain > 0
+        assert run.pairs_coprime == 0
+        check_syzygies(gens, syz)
+        gen_degs = [vector_degree(v, [(0,)] * t, R3) for v in vectors]
+        syz_degs = [vector_degree(w, gen_degs, R3) for w in syz]
+        top = max(
+            [d[0] for d in gen_degs]
+            + [sum(exps_lcm(a, b)) for p, a in run.leads for q, b in run.leads if p == q]
+        )
+        for b in range(top + 1):
+            kernel = free_module_dim(R3, gen_degs, (b,)) - graded_map_rank(
+                R3, vectors, gen_degs, (b,)
+            )
+            assert graded_map_rank(R3, syz, syz_degs, (b,)) == kernel, (case, b)
+    assert fired >= 3
+
+
+def test_syzygies_and_lifts_of_one_run():
+    from quasidegrees.groebner import (
+        top_key,
+        vec_lift,
+        vec_syzygies,
+        vec_syzygies_and_lifts,
+        vector_to_vec,
+    )
+
+    rng = random.Random(227)
+    mkey = top_key(GREVLEX)
+    for _ in range(6):
+        gens = [vector_to_vec(v) for v in random_homogeneous_vectors(rng, R3, 2, 4, 2)]
+        gens.append({})
+        targets = [{}]
+        for _ in range(2):
+            target = {}
+            for g in gens:
+                e = tuple(rng.randint(0, 1) for _ in range(3))
+                c = rng.choice((-1, 2))
+                for (pos, ge), gc in g.items():
+                    key = (pos, tuple(a + b for a, b in zip(e, ge)))
+                    target[key] = target.get(key, 0) + c * gc
+            targets.append({k: c for k, c in target.items() if c})
+        (syz, lifts), runs = record_buchberger_runs(
+            vec_syzygies_and_lifts, gens, targets, mkey, 3
+        )
+        assert len(runs) == 1
+        assert syz == vec_syzygies(gens, mkey, 3)
+        assert lifts == vec_lift(targets, gens, mkey)
+        assert lifts[0] == {}
+
 
 # --- coefficients ---
 

@@ -1,3 +1,4 @@
+import functools
 import random
 import time
 from fractions import Fraction
@@ -11,6 +12,7 @@ from helpers import (
     hilbert_quotient_dim,
     random_homogeneous_binomial_ideal,
     random_monomial_ideal,
+    record_buchberger_runs,
 )
 from quasidegrees.homology import (
     FreeResolution,
@@ -215,6 +217,48 @@ def test_curve_resolutions_are_minimal_and_exact(exponents, ranks):
     resolution_is_minimal(res)
     top = EXACT_UP_TO.get(exponents)
     resolution_is_exact(res, [b for b in sample_degrees(res) if top is None or b[0] <= top])
+
+
+# The scale inputs of the ROADMAP: a 3-row toric ring and an 8-column
+# curve. Exactness is checked at the generator degrees of total degree at
+# most 3, where the dense oracle stays cheap.
+SCALE_MATRICES = {
+    "3x9": ((1,) * 9, (1, 4, 0, 2, 0, 3, 3, 3, 3), (1, 0, 3, 0, 3, 3, 4, 0, 3)),
+    "curve8": ((1,) * 8, (4, 18, 2, 8, 3, 15, 14, 15)),
+}
+
+
+@functools.cache
+def scale_resolution(name):
+    """The resolution of R/I_A for a scale matrix, with the Buchberger
+    runs it made, one per level."""
+    A = IntMatrix(SCALE_MATRICES[name])
+    R = to_a_graded_ring(A)
+    P = GradedPresentation.cyclic(R, toric_ideal(A, R))
+    return record_buchberger_runs(free_resolution, P)
+
+
+@pytest.mark.parametrize(
+    "name, ranks",
+    [("3x9", [1, 16, 65, 125, 134, 83, 28, 4]), ("curve8", [1, 15, 61, 123, 141, 92, 31, 4])],
+)
+def test_scale_resolutions_are_minimal_and_exact(name, ranks):
+    res, _ = scale_resolution(name)
+    assert [res.rank(i) for i in range(res.length + 1)] == ranks
+    resolution_is_complex(res)
+    resolution_is_homogeneous(res)
+    resolution_is_minimal(res)
+    resolution_is_exact(res, [b for b in sample_degrees(res) if b[0] <= 3])
+
+
+def test_chain_criterion_cuts_the_columns_offered_on_3x9():
+    # without the chain criterion every level's run is offered 1619
+    # columns in all, the pair syzygies of the level below, and keeps 455
+    res, runs = scale_resolution("3x9")
+    assert len(runs) == res.length
+    assert sum(run.pairs_chain for run in runs) > 0
+    assert sum(run.gens_kept for run in runs) == sum(map(len, res.shifts[1:])) == 455
+    assert sum(run.gens_kept + run.gens_dropped for run in runs) < 1619
 
 
 def test_running_example_resolution_is_minimal_and_exact():
