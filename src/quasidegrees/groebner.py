@@ -459,6 +459,17 @@ def vec_groebner(gens: Iterable[VecPoly], mkey: ModKey) -> list[VecPoly]:
     return vec_autoreduce(_buchberger(gens, mkey, transcript=False).basis, mkey)
 
 
+def vec_initial_module(gens: list[VecPoly], t: int, order: MonomialOrder) -> list[list[Exps]]:
+    """Lead exponents of the reduced Groebner basis of <gens> in R^t, one list
+    per component: generators of the initial module's monomial ideals."""
+    mkey = top_key(order)
+    out: list[list[Exps]] = [[] for _ in range(t)]
+    for g in vec_groebner(gens, mkey):
+        pos, exps = vec_lead(g, mkey)
+        out[pos].append(exps)
+    return out
+
+
 # --- syzygies and lifting ---
 
 
@@ -638,12 +649,7 @@ def initial_module(
         return {}
     vectors = [(g,) for g in gens] if isinstance(gens[0], Polynomial) else gens
     vecs = [vector_to_vec(v) for v in vectors if any(f for f in v)]
-    mkey = top_key(order)
-    out: dict[int, list[Exps]] = {i: [] for i in range(len(vectors[0]))}
-    for g in vec_groebner(vecs, mkey):
-        pos, exps = vec_lead(g, mkey)
-        out[pos].append(exps)
-    return out
+    return dict(enumerate(vec_initial_module(vecs, len(vectors[0]), order)))
 
 
 def initial_ideal(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> list[Exps]:

@@ -24,7 +24,9 @@ the presentation's free module as given, so when the presentation has
 no unit entry the ranks are the graded Betti numbers; the length is at
 most nvars. A presentation builds that resolution once, on first use,
 and every Ext of it, hence every local cohomology module that ``qlc``
-and ``qlc_total`` ask for, reads the same one.
+and ``qlc_total`` ask for, reads the same one. ``qlc`` passes each Ext's
+vecdict relations from ``_ext`` to ``qdeg.initial_quasidegrees``;
+``ext_presentation`` is the edge that makes them Polynomial columns.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from .groebner import (
 )
 from .planes import AffinePlane, QuasidegreeSet, remove_redundancy
 from .poly import GradedRing, Polynomial
-from .qdeg import InhomogeneousError, integral_shifts, quasidegrees_module, vector_degree
+from .qdeg import InhomogeneousError, initial_quasidegrees, integral_shifts, vector_degree
 
 Shifts = tuple[tuple[int, ...], ...]
 
@@ -194,8 +196,8 @@ def _transpose(columns: Sequence[VecPoly], t: int) -> list[VecPoly]:
     return out
 
 
-def ext_presentation(P: GradedPresentation, j: int) -> GradedPresentation:
-    """Presentation of Ext^j(coker P, R) with the duality grading.
+def _ext(P: GradedPresentation, j: int) -> tuple[Shifts, list[VecPoly]]:
+    """Generator degrees and nonzero vecdict relations of Ext^j(coker P, R).
 
     The resolution F_* of coker P is dualized; Ext^j is
     ker(phi_(j+1)^T) / im(phi_j^T) inside F_j^T, whose generator degrees
@@ -211,10 +213,10 @@ def ext_presentation(P: GradedPresentation, j: int) -> GradedPresentation:
     res = P._resolution
     L = res.length
     if j > L:
-        return GradedPresentation(ring, (), ())
+        return (), []
     t_j = res.rank(j)
     if t_j == 0:
-        return GradedPresentation(ring, (), ())
+        return (), []
     dual_shifts = tuple(tuple(-x for x in s) for s in res.shifts[j])
     mkey = top_key(ring.order)
     if j < L:
@@ -223,13 +225,19 @@ def ext_presentation(P: GradedPresentation, j: int) -> GradedPresentation:
         # the next differential is zero, so the kernel is everything
         K = [{(k, (0,) * n): 1} for k in range(t_j)]
     if not K:
-        return GradedPresentation(ring, (), ())
+        return (), []
     gen_shifts = tuple(_vec_degree_checked(w, dual_shifts, ring) for w in K)
     # a zero row of phi_j lifts to zero, which is no relation
     targets = _transpose(res.columns[j - 1], res.rank(j - 1)) if j else []
     syz, lifts = vec_syzygies_and_lifts(K, targets, mkey, n)
-    cols = tuple(vec_to_vector(r, len(K), n) for r in syz + lifts if r)
-    return GradedPresentation(ring, gen_shifts, cols)
+    return gen_shifts, [r for r in syz + lifts if r]
+
+
+def ext_presentation(P: GradedPresentation, j: int) -> GradedPresentation:
+    """Presentation of Ext^j(coker P, R) with the duality grading."""
+    shifts, rels = _ext(P, j)
+    cols = tuple(vec_to_vector(r, len(shifts), P.ring.nvars) for r in rels)
+    return GradedPresentation(P.ring, shifts, cols)
 
 
 def dual_shift_plane(plane: AffinePlane, eps: Sequence[int]) -> AffinePlane:
@@ -244,13 +252,10 @@ def qlc(P: GradedPresentation, i: int) -> QuasidegreeSet:
     Computed as the duality image of qdeg(Ext^(n-i)(coker P, R)).
     """
     ring = P.ring
-    n = ring.nvars
-    if i < 0 or i > n:
-        raise ValueError("cohomological degree out of range")
-    E = ext_presentation(P, n - i)
-    if not E.shifts:
+    shifts, rels = _ext(P, ring.nvars - i)
+    if not shifts:
         return QuasidegreeSet(())
-    q = quasidegrees_module(E.columns, E.shifts, ring)
+    q = initial_quasidegrees(rels, shifts, ring)
     eps = ring.degree_sum
     return QuasidegreeSet(tuple(dual_shift_plane(p, eps) for p in q.planes))
 

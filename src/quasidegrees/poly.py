@@ -14,6 +14,7 @@ and the variable degrees generate the full lattice Z^d.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, le, mul, sub
@@ -327,19 +328,11 @@ def find_heft(A: IntMatrix | Iterable[Iterable[int]]) -> tuple[int, ...]:
         sol = solve_linear([cols[j] for j in subset], [1] * r)
         if sol is None:
             continue
-        denom = 1
-        for x in sol:
-            denom = denom * x.denominator // _gcd(denom, x.denominator)
+        denom = math.lcm(*(x.denominator for x in sol))
         h_int = tuple(int(x * denom) for x in sol)
         if h_int and works(h_int):
             return h_int
     raise GradingNotPositiveError("grading not positive: no heft vector exists")
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a) if a else 1
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,10 @@ and the Zariski closure of that is the affine plane above, so the union
 over rows and pairs is tdeg(M)'s closure on the nose.
 
 For a general (non-monomial, non-split) presentation the module is first
-replaced by one with the same graded Hilbert function: take a module
-Groebner basis of the image and keep only the lead terms. The initial
-submodule splits componentwise by construction, and passing to it leaves
-every graded piece's dimension unchanged, hence the same quasidegrees.
+replaced by its initial submodule, which splits and has the same graded
+Hilbert function, hence the same quasidegrees: ``initial_quasidegrees``
+reads its row ideals off a module Groebner basis of vecdict columns, and
+``quasidegrees_module`` is the Polynomial edge, checked as a presentation.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from fractions import Fraction
 from operator import add
 from typing import Callable, Optional, Sequence
 
-from .groebner import Vector, initial_module
+from .groebner import VecPoly, Vector, vec_initial_module, vector_to_vec
 from .planes import AffinePlane, QuasidegreeSet, RatVec, coset_key, rref_span
 from .poly import ANY_DEGREE, Exps, GradedRing, Polynomial
 
@@ -168,6 +168,12 @@ def quasidegrees_monomial(phi: MonomialMatrix) -> QuasidegreeSet:
     Set-equal planes from different standard pairs or rows collapse to
     the one with the least base; use remove_redundancy to also drop
     planes strictly inside others.
+    """
+    return _quasidegrees_rows(phi.ring, phi.row_shifts, phi.row_ideals())
+
+
+def _quasidegrees_rows(ring: GradedRing, shifts: Sequence, ideals: Sequence) -> QuasidegreeSet:
+    """Quasidegree set of the direct sum of the R(-shifts[k])/<ideals[k]>.
 
     The pairs are grouped by their plane as a set before any AffinePlane
     is built: each face's span is row-reduced once, a base is keyed by
@@ -176,12 +182,11 @@ def quasidegrees_monomial(phi: MonomialMatrix) -> QuasidegreeSet:
     """
     from .stdpairs import standard_pairs
 
-    ring = phi.ring
     # RREF span -> {coset key of a base: least base}, one entry per set
     groups: dict[tuple[RatVec, ...], dict[tuple[int, ...], tuple[int, ...]]] = {}
     # face -> (its coset key, its span's group)
     faces: dict[frozenset[int], tuple[Callable, dict]] = {}
-    for shift, gens in zip(phi.row_shifts, phi.row_ideals()):
+    for shift, gens in zip(shifts, ideals):
         for pair in standard_pairs(gens, ring.nvars):
             face = faces.get(pair.face)
             if face is None:
@@ -222,6 +227,13 @@ def vector_degree(vec: Vector, shifts: Sequence[Sequence[int]], ring: GradedRing
     return ANY_DEGREE if deg is None else deg
 
 
+def initial_quasidegrees(
+    columns: Sequence[VecPoly], shifts: Sequence[Sequence[int]], ring: GradedRing
+) -> QuasidegreeSet:
+    """Quasidegree set of R^t(-shifts)/<columns> for homogeneous vecdict columns."""
+    return _quasidegrees_rows(ring, shifts, vec_initial_module(columns, len(shifts), ring.order))
+
+
 def quasidegrees_module(
     columns: Sequence[Vector],
     row_shifts: Sequence[Sequence[int]],
@@ -231,23 +243,9 @@ def quasidegrees_module(
 
     Replaces the image submodule by its initial submodule (same graded
     Hilbert function, hence the same quasidegrees) and runs the split
-    monomial-matrix algorithm on the result.
+    monomial algorithm on the result, after a GradedPresentation check.
     """
-    t = len(row_shifts)
-    shifts = integral_shifts(row_shifts)
-    live: list[Vector] = []
-    for col in columns:
-        if len(col) != t:
-            raise ValueError("column length does not match the number of shifts")
-        if vector_degree(col, shifts, ring) is None:
-            raise InhomogeneousError()
-        if any(not f.is_zero() for f in col):
-            live.append(col)
-    lead = initial_module(live, ring.order)
-    leads = [(pos, exps) for pos in range(t) for exps in lead.get(pos, [])]
-    entries = tuple(
-        tuple((Fraction(1), exps) if pos == k else None for pos, exps in leads)
-        for k in range(t)
-    )
-    phi = MonomialMatrix(ring, shifts, entries)
-    return quasidegrees_monomial(phi)
+    from .homology import GradedPresentation
+
+    P = GradedPresentation(ring, row_shifts, columns)
+    return initial_quasidegrees([vector_to_vec(c) for c in P.columns], P.shifts, ring)

@@ -254,10 +254,7 @@ def standard_pairs(gens: list[Exps], nvars: int) -> list[StandardPair]:
                     roots.add(v)
                     todo.append(v)
         key = tuple(i for i in range(nvars) if bits >> i & 1)
-        # a frozenset's iteration order depends on how it was built; build
-        # the face as StandardPair's constructor does, by re-inserting the
-        # items of a first set, so both kinds of pair iterate alike
-        face = frozenset(i for i in frozenset(key))
+        face = frozenset(key)
         for u in roots:
             found.append((tuple(u >> s & low for s in shifts), key, face))
     found.sort()

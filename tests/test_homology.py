@@ -26,9 +26,9 @@ from quasidegrees.homology import (
 )
 from quasidegrees.linalg import IntMatrix
 from quasidegrees.parse import parse_polynomial
-from quasidegrees.planes import AffinePlane, remove_redundancy
+from quasidegrees.planes import AffinePlane, QuasidegreeSet, remove_redundancy
 from quasidegrees.poly import Polynomial, graded_ring, standard_graded_ring
-from quasidegrees.qdeg import InhomogeneousError, vector_degree
+from quasidegrees.qdeg import InhomogeneousError, quasidegrees_module, vector_degree
 from quasidegrees.toric import to_a_graded_ring, toric_ideal
 
 F = Fraction
@@ -365,6 +365,42 @@ def test_ext_top_of_point():
 
     rel_polys = [c[0] for c in E.columns if not c[0].is_zero()]
     assert ideal_equal(rel_polys, [parse_polynomial("x", R), parse_polynomial("y", R)])
+
+
+def test_ext_presentation_gives_the_planes_qlc_reads():
+    # qlc reads each Ext as vecdicts; the public presentation must present
+    # the same module, so its quasidegrees, duality-shifted, are qlc's
+    rng = random.Random(83)
+    cases = [
+        curve_presentation((0, 1, 3, 4)),
+        GradedPresentation.cyclic(R3, [p3("x*y"), p3("x*z")]),
+    ]
+    for _ in range(8):
+        nvars = rng.randint(2, 3)
+        ring = standard_graded_ring(tuple(f"x{i}" for i in range(nvars)))
+        gens = random_homogeneous_binomial_ideal(rng, nvars, max_gens=2, max_deg=3)
+        cases.append(GradedPresentation.cyclic(ring, [g for g in gens if not g.is_zero()]))
+    ring = standard_graded_ring(("x", "y"))
+    for _ in range(4):
+        shifts = ((0,), (rng.randint(-1, 1),))
+        cols = [
+            (Polynomial.monomial((rng.randint(0, 2), rng.randint(0, 2))), Polynomial.zero(2))
+            for _ in range(rng.randint(1, 2))
+        ]
+        cols.append((Polynomial.zero(2), Polynomial.monomial((rng.randint(1, 2), 0))))
+        cases.append(GradedPresentation(ring, shifts, tuple(cols)))
+    kernels = 0
+    for P in cases:
+        n = P.ring.nvars
+        eps = P.ring.degree_sum
+        for j in range(n + 1):
+            E = ext_presentation(P, j)
+            q = quasidegrees_module(E.columns, E.shifts, P.ring)
+            dual = QuasidegreeSet(tuple(dual_shift_plane(p, eps) for p in q.planes))
+            assert dual.planes == qlc(P, n - j).planes
+            # j < L with generators: K came from a nonzero kernel
+            kernels += j < P._resolution.length and bool(E.shifts)
+    assert kernels
 
 
 def test_qlc_point_module_golden():

@@ -1,9 +1,11 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def test_rank_jump_survey_runs_from_a_checkout(tmp_path):
@@ -19,3 +21,12 @@ def test_rank_jump_survey_runs_from_a_checkout(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "  RANK-JUMP at (0, 0, 1)" in proc.stdout.splitlines()
+
+
+def test_readme_library_snippet_prints_the_rank_jump_plane(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    snippet = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(snippet, {})
+    F = Fraction
+    plane = ((F(0), F(0), F(1)), ((F(1), F(0), F(-2)),))
+    assert capsys.readouterr().out == "%s %s\n" % plane

@@ -157,20 +157,11 @@ def test_standard_pairs_properties_random():
             assert any(pair_contains(q, p) for p in pairs)
 
 
-def _pairs_with_face_order(pairs):
-    """Roots and faces, each face in its iteration order."""
-    return [(p.root, list(p.face)) for p in pairs]
-
-
 def _assert_matches_references(gens, nvars, brute_force=True):
     pairs = standard_pairs(gens, nvars)
     assert pairs == delta_walk_standard_pairs(gens, nvars)
     if brute_force:
         assert pairs == brute_force_standard_pairs(gens, nvars)
-    # the pairs built without the constructor's checks equal, face order
-    # included, those the constructor builds from a sorted face
-    rebuilt = [StandardPair(p.root, frozenset(sorted(p.face))) for p in pairs]
-    assert _pairs_with_face_order(pairs) == _pairs_with_face_order(rebuilt)
     return pairs
 
 
