@@ -1,20 +1,31 @@
 """Groebner bases, syzygies, and saturation for ideals and submodules.
 
-Internal representation ("vecdict"): an element of a free module R^t is a
-dict mapping (component, exponent tuple) -> nonzero coefficient.
-Coefficients are exact rationals kept as ``int`` while they are integral
-and as ``Fraction`` otherwise: ``poly_to_vec`` and ``vector_to_vec``
-convert integral Fractions to int, and every division goes through
-``exact_div``, which returns an int whenever the quotient is one. Toric
-binomials have coefficients +-1, so their bases and syzygies mostly stay
-in the integers. Scalar
-polynomials embed as vectors with a single component 0. Module term
-orders are plain sort-key functions on (component, exponent) pairs, so
-position-over-term, term-over-position, and Schreyer-induced orders are
-all just different key constructors. Each key function computes the key
-of a term once and remembers it (``memoized_key``), so lead-term
-searches and Schreyer chains, whose level keys call the level before,
-pay for each term once per key function.
+Internal representation ("vecdict"): an element of R^t is a ``VecPoly``,
+a dict from packed module terms to nonzero coefficients that holds the
+layout of its terms (``words`` module). A term x^e e_pos is one int: the
+word of e (w data bits under one guard bit per variable), its total
+degree above, pos on top. A product is one addition, divisibility one
+guard-bit test, an lcm the field-wise max. Only the converters at the
+Polynomial edge pack and unpack, with w one bit more than the largest
+exponent of their input needs (at least 7). A product whose field
+reaches 2^w sets a guard bit, and the kernel raises ``WordOverflow``
+before storing it or asking its key; each entry point then repacks its
+inputs twice as wide and starts again (``words.widening``), as it does
+to bring vecdicts of mixed layouts to the widest. No order depends on
+the layout, so neither does the answer: no exponent or variable count
+is too large.
+
+Coefficients are exact rationals, ``int`` while integral and
+``Fraction`` otherwise: the converters turn integral Fractions into
+ints, and every division goes through ``exact_div``. Toric binomials
+have coefficients +-1, so their bases and syzygies mostly stay integral.
+
+Module term orders are ``ModKey`` objects: ``key.on(words)`` sorts the
+terms of a layout and remembers each term's key while the ModKey lives
+(one call, resolution or Ext), so a lead-term search runs no Python code
+per known term. A term-over-position key is the order's key over the
+complemented position (for grevlex: the degree over the complemented
+word); a Schreyer key the parent key of m * lead(g_pos) over it.
 
 The public functions speak Polynomial and tuple-of-Polynomial; the
 vecdict layer is exported as well because the resolution code builds on
@@ -50,13 +61,13 @@ criterion skips pairs only in a run without a transcript on an ideal
 (every generator term in component 0): it is false for submodules, and
 a transcript would lose the Koszul syzygies of the pairs it skips.
 
-Division is deterministic (first listed divisor wins), the queue takes
-the least degree first (the total degree of a pair's lcm or of a
-generator's lead term, unless the caller passes another degree), pairs
-before generators at equal degree, then pairs and generators each in
-the order they were queued, and reduced bases are sorted by lead term,
-so every function here returns the same answer on the same input,
-independent of dict iteration order.
+Division is deterministic (the first listed divisor of the term's
+component wins), the queue takes the least degree first (the total
+degree of a pair's lcm or of a generator's lead term, unless the caller
+passes a heft degree), pairs before generators at equal degree, then
+pairs and generators each in the order they were queued, and reduced
+bases are sorted by lead term, so every function here returns the same
+answer on the same input, independent of dict iteration order.
 """
 
 from __future__ import annotations
@@ -64,78 +75,92 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import le
+from operator import lshift
 from typing import Callable, Iterable, Sequence
 
-from .poly import (
-    Exps,
-    GREVLEX,
-    Elimination,
-    GrevLex,
-    MonomialOrder,
-    Polynomial,
-    exps_add,
-    exps_coprime,
-    exps_divides,
-    exps_lcm,
-    exps_sub,
-)
+from .poly import GREVLEX, Elimination, Exps, GrevLex, MonomialOrder, Polynomial
+from .words import VecPoly, WordOverflow, Words, lcm, vec_repack, widening
 
-ModTerm = tuple[int, Exps]
+# x^e e_pos as words.term(pos, e)
+ModTerm = int
 # an exact rational: an int while integral, a Fraction otherwise
 Coeff = int | Fraction
-# an element of R^t: (component, exponents) -> nonzero Coeff
-VecPoly = dict[ModTerm, Coeff]
-# an element of R: exponents -> nonzero Coeff
-ScalarPoly = dict[Exps, Coeff]
-ModKey = Callable[[ModTerm], object]
+Heft = tuple[Sequence[int], Sequence[int]]  # weights of the variables, offsets of the components
 
 Vector = tuple[Polynomial, ...]
+
+# positions are list indices, below 2^63: a key keeps one in its low 64 bits
+_POS = 64
 
 
 # --- module term orders ---
 
 
-class _KeyCache(dict):
-    """Sort keys of module terms, each computed on its first lookup."""
+class _Memo(dict):
+    """``compute(k)`` for every key k, computed on its first lookup."""
 
     __slots__ = ("compute",)
 
-    def __init__(self, compute: ModKey) -> None:
+    def __init__(self, compute: Callable) -> None:
         super().__init__()
         self.compute = compute
 
-    def __missing__(self, mt: ModTerm):
-        k = self[mt] = self.compute(mt)
-        return k
+    def __missing__(self, k):
+        v = self[k] = self.compute(k)
+        return v
 
 
-def memoized_key(compute: ModKey) -> ModKey:
-    """The key function ``compute``, remembering the key of every term it
-    has seen. A lookup of a known term runs no Python code."""
-    return _KeyCache(compute).__getitem__
+class ModKey(_Memo):
+    """A module term order: ``on(words)`` is its sort key on the terms of
+    that layout, computing each term's key once with ``make(words)``."""
+
+    def __init__(self, make: Callable[[Words], Callable[[int], object]]) -> None:
+        super().__init__(lambda words: _Memo(make(words)).__getitem__)
+
+    on = _Memo.__getitem__
 
 
 def top_key(order: MonomialOrder) -> ModKey:
     """Term-over-position key on a free module, lower component wins ties."""
-    okey = order.key
-    return memoized_key(lambda mt: (okey(mt[1]), -mt[0]))
+
+    def make(words: Words):
+        ctop, body, data, mask = words.ctop, words.body, words.data, words.mask
+        if type(order) is GrevLex:
+            # reverse lex is the complemented word read from x_n down
+            return lambda t: (((t & body) ^ data) << _POS) - (t >> ctop)
+        okey, unpack = order.key, words.unpack
+        return lambda t: (okey(unpack(t & mask)), -(t >> ctop))
+
+    return ModKey(make)
 
 
-def schreyer_key(parent_key: ModKey, leads: Sequence[ModTerm]) -> ModKey:
+def schreyer_key(parent_key: ModKey, gens: Sequence[VecPoly]) -> ModKey:
     """Order induced by a list of generators of a submodule of the parent.
 
     A term m*e_k of the new free module is compared by the parent-module
-    position of m*lead(g_k), lower component winning ties. ``leads`` are
-    the parent lead terms of the generators g_k.
+    position of m*lead(g_k), lower component winning ties. ``gens`` are
+    the generators g_k, vecdicts over the parent.
     """
 
-    def key(mt: ModTerm):
-        pos, e = mt
-        lp, le = leads[pos]
-        return (parent_key((lp, exps_add(e, le))), -pos)
+    def make(words: Words):
+        ctop, body, guards = words.ctop, words.body, words.guards
+        pkey = parent_key.on(words)
+        leads = [max(vec_repack(g, words), key=pkey) for g in gens]
 
-    return memoized_key(key)
+        def key(t: int):
+            pos, m = t >> ctop, leads[t >> ctop] + (t & body)
+            if m & guards:
+                raise WordOverflow
+            k = pkey(m)  # an int, or a tuple for an order known only by one
+            return (k << _POS) - pos if k.__class__ is int else (k, -pos)
+
+        return key
+
+    return ModKey(make)
+
+
+def vec_lead(p: VecPoly, mkey: ModKey) -> ModTerm:
+    return max(p, key=mkey.on(p.words))
 
 
 # --- coefficients ---
@@ -154,170 +179,155 @@ def exact_div(a: Coeff, b: Coeff) -> Coeff:
     return as_coeff(a / b)
 
 
-# --- vecdict helpers ---
+def _pack(v: Sequence[Polynomial], nvars: int) -> VecPoly:
+    """sum_k v[k] e_k as a vecdict, in the layout its exponents fit."""
+    largest = max((max(map(max, f.terms)) for f in v if f.terms and nvars), default=0)
+    out = VecPoly(words := Words.fit(nvars, largest))
+    ctop, top, shifts = words.ctop, words.top, words.shifts
+    for k, f in enumerate(v):
+        for e, c in f.terms.items():
+            out[k << ctop | sum(e) << top | sum(map(lshift, e, shifts))] = as_coeff(c)
+    return out
 
 
 def poly_to_vec(f: Polynomial) -> VecPoly:
-    return {(0, e): as_coeff(c) for e, c in f.terms.items()}
+    return _pack((f,), f.nvars)
 
 
 def vector_to_vec(v: Sequence[Polynomial]) -> VecPoly:
-    return {(i, e): as_coeff(c) for i, f in enumerate(v) for e, c in f.terms.items()}
+    return _pack(v, v[0].nvars if v else 0)
 
 
 def vec_to_vector(p: VecPoly, ncomps: int, nvars: int) -> Vector:
-    comps: list[ScalarPoly] = [dict() for _ in range(ncomps)]
-    for (i, e), c in p.items():
-        comps[i][e] = c
-    return tuple(Polynomial(nvars, comp) for comp in comps)
+    comps: list[dict[Exps, Coeff]] = [dict() for _ in range(ncomps)]
+    if p:
+        ctop, mask, unpack = p.words.ctop, p.words.mask, p.words.unpack
+        for t, c in p.items():
+            comps[t >> ctop][unpack(t & mask)] = Fraction(c)
+    return tuple(Polynomial._unchecked(nvars, comp) for comp in comps)
 
 
 def vec_to_poly(p: VecPoly, nvars: int) -> Polynomial:
-    return Polynomial(nvars, {e: c for (i, e), c in p.items()})
-
-
-def vec_lead(p: VecPoly, mkey: ModKey) -> ModTerm:
-    return max(p, key=mkey)
-
-
-def vec_sub_scaled(p: VecPoly, coeff: Coeff, shift: Exps, g: VecPoly) -> None:
-    """In place p -= coeff * x^shift * g."""
-    for (pos, e), c in g.items():
-        key = (pos, exps_add(shift, e))
-        v = p.get(key, 0) - coeff * c
-        if v:
-            p[key] = v
-        else:
-            p.pop(key, None)
-
-
-def vec_scale(p: VecPoly, c: Coeff) -> VecPoly:
-    return {k: c * v for k, v in p.items()} if c else {}
-
-
-def scalar_mul_vec(q: ScalarPoly, v: VecPoly, acc: VecPoly) -> None:
-    """In place acc += q * v for a scalar polynomial q."""
-    for me, mc in q.items():
-        for (pos, e), c in v.items():
-            key = (pos, exps_add(me, e))
-            val = acc.get(key, 0) + mc * c
-            if val:
-                acc[key] = val
-            else:
-                acc.pop(key, None)
+    mask, unpack = (p.words.mask, p.words.unpack) if p else (0, None)
+    return Polynomial._unchecked(nvars, {unpack(t & mask): Fraction(c) for t, c in p.items()})
 
 
 # --- division ---
 
 
-def vec_divide(
-    f: VecPoly, basis: Sequence[VecPoly], mkey: ModKey, leads: Sequence[ModTerm] | None = None
-) -> tuple[list[ScalarPoly], VecPoly]:
-    """Full division with remainder: f = sum q_i * basis_i + r.
+def _sub_scaled(p: dict, coeff: Coeff, shift: int, g: dict, guards: int) -> None:
+    """In place p -= coeff * x^shift * g; WordOverflow when a product
+    leaves the layout of the guard bits ``guards``."""
+    for t, c in g.items():
+        k = t + shift
+        if k & guards:
+            raise WordOverflow
+        v = p.get(k, 0) - coeff * c
+        if v:
+            p[k] = v
+        else:
+            del p[k]
 
-    No term of r is divisible by any lead term of the basis. At each step
-    the first divisor in list order wins, which makes the result (and
-    everything built on it) deterministic.
-    """
-    if leads is None:
-        leads = [vec_lead(g, mkey) for g in basis]
-    p = dict(f)
-    rem: VecPoly = {}
-    qs: list[ScalarPoly] = [dict() for _ in basis]
+
+def _reduce(
+    p: dict, basis: Sequence[dict], divs: dict, key: Callable, words: Words
+) -> tuple[dict, dict]:
+    """Full division of p (consumed) by the basis whose (lead, index)
+    pairs ``divs`` lists by component: returns the quotients as the dict
+    sum q_k e_k over the basis index space and the remainder. The first
+    divisor of the term's component wins."""
+    ctop, guards = words.ctop, words.guards
+    q: dict = {}
+    rem: dict = {}
     while p:
-        t = max(p, key=mkey)
+        t = max(p, key=key)
         c = p[t]
-        tpos, texps = t
-        for i, g in enumerate(basis):
-            lpos, lexps = leads[i]
-            if lpos == tpos and exps_divides(lexps, texps):
-                shift = exps_sub(texps, lexps)
-                coeff = exact_div(c, g[leads[i]])
-                qs[i][shift] = qs[i].get(shift, 0) + coeff
-                vec_sub_scaled(p, coeff, shift, g)
+        tg = t | guards
+        for l, i in divs.get(t >> ctop, ()):
+            if (tg - l) & guards == guards:
+                shift = t - l
+                g = basis[i]
+                b = g[l]
+                # exact_div(c, b), inlined for an integral quotient
+                integral = c.__class__ is int is b.__class__ and not c % b
+                coeff = c // b if integral else exact_div(c, b)
+                # each step leaves only terms below t, so no q term repeats
+                q[i << ctop | shift] = coeff
+                _sub_scaled(p, coeff, shift, g, guards)
                 break
         else:
             rem[t] = c
             del p[t]
-    return qs, rem
+    return q, rem
 
 
-def vec_normal_form(f: VecPoly, basis: Sequence[VecPoly], mkey: ModKey) -> VecPoly:
-    return vec_divide(f, basis, mkey)[1]
+def vec_divide(f: VecPoly, basis: Sequence[VecPoly], mkey: ModKey) -> tuple[VecPoly, VecPoly]:
+    """Full division with remainder: f = sum q_k * basis_k + r.
+
+    No term of r is divisible by any lead term of the basis. At each step
+    the first divisor in list order wins, which makes the result (and
+    everything built on it) deterministic. The quotients come back as
+    the vecdict sum q_k e_k over the basis index space.
+    """
+
+    def run(words, fs, basis):
+        key, divs = mkey.on(words), {}
+        for i, g in enumerate(basis):
+            divs.setdefault((l := max(g, key=key)) >> words.ctop, []).append((l, i))
+        q, r = _reduce(dict(fs[0]), basis, divs, key, words)
+        return VecPoly(words, q), VecPoly(words, r)
+
+    return widening(run, [f], basis)
 
 
 # --- Buchberger ---
 
 
-def _spair_parts(
-    fi: VecPoly, li: ModTerm, fj: VecPoly, lj: ModTerm
-) -> tuple[Exps, Coeff, Exps, Coeff]:
-    """Multipliers (shift_i, coeff_i, shift_j, coeff_j) of the S-pair.
-
-    S = coeff_i * x^shift_i * f_i - coeff_j * x^shift_j * f_j with both
-    products having monic lead term x^lcm e_pos.
-    """
-    lcm = exps_lcm(li[1], lj[1])
-    return (
-        exps_sub(lcm, li[1]),
-        exact_div(1, fi[li]),
-        exps_sub(lcm, lj[1]),
-        exact_div(1, fj[lj]),
-    )
-
-
-def _total_degree(mt: ModTerm) -> int:
-    """The default degree of a module term: the total degree of x^e."""
-    return sum(mt[1])
-
-
-def vec_autoreduce(basis: list[VecPoly], mkey: ModKey) -> list[VecPoly]:
-    """Minimal, monic, fully tail-reduced basis, sorted by lead term."""
-    order = sorted(range(len(basis)), key=lambda i: mkey(vec_lead(basis[i], mkey)))
-    kept: list[VecPoly] = []
-    kept_leads: list[ModTerm] = []
-    for i in order:
-        lead = vec_lead(basis[i], mkey)
-        pos, exps = lead
-        if any(lp == pos and exps_divides(le, exps) for lp, le in kept_leads):
+def _autoreduce(basis: list[dict], key: Callable, words: Words) -> list[dict]:
+    """Minimal, monic, fully tail-reduced basis, sorted by lead term. A
+    divisor of a tail term lies below the lead, so each element reduces
+    against the (reduced) elements before it in lead order alone."""
+    ctop, guards = words.ctop, words.guards
+    leads = [max(g, key=key) for g in basis]
+    kept: list[dict] = []
+    divs: dict[int, list[tuple[int, int]]] = {}
+    for i in sorted(range(len(basis)), key=lambda i: key(leads[i])):
+        lead = leads[i]
+        lg = lead | guards
+        mates = divs.setdefault(lead >> ctop, [])
+        if any((lg - l) & guards == guards for l, _ in mates):
             continue
-        kept.append(basis[i])
-        kept_leads.append(lead)
-    for i in range(len(kept)):
-        others = kept[:i] + kept[i + 1 :]
-        r = vec_normal_form(kept[i], others, mkey) if others else kept[i]
-        lead = vec_lead(r, mkey)
-        kept[i] = vec_scale(r, exact_div(1, r[lead]))
-    kept.sort(key=lambda g: mkey(vec_lead(g, mkey)))
+        r = _reduce(dict(basis[i]), kept, divs, key, words)[1]
+        scale = exact_div(1, r[lead])
+        mates.append((lead, len(kept)))
+        kept.append({t: scale * c for t, c in r.items()})
     return kept
 
 
-def _in_gens(sigma: VecPoly, exprs: Sequence[VecPoly]) -> VecPoly:
+def _in_gens(sigma: dict, exprs: Sequence[dict], words: Words) -> dict:
     """sum c * x^e * exprs[k] over the terms c * x^e e_k of sigma: a
     combination of basis elements rewritten in the generators."""
-    w: VecPoly = {}
-    for (k, e), c in sigma.items():
-        scalar_mul_vec({e: c}, exprs[k], w)
+    ctop, body, guards = words.ctop, words.body, words.guards
+    w: dict = {}
+    for t, c in sigma.items():
+        _sub_scaled(w, -c, t & body, exprs[t >> ctop], guards)
     return w
-
-
-def _quotients(qs: Sequence[ScalarPoly]) -> VecPoly:
-    """Division quotients q_k as the vecdict sum q_k e_k."""
-    return {(k, e): c for k, q in enumerate(qs) for e, c in q.items()}
 
 
 @dataclass
 class _Run:
-    """What one ``_buchberger`` run found (see there), and the work it
-    did: pairs queued, skipped by each criterion and reduced to zero,
-    generators kept and dropped."""
+    """What one ``_buchberger`` run found (see there), in the layout
+    ``words``, and the work it did: pairs queued, skipped by each
+    criterion and reduced to zero, generators kept and dropped."""
 
-    basis: list[VecPoly]
-    leads: list[ModTerm]
+    words: Words
+    basis: list[dict]
+    leads: list[int]
+    divs: dict[int, list[tuple[int, int]]]  # (lead, index) by component
     kept: list[int]
-    exprs: list[VecPoly]
-    relations: list[VecPoly]
-    dropped: list[VecPoly]
+    exprs: list[dict]
+    relations: list[dict]
+    dropped: list[dict]
     pairs_queued: int = 0
     pairs_coprime: int = 0
     pairs_chain: int = 0
@@ -326,28 +336,33 @@ class _Run:
     gens_dropped: int = 0
 
 
-def _chain_skips(L: Exps, li: Exps, lj: Exps, leads: Iterable[Exps]) -> bool:
-    """The chain criterion for the pair with leads x^li, x^lj and lcm x^L:
-    is there a lead x^l among ``leads`` (the basis leads of the pair's
-    component, li and lj among them) with x^l | x^L such that lcm(li, l)
+def _chain_skips(L: int, li: int, lj: int, leads: Iterable[tuple[int, int]], words: Words) -> bool:
+    """The chain criterion for the pair with lead words li, lj and lcm L:
+    is there a lead l among ``leads`` (the (lead, index) pairs of the
+    pair's component, li and lj among them) with l | L such that lcm(li, l)
     and lcm(lj, l) both differ from L, so both properly divide it?"""
-    for l in leads:
-        # li and lj themselves fail the test; skip them without computing it
-        if l is not li and l is not lj and all(map(le, l, L)):
-            if tuple(map(max, li, l)) != L and tuple(map(max, lj, l)) != L:
+    mask, guards, width = words.mask, words.guards, words.width
+    Lg = L | guards
+    for l, _ in leads:
+        # the guard bits of the word part ignore l's degree and position;
+        # li and lj themselves fail the test, so skip them without it
+        if (Lg - l) & guards == guards and (l := l & mask) != li and l != lj:
+            if lcm(li, l, guards, width) != L and lcm(lj, l, guards, width) != L:
                 return True
     return False
 
 
 def _buchberger(
-    gens: Iterable[VecPoly],
-    mkey: ModKey,
+    gens: Sequence[dict],
+    key: Callable[[int], object],
+    words: Words,
     *,
     transcript: bool,
-    degree: Callable[[ModTerm], int] = _total_degree,
+    heft: Heft | None = None,
 ) -> _Run:
     """The one pair loop: a Groebner basis H of the submodule generated by
-    ``gens``, built degree by degree, with its lead terms.
+    ``gens`` (packed in ``words``, sorted by ``key``), built degree by
+    degree, with its lead terms.
 
     Generators and S-pairs share one queue. A generator waits at the
     degree of its lead term, a pair at the degree of its lcm term, and
@@ -355,8 +370,8 @@ def _buchberger(
     whose normal form against H so far is zero is dropped; otherwise
     that normal form joins H and the generator's index joins ``kept``
     (reported in input order). When every generator is homogeneous for
-    ``degree`` (a heft degree), H is a Groebner basis up to degree delta
-    by the time a generator of degree delta is tested, so a generator is
+    the heft degree, H is a Groebner basis up to degree delta by the
+    time a generator of degree delta is tested, so a generator is
     dropped exactly when it lies in the submodule of the kept generators
     before it, and the kept ones generate minimally.
 
@@ -374,7 +389,7 @@ def _buchberger(
     basis element k of its component, present when the pair is popped,
     has lead(k) | lcm(i, j) with lcm(i, k) and lcm(j, k) both proper
     divisors of lcm(i, j); the module docstring proves this safe in any
-    pop order. ``degree`` is the total degree or a positive heft degree,
+    pop order. The degree is the total degree or a positive heft degree,
     so a proper divisor has a smaller degree. On homogeneous input the
     queue hands out pairs in order of degree, so (i, k) and (j, k) have
     left it before (i, j), H is still a Groebner basis up to each degree
@@ -385,48 +400,58 @@ def _buchberger(
     skipped by each criterion and reduced to zero, and the generators
     kept and dropped.
     """
-    gens = list(gens)
-    run = _Run([], [], [], [], [], [])
-    basis, leads, exprs = run.basis, run.leads, run.exprs
-    coprime = not transcript and all(pos == 0 for g in gens for pos, _ in g)
-    zero = next(((0,) * len(e) for g in gens for _, e in g), ())
-    # lead exponents of the basis, by component
-    comp_leads: dict[int, list[Exps]] = {}
+    top, ctop, body, mask = words.top, words.ctop, words.body, words.mask
+    guards, width = words.guards, words.width
+    wdeg = words.degree
+    run = _Run(words, [], [], {}, [], [], [], [])
+    basis, leads, exprs, divs = run.basis, run.leads, run.exprs, run.divs
+    coprime = not transcript and all(t >> ctop == 0 for g in gens for t in g)
+    # the queue's degree of x^word e_comp: total, or by a heft (weights, offsets)
+    if heft:
+        form, offsets = words.form(heft[0]), heft[1]
+        degree = lambda comp, word: offsets[comp] + form(word)
+    else:
+        degree = lambda comp, word: wdeg(word)
     # (degree, 0, i, j) is the pair (i, j); (degree, 1, idx, 0) the generator idx
-    heap: list[tuple[int, int, int, int]] = [
-        (degree(vec_lead(g, mkey)), 1, idx, 0) for idx, g in enumerate(gens) if g
-    ]
+    heap = [(degree(l >> ctop, l & mask), 1, idx, 0) for idx, g in enumerate(gens) if g
+            for l in (max(g, key=key),)]
     heapq.heapify(heap)
     while heap:
-        _, is_gen, i, j = heapq.heappop(heap)
+        d, is_gen, i, j = heapq.heappop(heap)
         if is_gen:
-            s = gens[i]
+            s = dict(gens[i])
         else:
             li, lj = leads[i], leads[j]
-            if coprime and exps_coprime(li[1], lj[1]):
+            wi, wj = li & mask, lj & mask
+            L = lcm(wi, wj, guards, width)
+            # coprime leads: the lcm is the product
+            if coprime and wi + wj == L:
                 run.pairs_coprime += 1
                 continue
-            if _chain_skips(exps_lcm(li[1], lj[1]), li[1], lj[1], comp_leads[li[0]]):
+            if _chain_skips(L, wi, wj, divs[li >> ctop], words):
                 run.pairs_chain += 1
                 continue
-            si, ci, sj, cj = _spair_parts(basis[i], li, basis[j], lj)
+            # the lcm with its degree field (the queue's, unless a heft's)
+            L |= (wdeg(L) if heft else d) << top
+            si, ci = L - (li & body), exact_div(1, basis[i][li])
+            sj, cj = L - (lj & body), exact_div(1, basis[j][lj])
             s = {}
-            vec_sub_scaled(s, -ci, si, basis[i])
-            vec_sub_scaled(s, cj, sj, basis[j])
-        qs, r = vec_divide(s, basis, mkey, leads)
+            _sub_scaled(s, -ci, si, basis[i], guards)
+            _sub_scaled(s, cj, sj, basis[j], guards)
+        q, r = _reduce(s, basis, divs, key, words)
         if transcript:
             if is_gen:
                 # g - sum_k q_k H_k = r, written in the gens
-                w = {(i, zero): 1}
-                vec_sub_scaled(w, 1, zero, _in_gens(_quotients(qs), exprs))
+                w = {i << ctop: 1}
+                _sub_scaled(w, 1, 0, _in_gens(q, exprs, words), guards)
                 (exprs if r else run.dropped).append(w)
             else:
                 # sum_k sigma_k H_k = S - sum_k q_k H_k = r
-                sigma = vec_scale(_quotients(qs), -1)
-                vec_sub_scaled(sigma, -ci, si, {(i, zero): 1})
-                vec_sub_scaled(sigma, cj, sj, {(j, zero): 1})
+                sigma = {t: -c for t, c in q.items()}
+                _sub_scaled(sigma, -ci, si, {i << ctop: 1}, guards)
+                _sub_scaled(sigma, cj, sj, {j << ctop: 1}, guards)
                 if r:
-                    exprs.append(_in_gens(sigma, exprs))
+                    exprs.append(_in_gens(sigma, exprs, words))
                 else:
                     run.relations.append(sigma)
         if not r:
@@ -438,16 +463,17 @@ def _buchberger(
         if is_gen:
             run.kept.append(i)
             run.gens_kept += 1
-        lead = vec_lead(r, mkey)
+        lead = max(r, key=key)
+        k = len(basis)
         basis.append(r)
         leads.append(lead)
-        comp_leads.setdefault(lead[0], []).append(lead[1])
-        k = len(basis) - 1
-        for m in range(k):
-            if leads[m][0] == lead[0]:
-                lcm = (lead[0], exps_lcm(leads[m][1], lead[1]))
-                heapq.heappush(heap, (degree(lcm), 0, m, k))
-                run.pairs_queued += 1
+        mates = divs.setdefault(lead >> ctop, [])
+        comp, w = lead >> ctop, lead & mask
+        for l, m in mates:
+            L = lcm(l & mask, w, guards, width)
+            heapq.heappush(heap, (degree(comp, L), 0, m, k))
+            run.pairs_queued += 1
+        mates.append((lead, k))
     run.kept.sort()
     return run
 
@@ -455,8 +481,14 @@ def _buchberger(
 def vec_groebner(gens: Iterable[VecPoly], mkey: ModKey) -> list[VecPoly]:
     """Reduced Groebner basis (minimal, monic, tail-reduced, sorted by
     lead term) of the submodule generated by ``gens``: ``_buchberger``
-    without a transcript, then ``vec_autoreduce``."""
-    return vec_autoreduce(_buchberger(gens, mkey, transcript=False).basis, mkey)
+    without a transcript, then autoreduction."""
+
+    def run(words, gens):
+        key = mkey.on(words)
+        basis = _buchberger(gens, key, words, transcript=False).basis
+        return [VecPoly(words, g) for g in _autoreduce(basis, key, words)]
+
+    return widening(run, list(gens))
 
 
 def vec_initial_module(gens: list[VecPoly], t: int, order: MonomialOrder) -> list[list[Exps]]:
@@ -465,36 +497,38 @@ def vec_initial_module(gens: list[VecPoly], t: int, order: MonomialOrder) -> lis
     mkey = top_key(order)
     out: list[list[Exps]] = [[] for _ in range(t)]
     for g in vec_groebner(gens, mkey):
-        pos, exps = vec_lead(g, mkey)
-        out[pos].append(exps)
+        lead, words = vec_lead(g, mkey), g.words
+        out[lead >> words.ctop].append(words.unpack(lead & words.mask))
     return out
 
 
 # --- syzygies and lifting ---
 
 
-def _pair_syzygies(run: _Run) -> list[VecPoly]:
+def _pair_syzygies(run: _Run) -> list[dict]:
     """The nonzero syzygies of the S-pairs that reduced to zero, written
     in the generators."""
-    return [w for sigma in run.relations if (w := _in_gens(sigma, run.exprs))]
+    return [w for sigma in run.relations if (w := _in_gens(sigma, run.exprs, run.words))]
 
 
-def _syzygies_of(gens: Sequence[VecPoly], run: _Run, nvars: int) -> list[VecPoly]:
+def _syzygies_of(gens: Sequence[dict], run: _Run) -> list[VecPoly]:
     """Generators of the syzygies of ``gens`` from their transcripted run:
     units for zero generators, then the pair syzygies, then the
     reductions of the dropped generators."""
-    units = [{(idx, (0,) * nvars): 1} for idx, g in enumerate(gens) if not g]
-    return units + _pair_syzygies(run) + run.dropped
+    ctop = run.words.ctop
+    units = [{idx << ctop: 1} for idx, g in enumerate(gens) if not g]
+    return [VecPoly(run.words, w) for w in units + _pair_syzygies(run) + run.dropped]
 
 
-def _lifts_of(targets: Sequence[VecPoly], run: _Run, mkey: ModKey) -> list[VecPoly]:
+def _lifts_of(targets: Sequence[dict], run: _Run, key: Callable) -> list[VecPoly]:
     """Each target divided by the run's basis and written in its gens."""
+    words = run.words
     out: list[VecPoly] = []
     for t in targets:
-        qs, r = vec_divide(t, run.basis, mkey, run.leads)
+        q, r = _reduce(dict(t), run.basis, run.divs, key, words)
         if r:
             raise ValueError("element does not lie in the submodule")
-        out.append(_in_gens(_quotients(qs), run.exprs))
+        out.append(VecPoly(words, _in_gens(q, run.exprs, words)))
     return out
 
 
@@ -508,35 +542,40 @@ def vec_syzygies(gens: Sequence[VecPoly], mkey: ModKey, nvars: int) -> list[VecP
     the basis before it contributes its reduction. Zero generators
     contribute unit syzygies.
     """
-    return _syzygies_of(gens, _buchberger(gens, mkey, transcript=True), nvars)
+    return vec_syzygies_and_lifts(gens, [], mkey, nvars)[0]
 
 
 def vec_minimal_syzygies(
-    gens: Sequence[VecPoly], mkey: ModKey, degree: Callable[[ModTerm], int]
+    gens: Sequence[VecPoly], mkey: ModKey, heft: Heft
 ) -> tuple[list[int], list[VecPoly]]:
     """A minimal generating subset of homogeneous ``gens`` and the
     syzygies among it, from one transcripted run that takes the gens in
-    order of ``degree``, a heft degree they are homogeneous for.
+    order of the heft degree (weights of the variables, degrees of the
+    components) they are homogeneous for.
 
     Returns the indices of the kept generators, in input order, and
     generators of the syzygy module of the kept generators alone, as
     vecdicts over 0..s-1 for s kept generators.
     """
-    run = _buchberger(gens, mkey, transcript=True, degree=degree)
-    index = {g: k for k, g in enumerate(run.kept)}
-    syz = [{(index[g], e): c for (g, e), c in w.items()} for w in _pair_syzygies(run)]
-    return run.kept, syz
+
+    def run(words, gens):
+        found = _buchberger(gens, mkey.on(words), words, transcript=True, heft=heft)
+        index, ctop, body = {g: k for k, g in enumerate(found.kept)}, words.ctop, words.body
+        return found.kept, [
+            VecPoly(words, {index[t >> ctop] << ctop | t & body: c for t, c in w.items()})
+            for w in _pair_syzygies(found)
+        ]
+
+    return widening(run, gens)
 
 
-def vec_lift(
-    targets: Sequence[VecPoly], gens: Sequence[VecPoly], mkey: ModKey
-) -> list[VecPoly]:
+def vec_lift(targets: Sequence[VecPoly], gens: Sequence[VecPoly], mkey: ModKey) -> list[VecPoly]:
     """Write each target as a combination of gens.
 
     Returns one vecdict over the generator index space per target. Raises
     ValueError if a target is not in the submodule generated by gens.
     """
-    return _lifts_of(targets, _buchberger(gens, mkey, transcript=True), mkey)
+    return vec_syzygies_and_lifts(gens, targets, mkey, 0)[1]
 
 
 def vec_syzygies_and_lifts(
@@ -544,8 +583,13 @@ def vec_syzygies_and_lifts(
 ) -> tuple[list[VecPoly], list[VecPoly]]:
     """``vec_syzygies(gens, mkey, nvars)`` and ``vec_lift(targets, gens,
     mkey)`` from one transcripted run of ``gens``."""
-    run = _buchberger(gens, mkey, transcript=True)
-    return _syzygies_of(gens, run, nvars), _lifts_of(targets, run, mkey)
+
+    def run(words, gens, targets):
+        key = mkey.on(words)
+        found = _buchberger(gens, key, words, transcript=True)
+        return _syzygies_of(gens, found), _lifts_of(targets, found, key)
+
+    return widening(run, gens, targets, nvars=nvars)
 
 
 # --- public polynomial-level API ---
@@ -573,8 +617,8 @@ def divide(
     nvars = f.nvars
     if any(d.is_zero() for d in divisors):
         raise ValueError("zero divisor in division")
-    qs, r = vec_divide(poly_to_vec(f), [poly_to_vec(d) for d in divisors], top_key(order))
-    return [Polynomial(nvars, q) for q in qs], vec_to_poly(r, nvars)
+    q, r = vec_divide(poly_to_vec(f), [poly_to_vec(d) for d in divisors], top_key(order))
+    return list(vec_to_vector(q, len(divisors), nvars)), vec_to_poly(r, nvars)
 
 
 def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> GroebnerBasis:
@@ -616,7 +660,7 @@ def normal_form(
         if order is None:
             raise ValueError("an order is required with a raw generator list")
     live = [poly_to_vec(g) for g in gens if not g.is_zero()]
-    return vec_to_poly(vec_normal_form(poly_to_vec(f), live, top_key(order)), f.nvars)
+    return vec_to_poly(vec_divide(poly_to_vec(f), live, top_key(order))[1], f.nvars)
 
 
 def syzygies(
@@ -671,21 +715,17 @@ def saturate(
     if not live:
         return []
     nvars = live[0].nvars
-
-    def _lift(p: Polynomial) -> VecPoly:
-        return {(0, (0,) + e): as_coeff(c) for e, c in p.terms.items()}
-
-    big = [_lift(g) for g in live]
-    one_minus_tf: VecPoly = {(0, (0,) * (nvars + 1)): 1}
-    for e, c in f.terms.items():
-        key = (0, (1,) + e)
-        one_minus_tf[key] = one_minus_tf.get(key, 0) - as_coeff(c)
-    big.append(one_minus_tf)
-    gb = vec_groebner(big, top_key(Elimination(1)))
+    # T is x_1 of the big ring, so field 0 (bits ``low``) holds its power
+    words = Words.fit(nvars + 1, max(max(e, default=0) for g in live + [f] for e in g.terms))
+    one_minus_tf = [((0,) * (nvars + 1), 1)] + [((1,) + e, -c) for e, c in f.terms.items()]
+    big = [[((0,) + e, c) for e, c in g.terms.items()] for g in live] + [one_minus_tf]
+    big = [VecPoly(words, {words.term(0, e): as_coeff(c) for e, c in g}) for g in big]
     kept = []
-    for g in gb:
-        if all(e[0] == 0 for (_, e) in g):
-            kept.append(Polynomial(nvars, {e[1:]: c for (_, e), c in g.items()}))
+    for g in vec_groebner(big, top_key(Elimination(1))):
+        low, mask, unpack = g.words.low, g.words.mask, g.words.unpack
+        if not any(t & low for t in g):  # T-free
+            terms = {unpack(t & mask)[1:]: Fraction(c) for t, c in g.items()}
+            kept.append(Polynomial._unchecked(nvars, terms))
     if isinstance(order, GrevLex):
         # the elimination order restricts to grevlex on the T-free part,
         # so kept is already the reduced grevlex basis

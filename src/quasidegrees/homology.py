@@ -34,17 +34,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
-from operator import mul
-from typing import Callable, Sequence
+from operator import add, mul
+from typing import Sequence
 
 from .groebner import (
+    Heft,
     ModKey,
-    ModTerm,
-    VecPoly,
     Vector,
     schreyer_key,
     top_key,
-    vec_lead,
     vec_minimal_syzygies,
     vec_syzygies,
     vec_syzygies_and_lifts,
@@ -54,6 +52,7 @@ from .groebner import (
 from .planes import AffinePlane, QuasidegreeSet, remove_redundancy
 from .poly import GradedRing, Polynomial
 from .qdeg import InhomogeneousError, initial_quasidegrees, integral_shifts, vector_degree
+from .words import VecPoly, Words, common_layout, vec_repack
 
 Shifts = tuple[tuple[int, ...], ...]
 
@@ -123,25 +122,31 @@ class FreeResolution:
         return len(self.shifts[i])
 
 
-def _vec_degree_checked(w: VecPoly, shifts: Shifts, ring: GradedRing) -> tuple[int, ...]:
-    deg = None
-    for (pos, e), _ in w.items():
-        total = tuple(a + b for a, b in zip(ring.multidegree(e), shifts[pos]))
-        if deg is None:
-            deg = total
-        elif deg != total:
-            raise InhomogeneousError()
-    if deg is None:
+def _vec_degree_checked(w: VecPoly, shifts: Shifts, ring: GradedRing, degrees: dict) -> tuple:
+    """The common degree of the terms of w, component k shifted by
+    shifts[k]; InhomogeneousError when two differ. ``degrees`` remembers
+    the multidegree of each exponent word, by layout."""
+    if not w:
         raise ValueError("zero column in a resolution differential")
-    return deg
+    words, rows = w.words, ring.degree_matrix.entries
+    known = degrees.setdefault(words, {})
+    totals = set()
+    for t in w:
+        if (word := t & words.mask) not in known:
+            e = words.unpack(word)
+            known[word] = tuple([sum(map(mul, row, e)) for row in rows])
+        totals.add(tuple(map(add, known[word], shifts[t >> words.ctop])))
+    if len(totals) > 1:
+        raise InhomogeneousError()
+    return totals.pop()
 
 
-def _heft_degree(ring: GradedRing, shifts: Shifts) -> Callable[[ModTerm], int]:
+def _heft_degree(ring: GradedRing, shifts: Shifts) -> Heft:
     """The heft degree heft . (deg x^e + shifts[pos]) of a term x^e e_pos
-    of the free module whose generators have degrees ``shifts``."""
+    of the free module whose generators have degrees ``shifts``, as the
+    heft of each variable and of each generator."""
     weights = [sum(map(mul, ring.heft, ring.degree(j))) for j in range(ring.nvars)]
-    shift_heft = [sum(map(mul, ring.heft, s)) for s in shifts]
-    return lambda mt: shift_heft[mt[0]] + sum(map(mul, weights, mt[1]))
+    return weights, [sum(map(mul, ring.heft, s)) for s in shifts]
 
 
 def free_resolution(P: GradedPresentation, max_length: int | None = None) -> FreeResolution:
@@ -171,13 +176,14 @@ def free_resolution(P: GradedPresentation, max_length: int | None = None) -> Fre
     diffs: list[tuple[VecPoly, ...]] = []
     key: ModKey = top_key(ring.order)
     cols = [vector_to_vec(c) for c in P.columns if any(f for f in c)]
+    degrees: dict = {}
     while cols and (max_length is None or len(diffs) < max_length):
-        degs = [_vec_degree_checked(w, shift_levels[-1], ring) for w in cols]
+        degs = [_vec_degree_checked(w, shift_levels[-1], ring, degrees) for w in cols]
         keep, syz = vec_minimal_syzygies(cols, key, _heft_degree(ring, shift_levels[-1]))
         cols = [cols[k] for k in keep]
         diffs.append(tuple(cols))
         shift_levels.append(tuple(degs[k] for k in keep))
-        key = schreyer_key(key, [vec_lead(w, key) for w in cols])
+        key = schreyer_key(key, cols)
         cols = syz
     return FreeResolution(ring, tuple(shift_levels), tuple(diffs))
 
@@ -189,10 +195,11 @@ def _transpose(columns: Sequence[VecPoly], t: int) -> list[VecPoly]:
     R^t -> R^s and its t columns are returned (the k-th collects entry k
     of every original column).
     """
-    out: list[VecPoly] = [{} for _ in range(t)]
+    words = common_layout(columns)
+    out, ctop = [VecPoly(words) for _ in range(t)], words.ctop
     for m, col in enumerate(columns):
-        for (k, e), c in col.items():
-            out[k][(m, e)] = c
+        for term, c in vec_repack(col, words).items():
+            out[term >> ctop][m << ctop | term & words.body] = c
     return out
 
 
@@ -223,10 +230,12 @@ def _ext(P: GradedPresentation, j: int) -> tuple[Shifts, list[VecPoly]]:
         K = vec_syzygies(_transpose(res.columns[j], t_j), mkey, n)
     else:
         # the next differential is zero, so the kernel is everything
-        K = [{(k, (0,) * n): 1} for k in range(t_j)]
+        words = Words.fit(n, 0)
+        K = [VecPoly(words, {k << words.ctop: 1}) for k in range(t_j)]
     if not K:
         return (), []
-    gen_shifts = tuple(_vec_degree_checked(w, dual_shifts, ring) for w in K)
+    degrees: dict = {}
+    gen_shifts = tuple(_vec_degree_checked(w, dual_shifts, ring, degrees) for w in K)
     # a zero row of phi_j lifts to zero, which is no relation
     targets = _transpose(res.columns[j - 1], res.rank(j - 1)) if j else []
     syz, lifts = vec_syzygies_and_lifts(K, targets, mkey, n)

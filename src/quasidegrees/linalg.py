@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 IntVec = tuple[int, ...]
@@ -46,10 +47,10 @@ class IntMatrix:
         return self.entries[i]
 
     def column(self, j: int) -> IntVec:
-        return tuple(row[j] for row in self.entries)
+        return tuple([row[j] for row in self.entries])
 
     def columns(self) -> list[IntVec]:
-        return [self.column(j) for j in range(self.ncols)]
+        return list(zip(*self.entries)) if self.entries else []
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(tuple(zip(*self.entries))) if self.entries else IntMatrix(())
@@ -57,7 +58,7 @@ class IntMatrix:
     def mul_vec(self, v: Sequence[int]) -> IntVec:
         if len(v) != self.ncols:
             raise ValueError("dimension mismatch")
-        return tuple(sum(a * x for a, x in zip(row, v)) for row in self.entries)
+        return tuple([sum(map(mul, row, v)) for row in self.entries])
 
 
 def as_int_matrix(A: IntMatrix | Iterable[Iterable[int]]) -> IntMatrix:
@@ -147,71 +148,62 @@ def integer_kernel(A: IntMatrix | Iterable[Iterable[int]]) -> list[IntVec]:
     return basis
 
 
-def _gram_schmidt(b: Sequence[Sequence[int]]) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """Exact Gram–Schmidt data of b: the coefficients mu[i][j] (j < i) and
-    the squared lengths B[i] of the orthogonalized vectors."""
-    ortho: list[list[Fraction]] = []
-    mu: list[list[Fraction]] = []
-    B: list[Fraction] = []
-    for v in b:
-        w = [Fraction(x) for x in v]
-        row = []
-        for u, Bj in zip(ortho, B):
-            m = sum(x * y for x, y in zip(v, u)) / Bj
-            row.append(m)
-            w = [x - m * y for x, y in zip(w, u)]
-        ortho.append(w)
-        mu.append(row)
-        B.append(sum(x * x for x in w))
-    return mu, B
-
-
-def _swap(b: list[list[int]], mu: list[list[Fraction]], B: list[Fraction], k: int) -> None:
-    """Swap b[k-1] and b[k] and update the Gram–Schmidt data in place.
-
-    Only the pair's squared lengths, the pair's own coefficient and the
-    coefficients of later vectors on the pair change (Cohen, A Course in
-    Computational Algebraic Number Theory, Alg. 2.6.3, SWAP).
-    """
-    b[k - 1], b[k] = b[k], b[k - 1]
-    m = mu[k][k - 1]
-    mu[k - 1], mu[k] = mu[k][: k - 1], mu[k - 1] + [m]
-    Bk = B[k] + m * m * B[k - 1]
-    mu[k][k - 1] = m * B[k - 1] / Bk
-    B[k - 1], B[k] = Bk, B[k - 1] * B[k] / Bk
-    for row in mu[k + 1 :]:
-        t = row[k]
-        row[k] = row[k - 1] - m * t
-        row[k - 1] = t + mu[k][k - 1] * row[k]
-
-
 def lll_reduce(basis: Sequence[Sequence[int]]) -> list[IntVec]:
     """LLL-reduced basis (delta = 3/4) of the lattice spanned by linearly
-    independent integer vectors, in exact rational arithmetic.
+    independent integer vectors, in integers only.
+
+    The integral LLL of Cohen, A Course in Computational Algebraic Number
+    Theory, Alg. 2.6.7: with d_0 = 1 and d_(i+1) the Gram determinant of
+    the first i + 1 vectors, lam[k][j] = d_(j+1) mu_kj is an integer, and
+    every update of the Gram–Schmidt data divides exactly. Each vector is
+    size-reduced against all earlier ones, from the nearest down, before
+    the Lovász test 4 d_(k+1) d_(k-1) >= 3 d_k^2 - 4 lam[k][k-1]^2, which
+    is B_k >= (3/4 - mu_k,k-1^2) B_(k-1) times 4 d_k d_(k-1).
 
     The result spans the same lattice, is size-reduced (|mu_kj| <= 1/2)
-    and satisfies the Lovász condition B_k >= (3/4 - mu_k,k-1^2) B_(k-1).
-    Raises ValueError when the vectors are linearly dependent.
+    and satisfies the Lovász condition. Raises ValueError when the vectors
+    are linearly dependent.
     """
-    delta = Fraction(3, 4)
     b = [list(map(int, v)) for v in basis]
-    mu, B = _gram_schmidt(b)
-    if any(not x for x in B):
-        raise ValueError("lattice basis vectors are linearly dependent")
+    n = len(b)
+    d = [1] * (n + 1)
+    lam = [[0] * k for k in range(n)]
+    for k in range(n):
+        for j in range(k + 1):
+            u = sum(map(mul, b[k], b[j]))
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = u
+            else:
+                d[k + 1] = u
+        if not d[k + 1]:
+            raise ValueError("lattice basis vectors are linearly dependent")
     k = 1
-    while k < len(b):
+    while k < n:
         for j in reversed(range(k)):
-            q = round(mu[k][j])
+            # q = round(mu_kj), half to even like ``round`` on a Fraction
+            q, r = divmod(2 * lam[k][j] + d[j + 1], 2 * d[j + 1])
+            q -= not r and q & 1
             if q:
                 b[k] = [x - q * y for x, y in zip(b[k], b[j])]
                 for i in range(j):
-                    mu[k][i] -= q * mu[j][i]
-                mu[k][j] -= q
-        if B[k] >= (delta - mu[k][k - 1] ** 2) * B[k - 1]:
+                    lam[k][i] -= q * lam[j][i]
+                lam[k][j] -= q * d[j + 1]
+        m = lam[k][k - 1]
+        if 4 * d[k + 1] * d[k - 1] >= 3 * d[k] ** 2 - 4 * m * m:
             k += 1
-        else:
-            _swap(b, mu, B, k)
-            k = max(k - 1, 1)
+            continue
+        # swap b[k - 1] and b[k] (Cohen's SWAPI): lam[k][k - 1] stays
+        b[k - 1], b[k] = b[k], b[k - 1]
+        lam[k - 1], lam[k] = lam[k][: k - 1], lam[k - 1] + [m]
+        new = (d[k - 1] * d[k + 1] + m * m) // d[k]
+        for row in lam[k + 1 :]:
+            t = row[k]
+            row[k] = (d[k + 1] * row[k - 1] - m * t) // d[k]
+            row[k - 1] = (new * t + m * row[k]) // d[k + 1]
+        d[k] = new
+        k = max(k - 1, 1)
     return [tuple(v) for v in b]
 
 
@@ -232,13 +224,12 @@ def lattice_member(v: Sequence[int], basis: Sequence[Sequence[int]]) -> bool:
 
 
 def column_lattice_is_full(A: IntMatrix | Iterable[Iterable[int]]) -> bool:
-    """Do the columns of A generate all of Z^d (d = number of rows)?"""
+    """Do the columns of A generate all of Z^d (d = number of rows)? Yes
+    when an echelon form of them has d pivots, all 1: the pivots multiply
+    to the lattice's index."""
     A = as_int_matrix(A)
-    cols = A.columns()
-    return all(
-        lattice_member(tuple(1 if i == k else 0 for i in range(A.nrows)), cols)
-        for k in range(A.nrows)
-    )
+    pivots = [next(x for x in row if x) for row in integer_row_echelon(A.columns()) if any(row)]
+    return len(pivots) == A.nrows and all(x == 1 for x in pivots)
 
 
 def rref(rows: Iterable[Sequence[Fraction | int]]) -> tuple[tuple[RatVec, ...], tuple[int, ...], int]:

@@ -215,10 +215,7 @@ def parse_polynomial(text: str, ring: GradedRing) -> Polynomial:
     exps = _monomial_exponents(text, ring)
     if exps is None:
         return _Parser(text, ring).parse()
-    out = Polynomial.__new__(Polynomial)
-    out.nvars = ring.nvars
-    out.terms = {tuple(exps): Fraction(1)}
-    return out
+    return Polynomial._unchecked(ring.nvars, {tuple(exps): Fraction(1)})
 
 
 def _render_monomial(exps, names) -> str:

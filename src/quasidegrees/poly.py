@@ -17,7 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, le, mul, sub
+from operator import add, le, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .linalg import (
@@ -31,9 +31,9 @@ from .linalg import (
 Exps = tuple[int, ...]
 
 
-# The exponent helpers run in every Groebner and standard-pair inner loop,
-# so they map builtin operators over the tuples instead of running
-# generator expressions.
+# Exponent-tuple helpers for the Polynomial layer; the Groebner kernel and
+# standard pairs work on packed words (``words``) instead. They map builtin
+# operators over the tuples instead of running generator expressions.
 
 
 def exps_add(a: Exps, b: Exps) -> Exps:
@@ -51,10 +51,6 @@ def exps_divides(a: Exps, b: Exps) -> bool:
 
 def exps_lcm(a: Exps, b: Exps) -> Exps:
     return tuple(map(max, a, b))
-
-
-def exps_coprime(a: Exps, b: Exps) -> bool:
-    return not any(map(mul, a, b))
 
 
 def support(e: Exps) -> tuple[int, ...]:
@@ -148,6 +144,14 @@ class Polynomial:
         self.terms = acc
 
     @classmethod
+    def _unchecked(cls, nvars: int, terms: dict[Exps, Fraction]) -> "Polynomial":
+        """The polynomial of terms already valid: distinct exponent tuples
+        of nvars nonnegative ints, nonzero Fraction coefficients."""
+        out = cls.__new__(cls)
+        out.nvars, out.terms = nvars, terms
+        return out
+
+    @classmethod
     def zero(cls, nvars: int) -> "Polynomial":
         return cls(nvars)
 
@@ -159,10 +163,7 @@ class Polynomial:
     def variable(cls, nvars: int, j: int) -> "Polynomial":
         if not 0 <= j < nvars:
             raise ValueError(f"variable index {j} is not in [0, {nvars})")
-        out = cls.__new__(cls)
-        out.nvars = nvars
-        out.terms = {tuple(1 if i == j else 0 for i in range(nvars)): Fraction(1)}
-        return out
+        return cls._unchecked(nvars, {tuple(int(i == j) for i in range(nvars)): Fraction(1)})
 
     @classmethod
     def monomial(cls, exps: Sequence[int], coeff: Fraction | int = 1) -> "Polynomial":
@@ -191,16 +192,10 @@ class Polynomial:
                 acc[e] = v
             else:
                 acc.pop(e, None)
-        out = Polynomial.__new__(Polynomial)
-        out.nvars = self.nvars
-        out.terms = acc
-        return out
+        return Polynomial._unchecked(self.nvars, acc)
 
     def __neg__(self) -> "Polynomial":
-        out = Polynomial.__new__(Polynomial)
-        out.nvars = self.nvars
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return Polynomial._unchecked(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -208,10 +203,8 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
-            out = Polynomial.__new__(Polynomial)
-            out.nvars = self.nvars
-            out.terms = {} if not c else {e: c * v for e, v in self.terms.items()}
-            return out
+            terms = {e: c * v for e, v in self.terms.items()} if c else {}
+            return Polynomial._unchecked(self.nvars, terms)
         if not isinstance(other, Polynomial):
             return NotImplemented
         if self.nvars != other.nvars:
@@ -225,10 +218,7 @@ class Polynomial:
                     acc[e] = v
                 else:
                     acc.pop(e, None)
-        out = Polynomial.__new__(Polynomial)
-        out.nvars = self.nvars
-        out.terms = acc
-        return out
+        return Polynomial._unchecked(self.nvars, acc)
 
     __rmul__ = __mul__
 
@@ -237,10 +227,7 @@ class Polynomial:
             raise ValueError("negative power")
         if len(self.terms) == 1:
             ((e, c),) = self.terms.items()
-            out = Polynomial.__new__(Polynomial)
-            out.nvars = self.nvars
-            out.terms = {tuple(k * x for x in e): c**k}
-            return out
+            return Polynomial._unchecked(self.nvars, {tuple(k * x for x in e): c**k})
         result = Polynomial.constant(self.nvars, 1)
         base = self
         while k:

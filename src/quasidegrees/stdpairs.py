@@ -31,21 +31,14 @@ is pruned by I_Z as it goes, plus O(p * n * g) word operations for the
 search, with g minimal generators and p roots. Large exponents cost only
 through p and the width of a word; there is no box to scan.
 
-Packed words. ``standard_pairs`` packs each exponent vector u into one
-int, sum of u_i << (i * W), with fields of W = w + 1 bits: w data bits
-under one guard bit, and w the bit length of the largest generator
-exponent. With H the mask of the guard bits, and every field of u and v
-below 2^w:
-
-* x^g divides x^v iff ((v | H) - g) & H == H: a field of v | H minus
-  the same field of g keeps its guard bit iff v_i >= g_i, and no field
-  borrows from the next;
-* lcm(u, v) takes the fields of u where (u | H) - v keeps its guard,
-  and the fields of v elsewhere;
-* I_{Z ∪ {j}} comes from I_Z by masking out field j;
-* a step to x_i * x^v adds 1 << (i * W);
-* a proper divisor is a smaller int, so sorting words by value orders
-  them for minimalization.
+Packed words. ``standard_pairs`` packs each exponent vector into one int
+with the layout of ``words`` (the module the Groebner kernel packs its
+terms with too): fields of w data bits under one guard bit, w the bit
+length of the largest generator exponent. Divisibility is one guard-bit
+test and an lcm one field-wise maximum (see there); besides, I_{Z ∪ {j}}
+comes from I_Z by masking out field j, a step to x_i * x^v adds one to
+field i, and since a proper divisor is a smaller int, sorting words by
+value orders them for minimalization.
 
 Why no field overflows. Let e_i be the largest exponent of x_i among the
 generators, so e_i < 2^w. Every saturation root and every monomial the
@@ -63,6 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .poly import Exps, exps_divides, support
+from .words import Words, in_ideal, minimal_words
 
 
 @dataclass(frozen=True)
@@ -132,27 +126,6 @@ def _exponents(g) -> Exps:
     return out
 
 
-def _in_ideal(word: int, gens: list[int], guards: int) -> bool:
-    """Does some word of ``gens`` divide ``word``? ``guards`` is the mask H
-    of the guard bits."""
-    wg = word | guards
-    for g in gens:
-        if (wg - g) & guards == guards:
-            return True
-    return False
-
-
-def _minimal_words(words: list[int], guards: int) -> list[int]:
-    """Inclusion-minimal packed monomials, deduplicated, in increasing
-    order. A proper divisor is a smaller integer, so each word needs
-    testing only against the words already kept."""
-    kept: list[int] = []
-    for v in sorted(set(words)):
-        if not _in_ideal(v, kept, guards):
-            kept.append(v)
-    return kept
-
-
 def _saturation_roots(
     ideal: list[int], above: list[list[int]], guards: int, width: int
 ) -> list[int]:
@@ -180,12 +153,10 @@ def _saturation_roots(
         for a in roots:
             ag = a | guards
             for b in kept:
-                # fields where a >= b, widened to their data bits, pick a
+                # ``words.lcm``, inlined with a | guards taken once per root
                 ge = (ag - b) & guards
                 lcms.add(b ^ ((a ^ b) & (ge - (ge >> width))))
-        roots = _minimal_words(
-            [u for u in lcms if not _in_ideal(u, ideal, guards)], guards
-        )
+        roots = minimal_words([u for u in lcms if not in_ideal(u, ideal, guards)], guards)
         if not roots:
             break
     return roots
@@ -217,13 +188,10 @@ def standard_pairs(gens: list[Exps], nvars: int) -> list[StandardPair]:
     gens = [_exponents(g) for g in gens]
     if len(set(map(len, gens))) > 1 or (gens and len(gens[0]) != nvars):
         raise ValueError("generator exponent length mismatch")
-    width = max((e for g in gens for e in g), default=0).bit_length()
-    shifts = [i * (width + 1) for i in range(nvars)]
-    guards = sum(1 << (s + width) for s in shifts)
-    low = (1 << width) - 1
-    fields = [low << s for s in shifts]
-    words = [sum(e << s for e, s in zip(g, shifts)) for g in gens]
-    minimal = _minimal_words(words, guards)
+    words = Words(nvars, max((e for g in gens for e in g), default=0).bit_length())
+    width, shifts, guards = words.width, words.shifts, words.guards
+    fields = [words.low << s for s in shifts]
+    minimal = minimal_words(list(map(words.pack, gens)), guards)
     supports = [sum(1 << i for i, f in enumerate(fields) if g & f) for g in minimal]
     if 0 in supports:
         return []  # the unit ideal
@@ -234,7 +202,7 @@ def standard_pairs(gens: list[Exps], nvars: int) -> list[StandardPair]:
             child = bits | 1 << j
             if all(s & ~child for s in supports):
                 off = ~fields[j]
-                ideals[child] = _minimal_words([g & off for g in ideals[bits]], guards)
+                ideals[child] = minimal_words([g & off for g in ideals[bits]], guards)
                 faces.append(child)
     found = []
     for bits in faces:
@@ -250,13 +218,13 @@ def standard_pairs(gens: list[Exps], nvars: int) -> list[StandardPair]:
             u = todo.pop()
             for step in steps:
                 v = u + step
-                if v not in roots and not _in_ideal(v, ideal, guards):
+                if v not in roots and not in_ideal(v, ideal, guards):
                     roots.add(v)
                     todo.append(v)
         key = tuple(i for i in range(nvars) if bits >> i & 1)
         face = frozenset(key)
         for u in roots:
-            found.append((tuple(u >> s & low for s in shifts), key, face))
+            found.append((words.unpack(u), key, face))
     found.sort()
     return [_pair(root, face) for root, _, face in found]
 

@@ -40,10 +40,10 @@ nothing. No heft is used.
 Bad sets are closed under union, so T has one largest bad subset: start
 from S = T and, while a binomial meets S on one side, remove its support
 from S (a bad subset of S avoids that binomial's variables in S). T is
-built greedily from x_n down to x_1, keeping x_j when T ∪ {j} has no bad
-subset; σ is the rest (``saturating_variables``). The order only picks
-among safe sets: from x_n down, the rational normal quartic and quintic
-need one saturation each where x_1 first needs two.
+built greedily from x_n down and from x_1 up, keeping x_j when T ∪ {j}
+has no bad subset; σ is the rest of the larger T, x_n first on a tie
+(``saturating_variables``). x_n first saturates the rational normal
+quartic and quintic once, x_1 first twice; on 3×9 it is 3 against 2.
 
 The normalized volume of A (d! times the Euclidean volume of the convex
 hull of the columns and the origin, for pointed cases) equals the degree
@@ -61,7 +61,6 @@ from .groebner import (
     ModKey,
     VecPoly,
     buchberger,
-    memoized_key,
     poly_to_vec,
     saturate,
     top_key,
@@ -139,35 +138,41 @@ def saturating_variables(lattice: Sequence[Sequence[int]], nvars: int) -> list[i
         )
         for u in lattice
     ]
-    skipped = 0
-    for j in reversed(range(nvars)):
-        if not _largest_bad_set(sides, skipped | 1 << j):
-            skipped |= 1 << j
+
+    def greedy(order: Iterable[int]) -> int:
+        skipped = 0
+        for j in order:
+            if not _largest_bad_set(sides, skipped | 1 << j):
+                skipped |= 1 << j
+        return skipped
+
+    # the larger of the two safe sets, x_n first on a tie
+    skipped = max(greedy(reversed(range(nvars))), greedy(range(nvars)), key=int.bit_count)
     return [j for j in range(nvars) if not skipped >> j & 1]
 
 
 def _saturation_key(weights: Sequence[int], last: int) -> ModKey:
     """w-degree first, then reverse lex with x_last as the last variable:
-    among monomials of equal w-degree, the smaller power of x_last wins."""
-    rest = tuple(k for k in reversed(range(len(weights))) if k != last)
+    among monomials of equal w-degree, the smaller power of x_last wins. On
+    words: the w-degree, the complemented x_last, the rest complemented."""
 
-    def key(mt):
-        e = mt[1]
-        return (
-            sum(w * x for w, x in zip(weights, e)),
-            -e[last],
-            tuple(-e[k] for k in rest),
-        )
+    def make(words):
+        low, mask, top, bits = words.low, words.mask, words.top, words.bits
+        at, wdeg = words.shifts[last], words.form(weights)
+        rest = words.data & ~(low << at)
+        return lambda t: (wdeg(t & mask) << bits | low - (t >> at & low)) << top | rest & ~t
 
-    return memoized_key(key)
+    return ModKey(make)
 
 
 def _divide_out(g: VecPoly, j: int) -> VecPoly:
     """g divided by the largest power of x_j that divides it."""
-    m = min(e[j] for _, e in g)
+    at, low, top = g.words.shifts[j], g.words.low, g.words.top
+    m = min(t >> at & low for t in g)
     if not m:
         return g
-    return {(pos, e[:j] + (e[j] - m,) + e[j + 1 :]): c for (pos, e), c in g.items()}
+    xm = m << top | m << at  # x_j^m, its degree field too
+    return VecPoly(g.words, {t - xm: c for t, c in g.items()})
 
 
 def toric_ideal(

@@ -471,6 +471,68 @@ def reference_lll_reduce(basis):
     return [tuple(v) for v in b]
 
 
+def _gram_schmidt(b):
+    """Exact Gram–Schmidt data of b: the coefficients mu[i][j] (j < i) and
+    the squared lengths B[i] of the orthogonalized vectors."""
+    ortho, mu, B = [], [], []
+    for v in b:
+        w = [Fraction(x) for x in v]
+        row = []
+        for u, Bj in zip(ortho, B):
+            m = sum(x * y for x, y in zip(v, u)) / Bj
+            row.append(m)
+            w = [x - m * y for x, y in zip(w, u)]
+        ortho.append(w)
+        mu.append(row)
+        B.append(sum(x * x for x in w))
+    return mu, B
+
+
+def _swap(b, mu, B, k):
+    """Swap b[k-1] and b[k] and update the Gram–Schmidt data in place.
+
+    Only the pair's squared lengths, the pair's own coefficient and the
+    coefficients of later vectors on the pair change (Cohen, A Course in
+    Computational Algebraic Number Theory, Alg. 2.6.3, SWAP).
+    """
+    b[k - 1], b[k] = b[k], b[k - 1]
+    m = mu[k][k - 1]
+    mu[k - 1], mu[k] = mu[k][: k - 1], mu[k - 1] + [m]
+    Bk = B[k] + m * m * B[k - 1]
+    mu[k][k - 1] = m * B[k - 1] / Bk
+    B[k - 1], B[k] = Bk, B[k - 1] * B[k] / Bk
+    for row in mu[k + 1 :]:
+        t = row[k]
+        row[k] = row[k - 1] - m * t
+        row[k - 1] = t + mu[k][k - 1] * row[k]
+
+
+def fraction_lll_reduce(basis):
+    """LLL with delta = 3/4 in exact rational arithmetic, updating the
+    Gram–Schmidt data on each swap: the Fraction algorithm that the
+    integral ``linalg.lll_reduce`` must match vector for vector."""
+    delta = Fraction(3, 4)
+    b = [list(map(int, v)) for v in basis]
+    mu, B = _gram_schmidt(b)
+    if any(not x for x in B):
+        raise ValueError("lattice basis vectors are linearly dependent")
+    k = 1
+    while k < len(b):
+        for j in reversed(range(k)):
+            q = round(mu[k][j])
+            if q:
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                for i in range(j):
+                    mu[k][i] -= q * mu[j][i]
+                mu[k][j] -= q
+        if B[k] >= (delta - mu[k][k - 1] ** 2) * B[k - 1]:
+            k += 1
+        else:
+            _swap(b, mu, B, k)
+            k = max(k - 1, 1)
+    return [tuple(v) for v in b]
+
+
 def reference_quasidegrees_monomial(phi) -> QuasidegreeSet:
     """Quasidegree set of a split monomial matrix with one AffinePlane per
     standard pair of every row, collapsed by QuasidegreeSet alone."""

@@ -212,6 +212,14 @@ def test_qlc_machine(job_file, capsys):
     assert doc["planes"] == [{"base": ["0", "0", "1"], "span": [["1", "0", "-2"]]}]
 
 
+def test_qlc_with_exponents_past_sixteen_bits(job_file, capsys):
+    # exponents of 40000 and 40001 set the width of the packed terms
+    path = job_file({"variables": ["x", "y"], "ideal": ["x^40000*y - y^40001"]})
+    code, out, _ = run(capsys, ["qlc", path])
+    assert code == 0
+    assert out.strip() == "empty"
+
+
 def test_qlc_bad_index(job_file, capsys):
     code, _, err = run(capsys, ["qlc", job_file(A35_JOB), "--i", "7"])
     assert code == 3

@@ -98,6 +98,58 @@ def test_buchberger_known_basis():
     assert list(gb.generators) == [p2("x - y"), p2("y^2 - 1")]
 
 
+def test_buchberger_on_exponents_past_fifteen_bits():
+    # x^40001 - x * (x^40000 - y) = x*y, then y^2 from the pair with x*y
+    gb = buchberger([p2("x^40000 - y"), p2("x^40001")])
+    assert list(gb.generators) == [p2("y^2"), p2("x*y"), p2("x^40000 - y")]
+    # x^80000 = x^40000 * x^40000 reduces to y^2, which is in the basis
+    assert normal_form(p2("x^80000 + x + y"), gb) == p2("x + y")
+
+
+def count_widenings(monkeypatch):
+    """A list that grows by one layout each time the kernel repacks wider."""
+    from quasidegrees.words import Words
+
+    seen = []
+    wider = Words.wider
+
+    def counted(self):
+        seen.append(wider(self))
+        return seen[-1]
+
+    monkeypatch.setattr(Words, "wider", counted)
+    return seen
+
+
+def test_a_run_whose_exponents_outgrow_the_layout_starts_again_wider(monkeypatch):
+    # the inputs fit 7-bit fields, but in lex the basis reaches y^200: the
+    # run repacks partway through and gives the basis of any layout
+    seen = count_widenings(monkeypatch)
+    gens = [p2("x - y^20"), p2("x^10")]
+    assert list(buchberger(gens, LEX).generators) == [p2("y^200"), p2("x - y^20")]
+    assert [w.width for w in seen] == [14]
+    # with a transcript: the syzygies and lifts of the wider run
+    check_syzygies(gens, syzygies(gens, LEX))
+    assert len(seen) == 2
+    qs, r = divide(p2("x^10*y^190"), [p2("y^200"), p2("x - y^20")], LEX)
+    assert r == Polynomial.zero(2)
+    assert qs[0] * p2("y^200") + qs[1] * p2("x - y^20") == p2("x^10*y^190")
+
+
+def test_vecdicts_of_mixed_layouts_meet_in_the_widest():
+    # the generators fit 7-bit fields, the target needs 10: the lift runs
+    # in the target's layout and rebuilds the target
+    from quasidegrees.groebner import top_key, vec_lift, vec_to_vector, vector_to_vec
+
+    gens = [(p2("x^2"), p2("y")), (p2("y^3"), p2("x*y"))]
+    target = tuple(p2("x^298") * a + p2("x^297") * b for a, b in zip(*gens))
+    packed = [vector_to_vec(v) for v in gens]
+    (lift,) = vec_lift([vector_to_vec(target)], packed, top_key(GREVLEX))
+    assert lift.words.width > packed[0].words.width
+    qs = vec_to_vector(lift, 2, 2)
+    assert tuple(qs[0] * a + qs[1] * b for a, b in zip(*gens)) == target
+
+
 def test_buchberger_is_deterministic_under_permutation():
     gens = [p3("x*y - z"), p3("y*z - x"), p3("x*z - y")]
     gb1 = buchberger(gens)
@@ -283,6 +335,20 @@ def random_homogeneous_vectors(rng, ring, t, ngens, max_deg):
     return out
 
 
+def lead_terms(run, t, nvars):
+    """(component, exponents) of each basis lead of a ``_buchberger`` run,
+    read through ``vec_to_vector``."""
+    from quasidegrees.groebner import VecPoly, vec_to_vector
+
+    out = []
+    for lead in run.leads:
+        v = vec_to_vector(VecPoly(run.words, {lead: 1}), t, nvars)
+        ((k, f),) = [(k, f) for k, f in enumerate(v) if f]
+        (e,) = f.terms
+        out.append((k, e))
+    return out
+
+
 def test_syzygies_are_complete_when_the_chain_criterion_skips_pairs():
     # homogeneous ideals and submodules of R^2 with five or six
     # generators in three variables: the chain criterion skips pairs, and
@@ -302,9 +368,10 @@ def test_syzygies_are_complete_when_the_chain_criterion_skips_pairs():
         check_syzygies(gens, syz)
         gen_degs = [vector_degree(v, [(0,)] * t, R3) for v in vectors]
         syz_degs = [vector_degree(w, gen_degs, R3) for w in syz]
+        leads = lead_terms(run, t, 3)
         top = max(
             [d[0] for d in gen_degs]
-            + [sum(exps_lcm(a, b)) for p, a in run.leads for q, b in run.leads if p == q]
+            + [sum(exps_lcm(a, b)) for p, a in leads for q, b in leads if p == q]
         )
         for b in range(top + 1):
             kernel = free_module_dim(R3, gen_degs, (b,)) - graded_map_rank(
@@ -325,19 +392,19 @@ def test_syzygies_and_lifts_of_one_run():
 
     rng = random.Random(227)
     mkey = top_key(GREVLEX)
+    zero = (Polynomial.zero(3), Polynomial.zero(3))
     for _ in range(6):
-        gens = [vector_to_vec(v) for v in random_homogeneous_vectors(rng, R3, 2, 4, 2)]
-        gens.append({})
+        vectors = random_homogeneous_vectors(rng, R3, 2, 4, 2) + [zero]
+        gens = [vector_to_vec(v) for v in vectors]
         targets = [{}]
         for _ in range(2):
-            target = {}
-            for g in gens:
+            # a combination c * x^e of each generator, the zero one too
+            target = zero
+            for v in vectors:
                 e = tuple(rng.randint(0, 1) for _ in range(3))
-                c = rng.choice((-1, 2))
-                for (pos, ge), gc in g.items():
-                    key = (pos, tuple(a + b for a, b in zip(e, ge)))
-                    target[key] = target.get(key, 0) + c * gc
-            targets.append({k: c for k, c in target.items() if c})
+                m = Polynomial.monomial(e, rng.choice((-1, 2)))
+                target = tuple(a + m * b for a, b in zip(target, v))
+            targets.append(vector_to_vec(target))
         (syz, lifts), runs = record_buchberger_runs(
             vec_syzygies_and_lifts, gens, targets, mkey, 3
         )
@@ -351,7 +418,7 @@ def test_syzygies_and_lifts_of_one_run():
 
 
 def test_exact_div_is_an_int_while_integral():
-    from quasidegrees.groebner import exact_div, poly_to_vec
+    from quasidegrees.groebner import exact_div, poly_to_vec, vec_to_poly
 
     assert type(exact_div(6, 3)) is int and exact_div(6, 3) == 2
     assert type(exact_div(-1, -1)) is int and exact_div(-1, -1) == 1
@@ -361,7 +428,7 @@ def test_exact_div_is_an_int_while_integral():
     assert exact_div(2, Fraction(4, 3)) == Fraction(3, 2)
     vec = poly_to_vec(p2("x - 3*y + 1/2"))
     assert [type(c) for c in vec.values()].count(int) == 2
-    assert vec[(0, (0, 0))] == Fraction(1, 2)
+    assert vec_to_poly(vec, 2).terms[(0, 0)] == Fraction(1, 2)
 
 
 SCALES = [Fraction(3, 2), Fraction(-5, 7), Fraction(2, 9), 3, -1]

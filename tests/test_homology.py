@@ -27,7 +27,7 @@ from quasidegrees.homology import (
 from quasidegrees.linalg import IntMatrix
 from quasidegrees.parse import parse_polynomial
 from quasidegrees.planes import AffinePlane, QuasidegreeSet, remove_redundancy
-from quasidegrees.poly import Polynomial, graded_ring, standard_graded_ring
+from quasidegrees.poly import GREVLEX, MonomialOrder, Polynomial, graded_ring, standard_graded_ring
 from quasidegrees.qdeg import InhomogeneousError, quasidegrees_module, vector_degree
 from quasidegrees.toric import to_a_graded_ring, toric_ideal
 
@@ -224,6 +224,7 @@ def test_curve_resolutions_are_minimal_and_exact(exponents, ranks):
 # most 3, where the dense oracle stays cheap.
 SCALE_MATRICES = {
     "3x9": ((1,) * 9, (1, 4, 0, 2, 0, 3, 3, 3, 3), (1, 0, 3, 0, 3, 3, 4, 0, 3)),
+    "3x10": ((1,) * 10, (1, 1, 2, 3, 0, 0, 3, 2, 1, 1), (3, 3, 3, 1, 1, 1, 3, 0, 0, 1)),
     "curve8": ((1,) * 8, (4, 18, 2, 8, 3, 15, 14, 15)),
 }
 
@@ -240,7 +241,11 @@ def scale_resolution(name):
 
 @pytest.mark.parametrize(
     "name, ranks",
-    [("3x9", [1, 16, 65, 125, 134, 83, 28, 4]), ("curve8", [1, 15, 61, 123, 141, 92, 31, 4])],
+    [
+        ("3x9", [1, 16, 65, 125, 134, 83, 28, 4]),
+        ("3x10", [1, 17, 77, 166, 199, 138, 54, 11, 1]),
+        ("curve8", [1, 15, 61, 123, 141, 92, 31, 4]),
+    ],
 )
 def test_scale_resolutions_are_minimal_and_exact(name, ranks):
     res, _ = scale_resolution(name)
@@ -253,12 +258,13 @@ def test_scale_resolutions_are_minimal_and_exact(name, ranks):
 
 def test_chain_criterion_cuts_the_columns_offered_on_3x9():
     # without the chain criterion every level's run is offered 1619
-    # columns in all, the pair syzygies of the level below, and keeps 455
+    # columns in all, the pair syzygies of the level below, and keeps 455;
+    # with it, exactly 879, a count that pins the S-pair and division order
     res, runs = scale_resolution("3x9")
     assert len(runs) == res.length
     assert sum(run.pairs_chain for run in runs) > 0
     assert sum(run.gens_kept for run in runs) == sum(map(len, res.shifts[1:])) == 455
-    assert sum(run.gens_kept + run.gens_dropped for run in runs) < 1619
+    assert sum(run.gens_kept + run.gens_dropped for run in runs) == 879
 
 
 def test_running_example_resolution_is_minimal_and_exact():
@@ -270,6 +276,26 @@ def test_running_example_resolution_is_minimal_and_exact():
     assert [res.rank(i) for i in range(res.length + 1)] == [1, 4, 4, 1]
     resolution_is_minimal(res)
     resolution_is_exact(res, sample_degrees(res))
+
+
+class TupleGrevLex(MonomialOrder):
+    """Grevlex known only by its key on exponent tuples."""
+
+    def key(self, exps):
+        return (sum(exps), tuple(-e for e in reversed(exps)))
+
+
+def test_resolution_in_an_order_known_only_by_its_tuple_key():
+    # the sort keys of every level are then pairs, not ints, and the
+    # resolution is the one of grevlex itself
+    names = ("x", "y", "z", "w")
+    resolutions = []
+    for order in (TupleGrevLex(), GREVLEX):
+        R = standard_graded_ring(names, order)
+        gens = [parse_polynomial(s, R) for s in ("x*z - y^2", "x*w - y*z", "y*w - z^2")]
+        resolutions.append(free_resolution(GradedPresentation.cyclic(R, gens)))
+    assert [resolutions[0].rank(i) for i in range(3)] == [1, 3, 2]
+    assert resolutions[0].differentials == resolutions[1].differentials
 
 
 def test_redundant_generators_are_dropped():

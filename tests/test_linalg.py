@@ -5,7 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import WIDE_KERNEL, gram_schmidt_data, random_toric_matrix, reference_lll_reduce
+from helpers import (
+    WIDE_KERNEL,
+    fraction_lll_reduce,
+    gram_schmidt_data,
+    random_toric_matrix,
+    reference_lll_reduce,
+)
 from quasidegrees.linalg import (
     IntMatrix,
     column_lattice_is_full,
@@ -105,6 +111,21 @@ def test_column_lattice_full():
     assert column_lattice_is_full([[1, 0], [0, 1]])
     assert not column_lattice_is_full([[2, 0], [0, 1]])
     assert not column_lattice_is_full([[1, 1], [1, 1]])
+    assert not column_lattice_is_full([[1, 1]] * 2 + [[0, 0]])
+    assert column_lattice_is_full(IntMatrix(()))
+
+
+def test_column_lattice_full_matches_the_membership_oracle():
+    # one echelon form of the columns against one membership test per unit
+    # vector, on small matrices with entries of either sign
+    rng = random.Random(41)
+    for _ in range(300):
+        d, n = rng.randint(1, 3), rng.randint(1, 5)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(d)]
+        cols = list(zip(*rows))
+        units = [tuple(int(i == k) for i in range(d)) for k in range(d)]
+        expected = all(lattice_member(u, cols) for u in units)
+        assert column_lattice_is_full(rows) == expected, rows
 
 
 def test_rref_small():
@@ -189,6 +210,29 @@ def test_lll_reduce_matches_the_full_recompute_on_random_bases():
         b = [[rng.randint(-30, 30) for _ in range(n)] for _ in range(rng.randint(2, n))]
         if rational_rank(b) == len(b):
             assert lll_reduce(b) == reference_lll_reduce(b)
+
+
+def test_integral_lll_matches_the_fraction_lll_on_saturated_kernels():
+    # the integral algorithm takes the same steps as the Fraction one, so
+    # the bases agree vector for vector, here on 300 random saturated
+    # kernels of d x n matrices with d <= 3 and n <= 9
+    rng = random.Random(2021)
+    done = 0
+    while done < 300:
+        d, n = rng.randint(1, 3), rng.randint(2, 9)
+        rows = [[rng.randint(-4, 6) for _ in range(n)] for _ in range(d)]
+        kernel = integer_kernel(rows)
+        if kernel:
+            assert lll_reduce(kernel) == fraction_lll_reduce(kernel), rows
+            done += 1
+
+
+def test_integral_lll_rounds_half_to_even():
+    # mu = 1/2, 3/2 and -1/2 on the first vector: Python's round gives 0,
+    # 2 and 0, which the integral rounding must reproduce
+    cases = [(2, 0), (1, 5)], [(2, 0), (3, 5)], [(2, 0), (-1, 5)], [(2, 0, 0), (5, 1, 0), (-3, 1, 7)]
+    for b in cases:
+        assert lll_reduce(b) == fraction_lll_reduce(b)
 
 
 def test_lll_reduce_small_cases():

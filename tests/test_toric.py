@@ -340,6 +340,13 @@ def test_saturating_variables_leave_no_bad_subset_brute_force():
         # maximal: skipping one more variable leaves a bad subset
         for j in sigma:
             assert _has_bad_subset(skipped | {j}, lattice), (lattice, j)
+        # no larger than the sigma of either greedy order
+        for order in (reversed(range(n)), range(n)):
+            greedy = set()
+            for j in order:
+                if not _has_bad_subset(greedy | {j}, lattice):
+                    greedy.add(j)
+            assert len(sigma) <= n - len(greedy), (lattice, sigma, greedy)
 
 
 SCALE_MATRICES = {
@@ -373,6 +380,16 @@ def test_toric_ideal_matches_all_variables_reference_random():
 
 def _lattice(A):
     return [tuple(u) for u in lll_reduce(integer_kernel(A))]
+
+
+def test_saturating_variables_of_the_benchmark_and_scale_matrices():
+    # the smaller sigma of the two greedy orders, x_n first on a tie
+    assert saturating_variables(_lattice(A35), 5) == [0, 2]
+    assert saturating_variables(_lattice(curve((0, 1, 3, 4))), 4) == [0, 2]
+    assert saturating_variables(_lattice(curve(range(5))), 5) == [1]
+    assert saturating_variables(_lattice(curve(range(6))), 6) == [1]
+    assert saturating_variables(_lattice(curve((0, 1, 3, 4, 5))), 5) == [2]
+    assert saturating_variables(_lattice(SCALE_MATRICES["3x9"]), 9) == [7, 8]
 
 
 def test_toric_ideal_runs_one_groebner_basis_per_saturating_variable(monkeypatch):
