@@ -128,13 +128,12 @@ def _vec_degree_checked(w: VecPoly, shifts: Shifts, ring: GradedRing, degrees: d
     the multidegree of each exponent word, by layout."""
     if not w:
         raise ValueError("zero column in a resolution differential")
-    words, rows = w.words, ring.degree_matrix.entries
+    words = w.words
     known = degrees.setdefault(words, {})
     totals = set()
     for t in w:
         if (word := t & words.mask) not in known:
-            e = words.unpack(word)
-            known[word] = tuple([sum(map(mul, row, e)) for row in rows])
+            known[word] = ring.multidegree(words.unpack(word))
         totals.add(tuple(map(add, known[word], shifts[t >> words.ctop])))
     if len(totals) > 1:
         raise InhomogeneousError()

@@ -47,10 +47,10 @@ class IntMatrix:
         return self.entries[i]
 
     def column(self, j: int) -> IntVec:
-        return tuple([row[j] for row in self.entries])
+        return tuple(row[j] for row in self.entries)
 
     def columns(self) -> list[IntVec]:
-        return list(zip(*self.entries)) if self.entries else []
+        return [self.column(j) for j in range(self.ncols)]
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(tuple(zip(*self.entries))) if self.entries else IntMatrix(())
@@ -58,7 +58,7 @@ class IntMatrix:
     def mul_vec(self, v: Sequence[int]) -> IntVec:
         if len(v) != self.ncols:
             raise ValueError("dimension mismatch")
-        return tuple([sum(map(mul, row, v)) for row in self.entries])
+        return tuple(sum(a * x for a, x in zip(row, v)) for row in self.entries)
 
 
 def as_int_matrix(A: IntMatrix | Iterable[Iterable[int]]) -> IntMatrix:

@@ -52,7 +52,7 @@ class Words:
 
     __slots__ = (
         "nvars", "width", "bits", "top", "shifts", "low", "mask", "guards", "data", "span", "ctop",
-        "body", "odd_fields", "forms",
+        "body",
     )
 
     def __init__(self, nvars: int, width: int) -> None:
@@ -71,9 +71,6 @@ class Words:
         self.span = width + nvars.bit_length()
         self.ctop = top + self.span
         self.body = (1 << self.ctop) - 1
-        self.forms: dict[tuple[int, ...], Callable[[int], int]] = {}
-        # the data bits of the fields of x_1, x_3, x_5, ... (see ``form``)
-        self.odd_fields = (1 << (nvars + 1) // 2 * 2 * bits) // ((1 << 2 * bits) - 1) * self.low
 
     @classmethod
     def fit(cls, nvars: int, largest: int) -> "Words":
@@ -121,40 +118,9 @@ class Words:
         return self.form((1,) * self.nvars)
 
     def form(self, weights: Sequence[int]) -> Callable[[int], int]:
-        """The linear form word -> sum of weights[i] * e_i.
-
-        With nonnegative weights it takes a few int operations: the fields
-        pair up, x_1 with x_2 and so on, into double fields of 2F bits, as
-        the words (word & E) and (word >> F) & E, E = ``odd_fields``. Times
-        the weights of the odd and of the even variables packed in reverse
-        order, the double field in the middle of the product is the sum,
-        and no double field reaches 2^(2F) (so none carries) when
-        nvars * max(weights) * (2^w - 1) stays below it. Otherwise the
-        form sums over the fields one by one. Each layout builds a form
-        once.
-        """
-        weights = tuple(weights)
-        if weights in self.forms:
-            return self.forms[weights]
-        n, bits, low = self.nvars, self.bits, self.low
-        step = 2 * bits
-        if not n or min(weights) < 0 or n * max(weights) * low >> step:
-            shifts = self.shifts
-
-            def form(word: int) -> int:
-                return sum(map(mul, weights, map(low.__and__, map(word.__rshift__, shifts))))
-
-        else:
-            half = (n + 1) // 2
-            odd = sum(w << (half - 1 - k) * step for k, w in enumerate(weights[0::2]))
-            even = sum(w << (half - 1 - k) * step for k, w in enumerate(weights[1::2]))
-            fields, middle, field = self.odd_fields, (half - 1) * step, (1 << step) - 1
-
-            def form(word: int) -> int:
-                return ((word & fields) * odd + (word >> bits & fields) * even) >> middle & field
-
-        self.forms[weights] = form
-        return form
+        """The linear form word -> sum of weights[i] * e_i."""
+        weights, shifts, low = tuple(weights), self.shifts, self.low
+        return lambda word: sum(map(mul, weights, map(low.__and__, map(word.__rshift__, shifts))))
 
 
 class VecPoly(dict):

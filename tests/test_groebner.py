@@ -382,13 +382,7 @@ def test_syzygies_are_complete_when_the_chain_criterion_skips_pairs():
 
 
 def test_syzygies_and_lifts_of_one_run():
-    from quasidegrees.groebner import (
-        top_key,
-        vec_lift,
-        vec_syzygies,
-        vec_syzygies_and_lifts,
-        vector_to_vec,
-    )
+    from quasidegrees.groebner import top_key, vec_syzygies_and_lifts, vec_to_vector, vector_to_vec
 
     rng = random.Random(227)
     mkey = top_key(GREVLEX)
@@ -409,9 +403,17 @@ def test_syzygies_and_lifts_of_one_run():
             vec_syzygies_and_lifts, gens, targets, mkey, 3
         )
         assert len(runs) == 1
-        assert syz == vec_syzygies(gens, mkey, 3)
-        assert lifts == vec_lift(targets, gens, mkey)
-        assert lifts[0] == {}
+        assert len(lifts) == len(targets) and lifts[0] == {}
+        # each lift rebuilds its target from the generators
+        for target, lift in zip(targets, lifts):
+            q = vec_to_vector(lift, len(vectors), 3)
+            rebuilt = tuple(sum((c * v[k] for c, v in zip(q, vectors)), Polynomial.zero(3)) for k in range(2))
+            assert rebuilt == vec_to_vector(target, 2, 3)
+        # every syzygy kills the generators, and the zero one has its unit syzygy
+        syz_vectors = [vec_to_vector(w, len(vectors), 3) for w in syz]
+        check_syzygies(vectors, syz_vectors)
+        others = (Polynomial.zero(3),) * (len(vectors) - 1)
+        assert any(w[:-1] == others and w[-1] and w[-1].total_degree() == 0 for w in syz_vectors)
 
 
 # --- coefficients ---

@@ -20,8 +20,6 @@ def random_exps(rng, words):
 @pytest.mark.parametrize("nvars", [0, 1, 2, 5, 9, 10])
 @pytest.mark.parametrize("width", [0, 1, 3, 7, 14])
 def test_forms_match_the_sum_over_fields(nvars, width):
-    # nonnegative weights small enough take the multiplied double fields,
-    # the others the sum over unpacked fields: both give the plain sum
     rng = random.Random(nvars * 31 + width)
     words = Words(nvars, width)
     for _ in range(60):
