@@ -27,6 +27,12 @@ and every Ext of it, hence every local cohomology module that ``qlc``
 and ``qlc_total`` ask for, reads the same one. ``qlc`` passes each Ext's
 vecdict relations from ``_ext`` to ``qdeg.initial_quasidegrees``;
 ``ext_presentation`` is the edge that makes them Polynomial columns.
+
+Each shift is read off one term: a homogeneous vector has the degree
+deg x^e + shifts[k] of any of its terms x^e e_k. ``GradedPresentation``
+is the one homogeneity check; every later column, and every kernel
+element that generates an Ext, is a syzygy of homogeneous columns and
+so homogeneous (Schreyer; Eisenbud, *Commutative Algebra*, Thm 15.10).
 """
 
 from __future__ import annotations
@@ -122,22 +128,12 @@ class FreeResolution:
         return len(self.shifts[i])
 
 
-def _vec_degree_checked(w: VecPoly, shifts: Shifts, ring: GradedRing, degrees: dict) -> tuple:
-    """The common degree of the terms of w, component k shifted by
-    shifts[k]; InhomogeneousError when two differ. ``degrees`` remembers
-    the multidegree of each exponent word, by layout."""
-    if not w:
-        raise ValueError("zero column in a resolution differential")
+def _vec_degree(w: VecPoly, shifts: Shifts, ring: GradedRing) -> tuple:
+    """The degree of a nonzero homogeneous w, read off one term x^e e_k
+    as deg x^e + shifts[k]."""
     words = w.words
-    known = degrees.setdefault(words, {})
-    totals = set()
-    for t in w:
-        if (word := t & words.mask) not in known:
-            known[word] = ring.multidegree(words.unpack(word))
-        totals.add(tuple(map(add, known[word], shifts[t >> words.ctop])))
-    if len(totals) > 1:
-        raise InhomogeneousError()
-    return totals.pop()
+    t = next(iter(w))
+    return tuple(map(add, ring.multidegree(words.unpack(t & words.mask)), shifts[t >> words.ctop]))
 
 
 def _heft_degree(ring: GradedRing, shifts: Shifts) -> Heft:
@@ -148,9 +144,8 @@ def _heft_degree(ring: GradedRing, shifts: Shifts) -> Heft:
     return weights, [sum(map(mul, ring.heft, s)) for s in shifts]
 
 
-def free_resolution(P: GradedPresentation, max_length: int | None = None) -> FreeResolution:
-    """Minimal graded free resolution of coker(P), cut after ``max_length``
-    differentials when that is given.
+def free_resolution(P: GradedPresentation) -> FreeResolution:
+    """Minimal graded free resolution of coker(P).
 
     One transcripted Buchberger run per level (``vec_minimal_syzygies``)
     takes that level's columns in heft-degree order, starting with the
@@ -167,21 +162,21 @@ def free_resolution(P: GradedPresentation, max_length: int | None = None) -> Fre
     on the 3x9 toric ring of the scale tests in tests/test_homology.py
     the levels are offered 879 columns in all instead of 1619, and keep
     the same 455.
+
+    The shifts of F_(i+1) are the degrees of the kept columns, each read
+    off one term (see the module docstring).
     """
     ring = P.ring
-    if max_length is not None and max_length < 0:
-        raise ValueError("negative resolution length")
     shift_levels: list[Shifts] = [P.shifts]
     diffs: list[tuple[VecPoly, ...]] = []
     key: ModKey = top_key(ring.order)
     cols = [vector_to_vec(c) for c in P.columns if any(f for f in c)]
-    degrees: dict = {}
-    while cols and (max_length is None or len(diffs) < max_length):
-        degs = [_vec_degree_checked(w, shift_levels[-1], ring, degrees) for w in cols]
-        keep, syz = vec_minimal_syzygies(cols, key, _heft_degree(ring, shift_levels[-1]))
+    while cols:
+        shifts = shift_levels[-1]
+        keep, syz = vec_minimal_syzygies(cols, key, _heft_degree(ring, shifts))
         cols = [cols[k] for k in keep]
         diffs.append(tuple(cols))
-        shift_levels.append(tuple(degs[k] for k in keep))
+        shift_levels.append(tuple(_vec_degree(w, shifts, ring) for w in cols))
         key = schreyer_key(key, cols)
         cols = syz
     return FreeResolution(ring, tuple(shift_levels), tuple(diffs))
@@ -210,7 +205,8 @@ def _ext(P: GradedPresentation, j: int) -> tuple[Shifts, list[VecPoly]]:
     are the negated shifts of F_j. Generators: kernel elements K of the
     transposed differential; relations: syzygies of K, then the columns of
     phi_j^T lifted through K, both from one transcripted Groebner run of
-    K. The resolution is the one P shares across all j.
+    K. The resolution is the one P shares across all j. A generator's
+    shift is read off one term of its kernel element.
     """
     ring = P.ring
     n = ring.nvars
@@ -221,8 +217,6 @@ def _ext(P: GradedPresentation, j: int) -> tuple[Shifts, list[VecPoly]]:
     if j > L:
         return (), []
     t_j = res.rank(j)
-    if t_j == 0:
-        return (), []
     dual_shifts = tuple(tuple(-x for x in s) for s in res.shifts[j])
     mkey = top_key(ring.order)
     if j < L:
@@ -233,8 +227,7 @@ def _ext(P: GradedPresentation, j: int) -> tuple[Shifts, list[VecPoly]]:
         K = [VecPoly(words, {k << words.ctop: 1}) for k in range(t_j)]
     if not K:
         return (), []
-    degrees: dict = {}
-    gen_shifts = tuple(_vec_degree_checked(w, dual_shifts, ring, degrees) for w in K)
+    gen_shifts = tuple(_vec_degree(w, dual_shifts, ring) for w in K)
     # a zero row of phi_j lifts to zero, which is no relation
     targets = _transpose(res.columns[j - 1], res.rank(j - 1)) if j else []
     syz, lifts = vec_syzygies_and_lifts(K, targets, mkey, n)

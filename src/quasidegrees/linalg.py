@@ -266,26 +266,3 @@ def rref(rows: Iterable[Sequence[Fraction | int]]) -> tuple[tuple[RatVec, ...], 
 
 def rational_rank(rows: Iterable[Sequence[Fraction | int]]) -> int:
     return rref(rows)[2]
-
-
-def solve_linear(
-    rows: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction | int]
-) -> RatVec | None:
-    """One particular rational solution x of (rows) x = rhs, or None.
-
-    Free variables are set to zero.
-    """
-    rows = [tuple(r) for r in rows]
-    if len(rows) != len(rhs):
-        raise ValueError("dimension mismatch")
-    if not rows:
-        return ()
-    ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    R, piv, _ = rref(aug)
-    if any(p == ncols for p in piv):
-        return None
-    x = [Fraction(0)] * ncols
-    for i, p in enumerate(piv):
-        x[p] = R[i][-1]
-    return tuple(x)

@@ -13,20 +13,13 @@ and the variable degrees generate the full lattice Z^d.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, le, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .linalg import (
-    IntMatrix,
-    as_int_matrix,
-    column_lattice_is_full,
-    rational_rank,
-    solve_linear,
-)
+from .linalg import IntMatrix, as_int_matrix, column_lattice_is_full
 
 Exps = tuple[int, ...]
 
@@ -286,40 +279,67 @@ def find_heft(A: IntMatrix | Iterable[Iterable[int]]) -> tuple[int, ...]:
     """An integer vector h with h . a_j > 0 for every column a_j of A.
 
     Tries the standard basis vectors and the all-ones vector first, then
-    searches exactly: for every subset of columns of size rank(A), solve
-    h . a_j = 1 on the subset and test positivity everywhere. If the open
-    polyhedral cone {h : h . a_j > 0 for all j} is nonempty it contains a
-    rational point with h . a_j = 1 on some spanning subset (perturb and
-    rescale), so the sweep is exhaustive. Raises GradingNotPositiveError
-    when no heft exists.
+    decides exactly with ``_phase_one``: a heft exists iff some rational
+    h has h . a_j >= 1 for every j (rescale), and the integer multiple of
+    such an h is a heft. Raises GradingNotPositiveError when no heft
+    exists.
     """
     A = as_int_matrix(A)
-    d, n = A.nrows, A.ncols
+    d = A.nrows
     cols = A.columns()
-    if n == 0:
-        return (1,) * d
 
     def works(h: Sequence[int]) -> bool:
         return all(sum(hi * ai for hi, ai in zip(h, col)) > 0 for col in cols)
 
-    for k in range(d):
-        h = tuple(1 if i == k else 0 for i in range(d))
+    for h in [tuple(int(i == k) for i in range(d)) for k in range(d)] + [(1,) * d]:
         if works(h):
             return h
-    h = (1,) * d
-    if works(h):
-        return h
+    h = _phase_one(cols, d)
+    if h is None:
+        raise GradingNotPositiveError("grading not positive: no heft vector exists")
+    scale = math.lcm(*(x.denominator for x in h))
+    return tuple(int(x * scale) for x in h)
 
-    r = rational_rank(cols)
-    for subset in itertools.combinations(range(n), r):
-        sol = solve_linear([cols[j] for j in subset], [1] * r)
-        if sol is None:
-            continue
-        denom = math.lcm(*(x.denominator for x in sol))
-        h_int = tuple(int(x * denom) for x in sol)
-        if h_int and works(h_int):
-            return h_int
-    raise GradingNotPositiveError("grading not positive: no heft vector exists")
+
+def _phase_one(cols: Sequence[Sequence[int]], d: int) -> list[Fraction] | None:
+    """A rational h with h . a >= 1 for every a in ``cols``, or None.
+
+    Phase one of the simplex method, exact over Fractions: with h = p - q
+    (p, q >= 0), row j reads a_j . p - a_j . q - s_j + r_j = 1 with a
+    slack s_j and an artificial r_j, and the sum of the artificials is
+    minimized from the basis of all artificials. Bland's rule (the least
+    entering index, then the least leaving basic index among the least
+    ratios) cannot cycle, so the loop ends; the system is feasible iff the
+    minimum is 0.
+    """
+    n = len(cols)
+    rows = []
+    for j, a in enumerate(cols):
+        row = [Fraction(x) for x in a] + [Fraction(-x) for x in a] + [Fraction(0)] * (2 * n)
+        row[2 * d + j], row[2 * d + n + j] = Fraction(-1), Fraction(1)
+        rows.append(row + [Fraction(1)])
+    basis = [2 * d + n + j for j in range(n)]
+    # reduced costs of the sum of the artificials, its value negated last
+    cost = [-sum(c) for c in zip(*rows)]
+    for b in basis:
+        cost[b] = Fraction(0)
+    while (enter := next((k for k in range(2 * d + 2 * n) if cost[k] < 0), None)) is not None:
+        # the objective is bounded below by 0, so the column has a positive entry
+        ratios = [(row[-1] / row[enter], basis[i], i) for i, row in enumerate(rows) if row[enter] > 0]
+        i = min(ratios)[2]
+        piv = rows[i][enter]
+        rows[i] = pivot = [x / piv for x in rows[i]]
+        for other in rows + [cost]:
+            if other is not pivot and (f := other[enter]):
+                other[:] = [x - f * y for x, y in zip(other, pivot)]
+        basis[i] = enter
+    if cost[-1]:
+        return None
+    value = [Fraction(0)] * (2 * d)
+    for b, row in zip(basis, rows):
+        if b < 2 * d:
+            value[b] = row[-1]
+    return [value[k] - value[d + k] for k in range(d)]
 
 
 @dataclass(frozen=True)

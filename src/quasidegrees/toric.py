@@ -61,7 +61,6 @@ from .groebner import (
     ModKey,
     VecPoly,
     buchberger,
-    poly_to_vec,
     saturate,
     top_key,
     vec_groebner,
@@ -78,6 +77,7 @@ from .poly import (
     graded_ring,
 )
 from .stdpairs import degree_via_pairs
+from .words import Words
 
 
 def to_a_graded_ring(
@@ -105,13 +105,16 @@ def lattice_basis_binomials(A: IntMatrix | Iterable[Iterable[int]]) -> list[Poly
     saturation works on the binomials of the reduced basis instead.
     """
     A = as_int_matrix(A)
-    return [_binomial(u) for u in lll_reduce(integer_kernel(A))]
+    return [vec_to_poly(g, A.ncols) for g in _binomials(lll_reduce(integer_kernel(A)), A.ncols)]
 
 
-def _binomial(u: Sequence[int]) -> Polynomial:
-    plus = tuple(max(x, 0) for x in u)
-    minus = tuple(max(-x, 0) for x in u)
-    return Polynomial(len(u), [(plus, 1), (minus, -1)])
+def _binomials(lattice: Sequence[Sequence[int]], nvars: int) -> list[VecPoly]:
+    """x^(u+) - x^(u-) for each vector u of ``lattice``, packed in the one
+    layout their exponents fit."""
+    words = Words.fit(nvars, max((abs(x) for u in lattice for x in u), default=0))
+    plus = [words.term(0, [max(x, 0) for x in u]) for u in lattice]
+    minus = [words.term(0, [max(-x, 0) for x in u]) for u in lattice]
+    return [VecPoly(words, {p: 1, m: -1}) for p, m in zip(plus, minus)]
 
 
 def _largest_bad_set(sides: list[tuple[int, int]], skipped: int) -> int:
@@ -193,7 +196,7 @@ def toric_ideal(
     lattice = lll_reduce(integer_kernel(A))
     if not lattice:
         return []
-    binomials = [_binomial(u) for u in lattice]
+    gens = _binomials(lattice, ring.nvars)
     sigma = saturating_variables(lattice, ring.nvars)
     try:
         h = find_heft(A)
@@ -201,11 +204,11 @@ def toric_ideal(
         # no positive weights make I_A homogeneous, so the Bayer–Stillman
         # criterion does not apply (a ring with another grading lets such
         # an A through)
+        binomials = [vec_to_poly(g, ring.nvars) for g in gens]
         for j in sigma:
             binomials = saturate(binomials, ring.variable(j), ring.order)
         return list(buchberger(binomials, ring.order).generators)
     weights = [sum(hi * ai for hi, ai in zip(h, col)) for col in A.columns()]
-    gens = [poly_to_vec(g) for g in binomials]
     for j in sigma:
         gb = vec_groebner(gens, _saturation_key(weights, j))
         gens = [_divide_out(g, j) for g in gb]

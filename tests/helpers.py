@@ -18,6 +18,7 @@ from quasidegrees.groebner import (
     saturate,
     top_key,
     vec_groebner,
+    vec_initial_module,
     vec_to_poly,
 )
 from quasidegrees.linalg import (
@@ -171,6 +172,66 @@ def complex_is_exact_at(ring: GradedRing, shifts, differentials, beta) -> bool:
         if kernel != ranks[i]:
             return False
     return True
+
+
+def _minimal_monomials(exps):
+    """The inclusion-minimal exponent vectors, sorted."""
+    exps = sorted(set(exps), key=lambda e: (sum(e), e))
+    kept = []
+    for e in exps:
+        if not any(exps_divides(k, e) for k in kept):
+            kept.append(e)
+    return tuple(sorted(kept))
+
+
+def k_polynomial(gens, ring: GradedRing) -> dict:
+    """The multigraded K-polynomial of R/<x^g : g in gens>, as a map
+    degree -> nonzero coefficient, by the colon recursion
+    K(J + <m>) = K(J) - t^deg(m) K(J : m), from K(0) = 1.
+
+    Its Hilbert series is K(t) / prod_j (1 - t^deg(x_j)), so K is what a
+    graded free resolution of the quotient has as its alternating sum of
+    t^shift; no resolution is involved here.
+    """
+    memo: dict = {}
+
+    def k(G) -> dict:
+        if not G:
+            return {(0,) * ring.grading_rank: 1}
+        if not any(G[0]):
+            return {}  # J = R
+        if G not in memo:
+            *rest, m = G
+            out = dict(k(tuple(rest)))
+            dm = ring.multidegree(m)
+            colon = _minimal_monomials(tuple(max(a - b, 0) for a, b in zip(g, m)) for g in rest)
+            for s, c in k(colon).items():
+                s = exps_add(s, dm)
+                out[s] = out.get(s, 0) - c
+            memo[G] = {s: c for s, c in out.items() if c}
+        return memo[G]
+
+    return k(_minimal_monomials(map(tuple, gens)))
+
+
+def resolution_k_polynomial_matches(res) -> bool:
+    """Does sum_i (-1)^i sum_(s in shifts[i]) t^s equal the K-polynomial
+    of coker(differentials[0]), read as sum_k t^shifts[0][k] K(R/J_k) off
+    the monomial ideals J_k of its initial module? A missing or spurious
+    generator at any level, or a wrong shift, breaks the equality."""
+    ring = res.ring
+    euler: dict = {}
+    for i, shifts in enumerate(res.shifts):
+        for s in shifts:
+            euler[s] = euler.get(s, 0) + (-1) ** i
+    t = res.rank(0)
+    lead = vec_initial_module(list(res.columns[0]), t, ring.order) if res.length else [[]] * t
+    expected: dict = {}
+    for gens, shift in zip(lead, res.shifts[0]):
+        for s, c in k_polynomial(gens, ring).items():
+            s = exps_add(s, shift)
+            expected[s] = expected.get(s, 0) + c
+    return {s: c for s, c in euler.items() if c} == {s: c for s, c in expected.items() if c}
 
 
 def record_buchberger_runs(fn, *args):

@@ -15,6 +15,8 @@ from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from helpers import (
     apply_matrix,
     hilbert_quotient_dim,
@@ -22,6 +24,7 @@ from helpers import (
     random_ideal,
     random_monomial_ideal,
     random_polynomial,
+    resolution_k_polynomial_matches,
     standard_monomial_count,
 )
 from quasidegrees import (
@@ -51,6 +54,9 @@ from quasidegrees.planes import QuasidegreeSet
 from quasidegrees.poly import exps_divides, exps_lcm
 from quasidegrees.qdeg import vector_degree
 from quasidegrees.stdpairs import pair_contains
+
+# resolutions built inside qlc and Ext are checked as well
+pytestmark = pytest.mark.usefixtures("k_polynomial_checked_resolutions")
 
 F = Fraction
 JOBS = Path(__file__).resolve().parent.parent / "jobs"
@@ -242,6 +248,7 @@ def _check_resolution(res):
     for i, cols in enumerate(res.differentials):
         for col, expected in zip(cols, res.shifts[i + 1]):
             assert vector_degree(col, res.shifts[i], res.ring) == expected
+    assert resolution_k_polynomial_matches(res)
 
 
 def test_criterion_8_homology_properties():

@@ -10,9 +10,11 @@ from helpers import (
     complex_is_exact_at,
     dimension_via_standard_pairs,
     hilbert_quotient_dim,
+    k_polynomial,
     random_homogeneous_binomial_ideal,
     random_monomial_ideal,
     record_buchberger_runs,
+    resolution_k_polynomial_matches,
 )
 from quasidegrees.homology import (
     FreeResolution,
@@ -30,6 +32,9 @@ from quasidegrees.planes import AffinePlane, QuasidegreeSet, remove_redundancy
 from quasidegrees.poly import GREVLEX, MonomialOrder, Polynomial, graded_ring, standard_graded_ring
 from quasidegrees.qdeg import InhomogeneousError, quasidegrees_module, vector_degree
 from quasidegrees.toric import to_a_graded_ring, toric_ideal
+
+# resolutions built inside qlc and Ext are checked as well
+pytestmark = pytest.mark.usefixtures("k_polynomial_checked_resolutions")
 
 F = Fraction
 A35 = IntMatrix(((1, 1, 1, 1, 1), (0, 0, 1, 1, 0), (0, 1, 1, 0, -2)))
@@ -88,10 +93,13 @@ def curve_presentation(exponents):
 
 
 def resolution_is_homogeneous(res: FreeResolution):
+    """Every column has the degree its shift says, and the shifts add up
+    to the K-polynomial of the presented module."""
     for i, cols in enumerate(res.differentials):
         for col, expected in zip(cols, res.shifts[i + 1]):
             deg = vector_degree(col, res.shifts[i], res.ring)
             assert deg == expected
+    assert resolution_k_polynomial_matches(res)
 
 
 def test_presentation_validation():
@@ -101,6 +109,47 @@ def test_presentation_validation():
         GradedPresentation(R3, ((0,),), ((p3("x"), p3("y")),))
     with pytest.raises(ValueError):
         GradedPresentation(R3, ((F(1, 2),),), ((p3("x"),),))
+    with pytest.raises(ValueError, match="grading rank"):
+        GradedPresentation(R3, ((0, 0),), ((p3("x"),),))
+    # a column polynomial over two variables, in a ring of three
+    with pytest.raises(ValueError, match="does not live in this ring"):
+        GradedPresentation(R3, ((0,),), ((Polynomial.monomial((1, 0)),),))
+
+
+def test_resolution_skips_a_zero_column():
+    P = GradedPresentation(R3, ((0,),), ((p3("y^2"),), (Polynomial.zero(3),), (p3("x"),)))
+    res = free_resolution(P)
+    assert res.shifts[1] == ((2,), (1,))
+    assert res.differentials[0] == ((p3("y^2"),), (p3("x"),))
+    resolution_is_homogeneous(res)
+
+
+def test_k_polynomial_of_monomial_ideals():
+    # R/<x, y>: a Koszul complex; R/<x^2, x*y>: 1 - 2t^2 + t^3
+    assert k_polynomial([(1, 0, 0), (0, 1, 0)], R3) == {(0,): 1, (1,): -2, (2,): 1}
+    assert k_polynomial([(2, 0, 0), (1, 1, 0)], R3) == {(0,): 1, (2,): -2, (3,): 1}
+    assert k_polynomial([], R3) == {(0,): 1}
+    assert k_polynomial([(0, 0, 0), (1, 0, 0)], R3) == {}
+    # in the grading by A35 the K-polynomial keeps every multidegree apart
+    R = to_a_graded_ring(A35)
+    assert k_polynomial([(1, 0, 0, 0, 0), (0, 1, 0, 0, 0)], R) == {
+        (0, 0, 0): 1,
+        (1, 0, 0): -1,
+        (1, 0, 1): -1,
+        (2, 0, 1): 1,
+    }
+
+
+def test_k_polynomial_oracle_sees_a_dropped_column():
+    res = free_resolution(curve_presentation((0, 1, 3, 4)))
+    assert resolution_k_polynomial_matches(res)
+    for i in range(res.length):
+        for k in (0, res.rank(i + 1) - 1):
+            columns, shifts = list(res.columns), list(res.shifts)
+            columns[i] = columns[i][:k] + columns[i][k + 1 :]
+            shifts[i + 1] = shifts[i + 1][:k] + shifts[i + 1][k + 1 :]
+            mutant = FreeResolution(res.ring, tuple(shifts), tuple(columns))
+            assert not resolution_k_polynomial_matches(mutant), (i, k)
 
 
 def test_resolution_of_two_monomials():
@@ -119,17 +168,12 @@ def test_resolution_of_two_monomials():
     assert col[1] == scale * (-p3("x"))
 
 
-def test_resolution_respects_max_length():
-    P = GradedPresentation.cyclic(R3, [p3("x*y"), p3("y*z")])
-    res = free_resolution(P, max_length=1)
-    assert res.length == 1
-
-
 def test_resolution_of_free_module_is_trivial():
     P = GradedPresentation(R3, ((0,),), ())
     res = free_resolution(P)
     assert res.length == 0
     assert res.shifts == (((0,),),)
+    resolution_is_homogeneous(res)
 
 
 def test_resolution_properties_random():
@@ -164,6 +208,7 @@ def test_resolution_where_heft_and_total_degree_disagree():
     assert res.differentials[0] == ((gens[1],), (gens[2],))
     assert res.shifts[1:] == (((3,), (3,)), ((6,),))
     resolution_is_complex(res)
+    resolution_is_homogeneous(res)
     resolution_is_minimal(res)
     resolution_is_exact(res, [(b,) for b in range(9)])
     level_one_is_minimal(res, gens, [(b,) for b in range(9)])
@@ -274,6 +319,7 @@ def test_running_example_resolution_is_minimal_and_exact():
     assert len(gens) == 5
     res = free_resolution(GradedPresentation.cyclic(R, gens))
     assert [res.rank(i) for i in range(res.length + 1)] == [1, 4, 4, 1]
+    resolution_is_homogeneous(res)
     resolution_is_minimal(res)
     resolution_is_exact(res, sample_degrees(res))
 
@@ -295,6 +341,7 @@ def test_resolution_in_an_order_known_only_by_its_tuple_key():
         gens = [parse_polynomial(s, R) for s in ("x*z - y^2", "x*w - y*z", "y*w - z^2")]
         resolutions.append(free_resolution(GradedPresentation.cyclic(R, gens)))
     assert [resolutions[0].rank(i) for i in range(3)] == [1, 3, 2]
+    resolution_is_homogeneous(resolutions[0])
     assert resolutions[0].differentials == resolutions[1].differentials
 
 
@@ -303,6 +350,7 @@ def test_redundant_generators_are_dropped():
     res = free_resolution(GradedPresentation.cyclic(R3, gens))
     assert [res.rank(i) for i in range(res.length + 1)] == [1, 2, 1]
     assert res.differentials[0] == ((p3("x*y"),), (p3("y*z"),))
+    resolution_is_homogeneous(res)
 
 
 def test_resolution_with_far_apart_generator_degrees():
@@ -316,6 +364,7 @@ def test_resolution_with_far_apart_generator_degrees():
     res = free_resolution(GradedPresentation.cyclic(R6, gens))
     assert time.perf_counter() - t0 < 5.0
     assert [res.rank(i) for i in range(res.length + 1)] == [1, 3, 3, 1]
+    resolution_is_homogeneous(res)
     resolution_is_minimal(res)
 
 
@@ -417,6 +466,7 @@ def test_ext_presentation_gives_the_planes_qlc_reads():
         cases.append(GradedPresentation(ring, shifts, tuple(cols)))
     kernels = 0
     for P in cases:
+        resolution_is_homogeneous(P._resolution)
         n = P.ring.nvars
         eps = P.ring.degree_sum
         for j in range(n + 1):

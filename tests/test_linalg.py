@@ -21,7 +21,6 @@ from quasidegrees.linalg import (
     lll_reduce,
     rational_rank,
     rref,
-    solve_linear,
 )
 
 A35 = IntMatrix(((1, 1, 1, 1, 1), (0, 0, 1, 1, 0), (0, 1, 1, 0, -2)))
@@ -148,29 +147,6 @@ def test_rref_idempotent_random():
         assert R1 == R2
         assert piv1 == piv2
         assert rank1 == rank2
-
-
-def test_solve_linear():
-    x = solve_linear([[1, 1], [1, -1]], [2, 0])
-    assert x == (Fraction(1), Fraction(1))
-    assert solve_linear([[1, 1], [1, 1]], [0, 1]) is None
-    # underdetermined: free variable pinned to zero
-    x = solve_linear([[1, 1]], [3])
-    assert x is not None
-    assert x[0] + x[1] == 3
-
-
-@given(st.integers(0, 10_000))
-def test_solve_linear_random_consistency(seed):
-    rng = random.Random(seed)
-    m = rng.randint(1, 3)
-    n = rng.randint(1, 3)
-    rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
-    rhs = [rng.randint(-4, 4) for _ in range(m)]
-    x = solve_linear(rows, rhs)
-    if x is not None:
-        for row, b in zip(rows, rhs):
-            assert sum(Fraction(a) * xx for a, xx in zip(row, x)) == b
 
 
 # --- LLL ---

@@ -1,4 +1,6 @@
+import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -213,6 +215,50 @@ def test_find_heft_needs_search():
 def test_find_heft_raises_when_impossible():
     with pytest.raises(GradingNotPositiveError):
         find_heft([[1, -1]])
+
+
+def test_find_heft_decides_no_heft_quickly():
+    # a zero column rules a heft out, and neither fast path applies
+    rng = random.Random(1)
+    A = [[rng.randint(0, 3) for _ in range(22)] for _ in range(6)]
+    zero = rng.randrange(22)
+    for row in A:
+        row[zero] = 0
+    start = time.perf_counter()
+    with pytest.raises(GradingNotPositiveError):
+        find_heft(A)
+    assert time.perf_counter() - start < 5
+
+
+def test_find_heft_finds_hidden_heft():
+    # columns drawn on the positive side of a mixed-sign h0; on this seed
+    # no unit vector and not the all-ones vector is a heft of any of them
+    rng = random.Random(3)
+    for d, n in ((3, 8), (4, 12), (6, 22)):
+        h0 = [rng.choice((-2, -1, 1, 2)) * (-1) ** i for i in range(d)]
+        cols = []
+        while len(cols) < n:
+            c = [rng.randint(-3, 3) for _ in range(d)]
+            if sum(map(int.__mul__, h0, c)) > 0:
+                cols.append(c)
+        h = find_heft([list(row) for row in zip(*cols)])
+        assert all(sum(map(int.__mul__, h, c)) > 0 for c in cols)
+
+
+@given(st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3), min_size=1, max_size=2))
+def test_find_heft_agrees_with_a_grid_search(rows):
+    # for d <= 2 and entries in [-2, 2], a nonempty open cone of hefts
+    # holds a column or the sum of its two boundary rays, each a column
+    # turned by a right angle: an integer point with entries at most 4
+    cols = list(zip(*rows))
+    grid = [h for h in itertools.product(range(-12, 13), repeat=len(rows)) if any(h)]
+    exists = any(all(sum(map(int.__mul__, h, c)) > 0 for c in cols) for h in grid)
+    try:
+        h = find_heft(rows)
+    except GradingNotPositiveError:
+        assert not exists
+    else:
+        assert all(sum(map(int.__mul__, h, c)) > 0 for c in cols)
 
 
 def test_homogeneous_degree():
