@@ -23,13 +23,12 @@ import hashlib
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Optional, Sequence
 
 from .homology import GradedPresentation, qlc, qlc_total
-from .linalg import IntMatrix
+from .linalg import Frozen, IntMatrix
 from .parse import ParseError, parse_polynomial, render_polynomial
 from .planes import QuasidegreeSet, remove_redundancy
 from .poly import (
@@ -59,20 +58,35 @@ class JobError(ValueError):
     """The job document is structurally invalid for the command."""
 
 
-@dataclass(frozen=True)
-class PresentationSpec:
-    shifts: tuple[tuple[int, ...], ...]
-    rows: tuple[tuple[str, ...], ...]
+class PresentationSpec(Frozen):
+    _fields = ("shifts", "rows")
+
+    def __init__(
+        self, shifts: tuple[tuple[int, ...], ...], rows: tuple[tuple[str, ...], ...]
+    ) -> None:
+        self.__dict__.update(shifts=shifts, rows=rows)
 
 
-@dataclass(frozen=True)
-class Job:
-    matrix: Optional[IntMatrix]
-    variables: Optional[tuple[str, ...]]
-    grading: object
-    ideal: Optional[tuple[str, ...]]
-    presentation: Optional[PresentationSpec]
-    digest: str
+class Job(Frozen):
+    _fields = ("matrix", "variables", "grading", "ideal", "presentation", "digest")
+
+    def __init__(
+        self,
+        matrix: Optional[IntMatrix],
+        variables: Optional[tuple[str, ...]],
+        grading: object,
+        ideal: Optional[tuple[str, ...]],
+        presentation: Optional[PresentationSpec],
+        digest: str,
+    ) -> None:
+        self.__dict__.update(
+            matrix=matrix,
+            variables=variables,
+            grading=grading,
+            ideal=ideal,
+            presentation=presentation,
+            digest=digest,
+        )
 
     @classmethod
     def load(cls, path: str) -> "Job":

@@ -73,11 +73,11 @@ answer on the same input, independent of dict iteration order.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import lshift
 from typing import Callable, Iterable, Sequence
 
+from .linalg import Frozen
 from .poly import GREVLEX, Elimination, Exps, GrevLex, MonomialOrder, Polynomial
 from .words import VecPoly, WordOverflow, Words, lcm, vec_repack, widening
 
@@ -314,26 +314,22 @@ def _in_gens(sigma: dict, exprs: Sequence[dict], words: Words) -> dict:
     return w
 
 
-@dataclass
 class _Run:
     """What one ``_buchberger`` run found (see there), in the layout
     ``words``, and the work it did: pairs queued, skipped by each
     criterion and reduced to zero, generators kept and dropped."""
 
-    words: Words
-    basis: list[dict]
-    leads: list[int]
-    divs: dict[int, list[tuple[int, int]]]  # (lead, index) by component
-    kept: list[int]
-    exprs: list[dict]
-    relations: list[dict]
-    dropped: list[dict]
-    pairs_queued: int = 0
-    pairs_coprime: int = 0
-    pairs_chain: int = 0
-    pairs_zero: int = 0
-    gens_kept: int = 0
-    gens_dropped: int = 0
+    def __init__(self, words: Words) -> None:
+        self.words = words
+        self.basis: list[dict] = []
+        self.leads: list[int] = []
+        self.divs: dict[int, list[tuple[int, int]]] = {}  # (lead, index) by component
+        self.kept: list[int] = []
+        self.exprs: list[dict] = []
+        self.relations: list[dict] = []
+        self.dropped: list[dict] = []
+        self.pairs_queued = self.pairs_coprime = self.pairs_chain = self.pairs_zero = 0
+        self.gens_kept = self.gens_dropped = 0
 
 
 def _chain_skips(L: int, li: int, lj: int, leads: Iterable[tuple[int, int]], words: Words) -> bool:
@@ -403,7 +399,7 @@ def _buchberger(
     top, ctop, body, mask = words.top, words.ctop, words.body, words.mask
     guards, width = words.guards, words.width
     wdeg = words.degree
-    run = _Run(words, [], [], {}, [], [], [], [])
+    run = _Run(words)
     basis, leads, exprs, divs = run.basis, run.leads, run.exprs, run.divs
     coprime = not transcript and all(t >> ctop == 0 for g in gens for t in g)
     # the queue's degree of x^word e_comp: total, or by a heft (weights, offsets)
@@ -574,6 +570,11 @@ def vec_lift(targets: Sequence[VecPoly], gens: Sequence[VecPoly], mkey: ModKey) 
 
     Returns one vecdict over the generator index space per target. Raises
     ValueError if a target is not in the submodule generated by gens.
+
+    Nothing in the package calls it: ``vec_syzygies_and_lifts`` does its
+    work. It stays only because the benchmark's tracer
+    (``perfbench/tracer.py``) looks it up by name, so deleting it makes
+    every traced run fail until that tracer stops naming it.
     """
     return vec_syzygies_and_lifts(gens, targets, mkey, 0)[1]
 
@@ -595,12 +596,13 @@ def vec_syzygies_and_lifts(
 # --- public polynomial-level API ---
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
+class GroebnerBasis(Frozen):
     """A reduced Groebner basis together with the order that defines it."""
 
-    generators: tuple[Polynomial, ...]
-    order: MonomialOrder
+    _fields = ("generators", "order")
+
+    def __init__(self, generators: tuple[Polynomial, ...], order: MonomialOrder) -> None:
+        self.__dict__.update(generators=generators, order=order)
 
     def __iter__(self):
         return iter(self.generators)

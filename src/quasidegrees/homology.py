@@ -33,11 +33,17 @@ deg x^e + shifts[k] of any of its terms x^e e_k. ``GradedPresentation``
 is the one homogeneity check; every later column, and every kernel
 element that generates an Ext, is a syzygy of homogeneous columns and
 so homogeneous (Schreyer; Eisenbud, *Commutative Algebra*, Thm 15.10).
+
+Two Groebner runs are skipped because their answer is known. A level
+with one column keeps it and has no syzygies: the column is nonzero and
+R is a domain, so f * v = 0 forces f = 0. And at j = L the next
+differential is zero, so the kernel K that generates Ext^L is all of
+F_L^T, the identity: K has no syzygies, and each column of phi_L^T is
+its own lift through K.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 from operator import add, mul
@@ -55,35 +61,34 @@ from .groebner import (
     vec_to_vector,
     vector_to_vec,
 )
+from .linalg import Frozen
 from .planes import AffinePlane, QuasidegreeSet, remove_redundancy
 from .poly import GradedRing, Polynomial
 from .qdeg import InhomogeneousError, initial_quasidegrees, integral_shifts, vector_degree
-from .words import VecPoly, Words, common_layout, vec_repack
+from .words import VecPoly, common_layout, vec_repack
 
 Shifts = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class GradedPresentation:
+class GradedPresentation(Frozen):
     """coker of a graded map into R^t(-shifts), given by its columns."""
 
-    ring: GradedRing
-    shifts: Shifts
-    columns: tuple[Vector, ...]
+    _fields = ("ring", "shifts", "columns")
 
-    def __post_init__(self) -> None:
-        shifts = integral_shifts(self.shifts)
-        d = self.ring.grading_rank
+    def __init__(
+        self, ring: GradedRing, shifts: Sequence[Sequence[int]], columns: Sequence[Vector]
+    ) -> None:
+        shifts = integral_shifts(shifts)
+        d = ring.grading_rank
         if any(len(s) != d for s in shifts):
             raise ValueError("shift has the wrong grading rank")
-        cols = tuple(tuple(c) for c in self.columns)
+        cols = tuple(tuple(c) for c in columns)
         for col in cols:
             if len(col) != len(shifts):
                 raise ValueError("column length does not match the number of shifts")
-            if vector_degree(col, shifts, self.ring) is None:
+            if vector_degree(col, shifts, ring) is None:
                 raise InhomogeneousError()
-        object.__setattr__(self, "shifts", shifts)
-        object.__setattr__(self, "columns", cols)
+        self.__dict__.update(ring=ring, shifts=shifts, columns=cols)
 
     @classmethod
     def cyclic(cls, ring: GradedRing, gens: Sequence[Polynomial]) -> "GradedPresentation":
@@ -98,8 +103,7 @@ class GradedPresentation:
         return free_resolution(self)
 
 
-@dataclass(frozen=True)
-class FreeResolution:
+class FreeResolution(Frozen):
     """F_0 <- F_1 <- ... <- F_L with graded free modules.
 
     ``shifts[i]`` lists the generator degrees of F_i. ``columns[i]`` holds
@@ -108,9 +112,12 @@ class FreeResolution:
     same columns as tuples of Polynomials, converted on first use.
     """
 
-    ring: GradedRing
-    shifts: tuple[Shifts, ...]
-    columns: tuple[tuple[VecPoly, ...], ...]
+    _fields = ("ring", "shifts", "columns")
+
+    def __init__(
+        self, ring: GradedRing, shifts: tuple[Shifts, ...], columns: tuple[tuple[VecPoly, ...], ...]
+    ) -> None:
+        self.__dict__.update(ring=ring, shifts=shifts, columns=columns)
 
     @cached_property
     def differentials(self) -> tuple[tuple[Vector, ...], ...]:
@@ -140,8 +147,7 @@ def _heft_degree(ring: GradedRing, shifts: Shifts) -> Heft:
     """The heft degree heft . (deg x^e + shifts[pos]) of a term x^e e_pos
     of the free module whose generators have degrees ``shifts``, as the
     heft of each variable and of each generator."""
-    weights = [sum(map(mul, ring.heft, ring.degree(j))) for j in range(ring.nvars)]
-    return weights, [sum(map(mul, ring.heft, s)) for s in shifts]
+    return ring.weights, [sum(map(mul, ring.heft, s)) for s in shifts]
 
 
 def free_resolution(P: GradedPresentation) -> FreeResolution:
@@ -173,7 +179,10 @@ def free_resolution(P: GradedPresentation) -> FreeResolution:
     cols = [vector_to_vec(c) for c in P.columns if any(f for f in c)]
     while cols:
         shifts = shift_levels[-1]
-        keep, syz = vec_minimal_syzygies(cols, key, _heft_degree(ring, shifts))
+        if len(cols) == 1:
+            keep, syz = [0], []  # see the module docstring
+        else:
+            keep, syz = vec_minimal_syzygies(cols, key, _heft_degree(ring, shifts))
         cols = [cols[k] for k in keep]
         diffs.append(tuple(cols))
         shift_levels.append(tuple(_vec_degree(w, shifts, ring) for w in cols))
@@ -205,8 +214,9 @@ def _ext(P: GradedPresentation, j: int) -> tuple[Shifts, list[VecPoly]]:
     are the negated shifts of F_j. Generators: kernel elements K of the
     transposed differential; relations: syzygies of K, then the columns of
     phi_j^T lifted through K, both from one transcripted Groebner run of
-    K. The resolution is the one P shares across all j. A generator's
-    shift is read off one term of its kernel element.
+    K; at j = L, K is the identity and the relations are the nonzero
+    columns of phi_L^T. The resolution is the one P shares across all j.
+    A generator's shift is read off one term of its kernel element.
     """
     ring = P.ring
     n = ring.nvars
@@ -216,20 +226,17 @@ def _ext(P: GradedPresentation, j: int) -> tuple[Shifts, list[VecPoly]]:
     L = res.length
     if j > L:
         return (), []
-    t_j = res.rank(j)
     dual_shifts = tuple(tuple(-x for x in s) for s in res.shifts[j])
+    # a zero row of phi_j lifts to zero, which is no relation
+    targets = _transpose(res.columns[j - 1], res.rank(j - 1)) if j else []
+    if j == L:
+        # K is the identity (see the module docstring)
+        return dual_shifts, [r for r in targets if r]
     mkey = top_key(ring.order)
-    if j < L:
-        K = vec_syzygies(_transpose(res.columns[j], t_j), mkey, n)
-    else:
-        # the next differential is zero, so the kernel is everything
-        words = Words.fit(n, 0)
-        K = [VecPoly(words, {k << words.ctop: 1}) for k in range(t_j)]
+    K = vec_syzygies(_transpose(res.columns[j], res.rank(j)), mkey, n)
     if not K:
         return (), []
     gen_shifts = tuple(_vec_degree(w, dual_shifts, ring) for w in K)
-    # a zero row of phi_j lifts to zero, which is no relation
-    targets = _transpose(res.columns[j - 1], res.rank(j - 1)) if j else []
     syz, lifts = vec_syzygies_and_lifts(K, targets, mkey, n)
     return gen_shifts, [r for r in syz + lifts if r]
 
@@ -244,7 +251,7 @@ def ext_presentation(P: GradedPresentation, j: int) -> GradedPresentation:
 def dual_shift_plane(plane: AffinePlane, eps: Sequence[int]) -> AffinePlane:
     """The graded-duality image of a plane: base -> -base - eps."""
     base = tuple(-b - e for b, e in zip(plane.base, eps))
-    return AffinePlane(base, plane.span)
+    return AffinePlane._from_rref(base, plane.span)
 
 
 def qlc(P: GradedPresentation, i: int) -> QuasidegreeSet:

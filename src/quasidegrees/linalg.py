@@ -8,11 +8,13 @@ negations, and xgcd-based 2x2 transforms of determinant one). Because the
 transforms are unimodular, the row space as a *lattice* is preserved, which
 is what makes :func:`integer_kernel` return a basis of the saturated kernel
 lattice ker(A) over Z rather than merely a rational kernel basis.
+
+``Frozen``, the base of the package's immutable value classes, lives
+here because this module imports no other module of the package.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence
@@ -21,19 +23,51 @@ IntVec = tuple[int, ...]
 RatVec = tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class Frozen:
+    """Base of the package's immutable value classes.
+
+    A subclass lists its fields in ``_fields`` and stores them once, from
+    ``__init__``, into the instance ``__dict__``; assigning or deleting an
+    attribute afterwards raises AttributeError. Two instances are equal
+    when they have the same class and equal fields, and hash as the tuple
+    of their fields. The ``__dict__`` stays, so ``cached_property`` works.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class IntMatrix(Frozen):
     """Rectangular integer matrix, row-major, immutable and hashable."""
 
-    entries: tuple[tuple[int, ...], ...]
+    _fields = ("entries",)
 
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(int(x) for x in row) for row in self.entries)
+    def __init__(self, entries: Iterable[Iterable[int]]) -> None:
+        rows = tuple(tuple(int(x) for x in row) for row in entries)
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
                 raise ValueError("matrix rows have unequal lengths")
-        object.__setattr__(self, "entries", rows)
+        self.__dict__["entries"] = rows
 
     @property
     def nrows(self) -> int:

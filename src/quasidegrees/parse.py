@@ -207,11 +207,14 @@ def _monomial_exponents(text: str, ring: GradedRing) -> list[int] | None:
 def parse_polynomial(text: str, ring: GradedRing) -> Polynomial:
     """Parse ``text`` into a polynomial over ``ring``.
 
-    A single monomial such as ``x^2*y`` is read straight into its
-    exponents; any other text, malformed text included, goes through the
-    recursive descent. Raises ParseError (with a position) on malformed
-    input and UnknownVariableError for names not in the ring.
+    The text ``0`` and a single monomial such as ``x^2*y`` are read
+    straight into their terms; any other text, malformed text included,
+    goes through the recursive descent. Raises ParseError (with a
+    position) on malformed input and UnknownVariableError for names not
+    in the ring.
     """
+    if text == "0":
+        return Polynomial._unchecked(ring.nvars, {})
     exps = _monomial_exponents(text, ring)
     if exps is None:
         return _Parser(text, ring).parse()

@@ -13,11 +13,10 @@ base -> -base - eps, so it prints the greatest of the candidate images.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .linalg import rref
+from .linalg import Frozen, rref
 
 RatVec = tuple[Fraction, ...]
 
@@ -69,23 +68,28 @@ def coset_key(span: tuple[RatVec, ...]) -> Callable[[Sequence[int]], tuple[int, 
     return key
 
 
-@dataclass(frozen=True, eq=False)
-class AffinePlane:
+class AffinePlane(Frozen):
     """The set base + sum of Q-multiples of the span vectors."""
 
-    base: RatVec
-    span: tuple[RatVec, ...] = ()
-    _key: tuple[RatVec, tuple[RatVec, ...]] = field(init=False, repr=False)
+    _fields = ("base", "span")
 
-    def __post_init__(self) -> None:
-        base = _as_ratvec(self.base)
-        rows = [_as_ratvec(v) for v in self.span]
+    def __init__(self, base: Iterable, span: Iterable[Iterable] = ()) -> None:
+        base = _as_ratvec(base)
+        rows = [_as_ratvec(v) for v in span]
         if any(len(v) != len(base) for v in rows):
             raise ValueError("span vectors must match the base dimension")
-        span = rref_span(rows)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "span", span)
-        object.__setattr__(self, "_key", (_reduce(base, span), span))
+        self._store(base, rref_span(rows))
+
+    def _store(self, base: RatVec, span: tuple[RatVec, ...]) -> None:
+        self.__dict__.update(base=base, span=span, _key=(_reduce(base, span), span))
+
+    @classmethod
+    def _from_rref(cls, base: Iterable, span: tuple[RatVec, ...]) -> "AffinePlane":
+        """The plane of a span that is already an RREF basis of its
+        dimension, skipping the row reduction and the checks."""
+        plane = object.__new__(cls)
+        plane._store(_as_ratvec(base), span)
+        return plane
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AffinePlane):
@@ -122,20 +126,19 @@ def plane_contains(outer: AffinePlane, inner: AffinePlane) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class QuasidegreeSet:
+class QuasidegreeSet(Frozen):
     """A finite union of affine planes (possibly empty)."""
 
-    planes: tuple[AffinePlane, ...]
+    _fields = ("planes",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, planes: Iterable[AffinePlane]) -> None:
         least: dict[AffinePlane, AffinePlane] = {}
-        for p in self.planes:
+        for p in planes:
             if p not in least or p.base < least[p].base:
                 least[p] = p
         if len({p.ambient_dim for p in least}) > 1:
             raise ValueError("planes in different ambient spaces")
-        object.__setattr__(self, "planes", tuple(sorted(least.values())))
+        self.__dict__["planes"] = tuple(sorted(least.values()))
 
     @property
     def is_empty(self) -> bool:

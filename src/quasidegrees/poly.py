@@ -14,12 +14,11 @@ and the variable degrees generate the full lattice Z^d.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, le, sub
+from operator import add, le, mul, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .linalg import IntMatrix, as_int_matrix, column_lattice_is_full
+from .linalg import Frozen, IntMatrix, as_int_matrix, column_lattice_is_full
 
 Exps = tuple[int, ...]
 
@@ -80,22 +79,19 @@ class MonomialOrder:
         return (ka > kb) - (ka < kb)
 
 
-@dataclass(frozen=True)
-class GrevLex(MonomialOrder):
+class GrevLex(MonomialOrder, Frozen):
     """Graded reverse lexicographic order."""
 
     def key(self, exps: Exps):
         return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
-@dataclass(frozen=True)
-class Lex(MonomialOrder):
+class Lex(MonomialOrder, Frozen):
     def key(self, exps: Exps):
         return exps
 
 
-@dataclass(frozen=True)
-class Elimination(MonomialOrder):
+class Elimination(MonomialOrder, Frozen):
     """Eliminates the first ``block`` variables.
 
     Compares total degree in the block first, then grevlex overall, so any
@@ -104,7 +100,10 @@ class Elimination(MonomialOrder):
     subring on the remaining variables, where it restricts to grevlex.
     """
 
-    block: int
+    _fields = ("block",)
+
+    def __init__(self, block: int) -> None:
+        self.__dict__["block"] = block
 
     def key(self, exps: Exps):
         return (sum(exps[: self.block]), sum(exps), tuple(-e for e in reversed(exps)))
@@ -342,41 +341,47 @@ def _phase_one(cols: Sequence[Sequence[int]], d: int) -> list[Fraction] | None:
     return [value[k] - value[d + k] for k in range(d)]
 
 
-@dataclass(frozen=True)
-class GradedRing:
+class GradedRing(Frozen):
     """Polynomial ring Q[x_1..x_n] graded by Z^d via a degree matrix.
 
     ``degree_matrix`` is d x n; deg(x_j) is its j-th column. ``heft`` is a
     certificate of positivity. ``order`` is the ambient term order used by
-    default in Groebner computations over this ring.
+    default in Groebner computations over this ring. ``degrees`` holds the
+    columns and ``weights`` the heft of each variable, computed once.
     """
 
-    names: tuple[str, ...]
-    degree_matrix: IntMatrix
-    heft: tuple[int, ...]
-    order: MonomialOrder = GREVLEX
+    _fields = ("names", "degree_matrix", "heft", "order")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "names", tuple(self.names))
-        if len(set(self.names)) != len(self.names):
+    def __init__(
+        self,
+        names: Sequence[str],
+        degree_matrix: IntMatrix | Iterable[Iterable[int]],
+        heft: Sequence[int],
+        order: MonomialOrder = GREVLEX,
+    ) -> None:
+        names = tuple(names)
+        if len(set(names)) != len(names):
             raise ValueError("duplicate variable names")
-        A = as_int_matrix(self.degree_matrix)
-        object.__setattr__(self, "degree_matrix", A)
-        if A.ncols != len(self.names):
+        A = as_int_matrix(degree_matrix)
+        if A.ncols != len(names):
             raise ValueError("degree matrix has one column per variable")
-        h = tuple(int(x) for x in self.heft)
+        h = tuple(int(x) for x in heft)
         if len(h) != A.nrows:
             raise ValueError("heft length must match the grading rank")
-        for j in range(A.ncols):
-            if sum(hi * ai for hi, ai in zip(h, A.column(j))) <= 0:
+        degrees = tuple(A.columns())
+        weights = tuple(sum(map(mul, h, col)) for col in degrees)
+        for name, w in zip(names, weights):
+            if w <= 0:
                 raise GradingNotPositiveError(
-                    f"grading not positive: heft fails on variable {self.names[j]}"
+                    f"grading not positive: heft fails on variable {name}"
                 )
-        object.__setattr__(self, "heft", h)
         if not column_lattice_is_full(A):
             raise ColumnLatticeError(
                 "variable degrees do not generate the full grading lattice Z^d"
             )
+        self.__dict__.update(
+            names=names, degree_matrix=A, heft=h, order=order, degrees=degrees, weights=weights
+        )
 
     @property
     def nvars(self) -> int:
@@ -387,7 +392,7 @@ class GradedRing:
         return self.degree_matrix.nrows
 
     def degree(self, j: int) -> Exps:
-        return self.degree_matrix.column(j)
+        return self.degrees[j]
 
     @property
     def degree_sum(self) -> tuple[int, ...]:
@@ -397,12 +402,11 @@ class GradedRing:
     def multidegree(self, exps: Sequence[int]) -> tuple[int, ...]:
         if len(exps) != self.nvars:
             raise ValueError("exponent tuple has the wrong length")
-        return self.degree_matrix.mul_vec(tuple(exps))
+        return tuple([sum(map(mul, row, exps)) for row in self.degree_matrix.entries])
 
     def heft_degree(self, exps: Sequence[int]) -> int:
         """Value of the heft functional on the multidegree of x^exps."""
-        beta = self.multidegree(exps)
-        return sum(h * b for h, b in zip(self.heft, beta))
+        return sum(map(mul, self.heft, self.multidegree(exps)))
 
     def variable(self, j: int) -> Polynomial:
         return Polynomial.variable(self.nvars, j)
@@ -425,9 +429,7 @@ class GradedRing:
         beta = tuple(int(b) for b in beta)
         if len(beta) != self.grading_rank:
             raise ValueError("degree vector has the wrong length")
-        n = self.nvars
-        weights = [self.heft_degree(tuple(1 if i == j else 0 for i in range(n))) for j in range(n)]
-        cols = self.degree_matrix.columns()
+        n, weights, cols = self.nvars, self.weights, self.degrees
 
         def rec(j: int, remaining: tuple[int, ...], acc: list[int]) -> Iterator[Exps]:
             budget = sum(h * r for h, r in zip(self.heft, remaining))

@@ -23,12 +23,12 @@ reads its row ideals off a module Groebner basis of vecdict columns, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 from typing import Callable, Optional, Sequence
 
 from .groebner import VecPoly, Vector, vec_initial_module, vector_to_vec
+from .linalg import Frozen
 from .planes import AffinePlane, QuasidegreeSet, RatVec, coset_key, rref_span
 from .poly import ANY_DEGREE, Exps, GradedRing, Polynomial
 
@@ -64,8 +64,7 @@ def integral_shifts(shifts: Sequence[Sequence]) -> tuple[tuple[int, ...], ...]:
     return out
 
 
-@dataclass(frozen=True)
-class MonomialMatrix:
+class MonomialMatrix(Frozen):
     """A t x s matrix of monomials presenting a module R^t(-shifts)/im.
 
     ``row_shifts[k]`` is the degree of the k-th target generator;
@@ -73,18 +72,21 @@ class MonomialMatrix:
     column j, or None for a zero entry.
     """
 
-    ring: GradedRing
-    row_shifts: tuple[tuple[int, ...], ...]
-    entries: tuple[tuple[Optional[Term], ...], ...]
+    _fields = ("ring", "row_shifts", "entries")
 
-    def __post_init__(self) -> None:
-        shifts = integral_shifts(self.row_shifts)
-        d = self.ring.grading_rank
+    def __init__(
+        self,
+        ring: GradedRing,
+        row_shifts: Sequence[Sequence[int]],
+        entries: Sequence[Sequence[Optional[Term]]],
+    ) -> None:
+        shifts = integral_shifts(row_shifts)
+        d = ring.grading_rank
         if any(len(s) != d for s in shifts):
             raise ValueError("row shift has the wrong grading rank")
         rows = []
         width = None
-        for row in self.entries:
+        for row in entries:
             row = tuple(row)
             if width is None:
                 width = len(row)
@@ -98,7 +100,7 @@ class MonomialMatrix:
                 coeff, exps = entry
                 coeff = Fraction(coeff)
                 exps = tuple(int(e) for e in exps)
-                if len(exps) != self.ring.nvars:
+                if len(exps) != ring.nvars:
                     raise ValueError("exponent tuple has the wrong length")
                 if not coeff:
                     cleaned.append(None)
@@ -107,8 +109,7 @@ class MonomialMatrix:
             rows.append(tuple(cleaned))
         if len(rows) != len(shifts):
             raise ValueError("one shift per row is required")
-        object.__setattr__(self, "row_shifts", shifts)
-        object.__setattr__(self, "entries", tuple(rows))
+        self.__dict__.update(ring=ring, row_shifts=shifts, entries=tuple(rows))
 
     @property
     def nrows(self) -> int:
@@ -199,7 +200,9 @@ def _quasidegrees_rows(ring: GradedRing, shifts: Sequence, ideals: Sequence) -> 
                 group[key] = base
     return QuasidegreeSet(
         tuple(
-            AffinePlane(base, span) for span, group in groups.items() for base in group.values()
+            AffinePlane._from_rref(base, span)
+            for span, group in groups.items()
+            for base in group.values()
         )
     )
 

@@ -53,28 +53,28 @@ the tests above are exact; with a narrower w they are not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Iterable
 
+from .linalg import Frozen
 from .poly import Exps, exps_divides, support
 from .words import Words, in_ideal, minimal_words
 
 
-@dataclass(frozen=True)
-class StandardPair:
+class StandardPair(Frozen):
     """The set of monomials x^root * x^v, supp(v) inside face."""
 
-    root: Exps
-    face: frozenset[int]
+    _fields = ("root", "face")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "root", tuple(int(e) for e in self.root))
-        object.__setattr__(self, "face", frozenset(int(i) for i in self.face))
-        if any(e < 0 for e in self.root):
+    def __init__(self, root: Iterable[int], face: Iterable[int]) -> None:
+        root = tuple(int(e) for e in root)
+        face = frozenset(int(i) for i in face)
+        if any(e < 0 for e in root):
             raise ValueError("negative exponent in standard pair root")
-        if any(i < 0 or i >= len(self.root) for i in self.face):
+        if any(i < 0 or i >= len(root) for i in face):
             raise ValueError("face index out of range")
-        if set(support(self.root)) & self.face:
+        if set(support(root)) & face:
             raise ValueError("root support must be disjoint from the face")
+        self.__dict__.update(root=root, face=face)
 
     @property
     def dimension(self) -> int:

@@ -39,16 +39,37 @@ JOBS = Path(__file__).resolve().parent.parent / "jobs"
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
+def src_env():
+    """The environment of a child process that imports src/."""
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+
+
 def run_module(*argv):
     """Run ``python -m quasidegrees`` in a child process that imports src/."""
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
     return subprocess.run(
         [sys.executable, "-m", "quasidegrees", *argv],
         capture_output=True,
         text=True,
-        env=env,
+        env=src_env(),
     )
+
+
+def test_cli_imports_no_dataclass_machinery():
+    # every CLI call starts a fresh interpreter: ``dataclasses`` would load
+    # inspect, ast, dis and tokenize and generate methods at each start
+    code = (
+        "import sys, quasidegrees.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'quasidegrees'))\n"
+        "print('dataclasses' in sys.modules, 'inspect' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env())
+    assert proc.returncode == 0, proc.stderr
+    modules, machinery = proc.stdout.splitlines()
+    layers = ["cli", "groebner", "homology", "linalg", "parse", "planes", "poly", "qdeg",
+              "stdpairs", "toric", "words"]
+    assert modules == repr(["quasidegrees"] + [f"quasidegrees.{m}" for m in layers])
+    assert machinery == "False False"
 
 
 @pytest.fixture

@@ -16,9 +16,12 @@ from helpers import (
     record_buchberger_runs,
     resolution_k_polynomial_matches,
 )
+from quasidegrees.groebner import top_key, vec_syzygies_and_lifts, vec_to_vector
 from quasidegrees.homology import (
     FreeResolution,
     GradedPresentation,
+    _ext,
+    _transpose,
     dual_shift_plane,
     ext_presentation,
     free_resolution,
@@ -32,6 +35,7 @@ from quasidegrees.planes import AffinePlane, QuasidegreeSet, remove_redundancy
 from quasidegrees.poly import GREVLEX, MonomialOrder, Polynomial, graded_ring, standard_graded_ring
 from quasidegrees.qdeg import InhomogeneousError, quasidegrees_module, vector_degree
 from quasidegrees.toric import to_a_graded_ring, toric_ideal
+from quasidegrees.words import VecPoly, Words
 
 # resolutions built inside qlc and Ext are checked as well
 pytestmark = pytest.mark.usefixtures("k_polynomial_checked_resolutions")
@@ -440,6 +444,29 @@ def test_ext_top_of_point():
 
     rel_polys = [c[0] for c in E.columns if not c[0].is_zero()]
     assert ideal_equal(rel_polys, [parse_polynomial("x", R), parse_polynomial("y", R)])
+
+
+@pytest.mark.parametrize(
+    "matrix", [A35.entries, ((1,) * 4, (0, 1, 3, 4)), ((1,) * 5, (0, 1, 3, 4, 5))]
+)
+def test_ext_at_the_length_is_the_transcripted_run(matrix):
+    # at j = L the kernel is the identity of F_L^T, so Ext^L is read off
+    # the last differential; one transcripted run of the unit vectors
+    # must give the same generators and relations
+    R = to_a_graded_ring(IntMatrix(matrix))
+    P = GradedPresentation.cyclic(R, toric_ideal(matrix, R))
+    res = P._resolution
+    L, n, t = res.length, R.nvars, res.rank(res.length)
+    shifts, rels = _ext(P, L)
+    words = Words.fit(n, 0)
+    K = [VecPoly(words, {k << words.ctop: 1}) for k in range(t)]
+    targets = _transpose(res.columns[L - 1], res.rank(L - 1))
+    syz, lifts = vec_syzygies_and_lifts(K, targets, top_key(R.order), n)
+    assert shifts == tuple(tuple(-x for x in s) for s in res.shifts[L])
+    assert rels
+    assert [vec_to_vector(r, t, n) for r in rels] == [
+        vec_to_vector(r, t, n) for r in syz + lifts if r
+    ]
 
 
 def test_ext_presentation_gives_the_planes_qlc_reads():

@@ -126,6 +126,7 @@ NEAR_MISSES = [
     "x^2^3", "x*", "*x", "x**y", "x^", "^2", "", "x^2y", "x ^2", " x", "x ",
     "x* y", "x\t", "x*w", "w", "x-1", "x-1^2", "x^-1", "x^y", "2*x", "x*2",
     "x^+2", "(x)", "x^٣", "x^²", "é", "x*é", "_x", "x__", "x/2", "x^1.5",
+    "0", "00", " 0", "0 ", "-0", "0*x", "0^2",
 ]
 
 
@@ -153,6 +154,12 @@ def test_single_monomial_reader_reads_exponents(monkeypatch):
     assert parse_polynomial("x*x^3*ab^0*y", R_NAMES).terms == {(4, 1, 0, 0, 0, 0, 0): 1}
     assert parse_polynomial("x^0", R_NAMES) == Polynomial.constant(7, 1)
     assert parse_polynomial("x_1^02", R_NAMES).terms == {(0, 0, 2, 0, 0, 0, 0): 1}
+
+
+def test_zero_cell_never_reaches_the_descent(monkeypatch):
+    # the zero entries of a block-diagonal presentation are read directly
+    monkeypatch.setattr(parse, "_Parser", None)
+    assert parse_polynomial("0", R_NAMES) == Polynomial.zero(7)
 
 
 PIECES = ["x", "y", "x_1", "ab", "a", "b", "Z9", "x-1", "w", "é", "_", "*", "^",

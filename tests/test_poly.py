@@ -193,6 +193,26 @@ def test_running_example_ring():
     assert R.multidegree((1, 1, 0, 0, 0)) == (2, 0, 1)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_degrees_read_once_agree_with_the_degree_matrix(seed):
+    rng = random.Random(seed)
+    rows = [[1] * 6] + [[rng.randint(-3, 5) for _ in range(6)] for _ in range(2)]
+    rows[1][:3] = [0, 1, 0]
+    rows[2][:3] = [0, 0, 1]
+    R = graded_ring(tuple("abcdef"), rows)
+    A = R.degree_matrix
+    for j in range(R.nvars):
+        assert R.degree(j) == A.column(j)
+        assert R.weights[j] == sum(h * a for h, a in zip(R.heft, A.column(j)))
+    for _ in range(50):
+        e = tuple(rng.randint(0, 7) for _ in range(R.nvars))
+        assert R.multidegree(e) == A.mul_vec(e)
+        assert R.multidegree(list(e)) == A.mul_vec(e)
+        assert R.heft_degree(e) == sum(h * b for h, b in zip(R.heft, A.mul_vec(e)))
+    with pytest.raises(ValueError):
+        R.multidegree((1,) * (R.nvars + 1))
+
+
 def test_grading_positivity_rejected():
     # degrees 1 and -1 on a line cannot be positively graded
     with pytest.raises(GradingNotPositiveError):
