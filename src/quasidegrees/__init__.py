@@ -57,10 +57,8 @@ from .poly import (
 )
 from .qdeg import (
     InhomogeneousError,
-    MonomialMatrix,
     NonMonomialEntryError,
     NonSplittingError,
-    monomial_matrix_from_vectors,
     quasidegrees_module,
     quasidegrees_monomial,
 )
@@ -88,7 +86,6 @@ __all__ = [
     "IntMatrix",
     "LEX",
     "Lex",
-    "MonomialMatrix",
     "NonMonomialEntryError",
     "NonSplittingError",
     "ParseError",
@@ -108,7 +105,6 @@ __all__ = [
     "integer_kernel",
     "lattice_basis_binomials",
     "module_groebner",
-    "monomial_matrix_from_vectors",
     "normal_form",
     "normalized_volume",
     "parse_polynomial",

@@ -21,7 +21,6 @@ import argparse
 import functools
 import hashlib
 import json
-import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -44,7 +43,6 @@ from .qdeg import (
     InhomogeneousError,
     NonMonomialEntryError,
     NonSplittingError,
-    monomial_matrix_from_vectors,
     quasidegrees_module,
     quasidegrees_monomial,
 )
@@ -374,11 +372,7 @@ def cmd_std_pairs(job: Job, args) -> None:
 def cmd_qdeg(job: Job, args) -> None:
     ring = build_ring(job, args.order)
     P = build_presentation(job, ring, allow_toric=False)
-    if args.general:
-        q = quasidegrees_module(P.columns, P.shifts, ring)
-    else:
-        phi = monomial_matrix_from_vectors(P.columns, P.shifts, ring)
-        q = quasidegrees_monomial(phi)
+    q = quasidegrees_module(P) if args.general else quasidegrees_monomial(P)
     _emit_planes(args, q, [])
 
 
@@ -413,33 +407,36 @@ def cmd_qlc(job: Job, args) -> None:
     _emit_planes(args, q, ["empty"])
 
 
-# a degree argument: comma-separated integers or fractions, each signed;
-# kept as text so that importing the CLI compiles nothing
-DEGREE_PATTERN = r"\s*-?\d+(/\d+)?\s*(,\s*-?\d+(/\d+)?\s*)*"
+def _degree_entries(text: str) -> Optional[tuple[Fraction, ...]]:
+    """The entries of a comma-separated degree, or None when one of them
+    is not a fraction."""
+    try:
+        return tuple(Fraction(part.strip()) for part in text.split(","))
+    except (ValueError, ZeroDivisionError):
+        return None
 
 
 def _shield_negative_degree(argv: Sequence[str]) -> list[str]:
     """Move a check-beta degree that starts with '-' behind '--'.
 
-    argparse reads a token like -1,0,3 as an option and then misses the
-    positional degree. Command lines that already hold '--' are left as
-    they are.
+    argparse reads a token like -1,0,3 or -1.5,0,4 as an option and then
+    misses the positional degree. A token is moved when it starts with
+    '-' and parse_degree would read every entry of it. Command lines that
+    already hold '--' are left as they are.
     """
     argv = list(argv)
     if argv[:1] != ["check-beta"] or "--" in argv:
         return argv
     for k, token in enumerate(argv):
-        if token.startswith("-") and re.fullmatch(DEGREE_PATTERN, token):
+        if token.startswith("-") and _degree_entries(token) is not None:
             return argv[:k] + argv[k + 1 :] + ["--", token]
     return argv
 
 
 def parse_degree(text: str, rank: int) -> tuple[Fraction, ...]:
-    parts = text.split(",")
-    try:
-        beta = tuple(Fraction(part.strip()) for part in parts)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad degree {text!r}; expected comma-separated fractions") from None
+    beta = _degree_entries(text)
+    if beta is None:
+        raise ParseError(f"bad degree {text!r}; expected comma-separated fractions")
     if len(beta) != rank:
         raise JobError(f"degree has {len(beta)} entries, grading rank is {rank}")
     return beta

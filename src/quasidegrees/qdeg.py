@@ -1,9 +1,11 @@
 """Quasidegree sets of finitely generated multigraded modules.
 
 The quasidegree set of a module M is the Zariski closure in Q^d of
-tdeg(M) = {beta : M_beta != 0}. For M presented by a monomial matrix
-whose columns each hit a single row (so the image splits as a direct sum
-of monomial ideals I_k, one per row), the closure is computed exactly:
+tdeg(M) = {beta : M_beta != 0}. Both public quasidegree functions take
+M as the cokernel of a ``homology.GradedPresentation`` P. When each
+column of P holds one monomial (so the image splits as a direct sum of
+monomial ideals I_k, one per row), ``quasidegrees_monomial`` computes
+the closure exactly:
 
     for each row k, with row shift alpha_k:
         for each standard pair (x^u, Z) of I_k:
@@ -18,21 +20,21 @@ For a general (non-monomial, non-split) presentation the module is first
 replaced by its initial submodule, which splits and has the same graded
 Hilbert function, hence the same quasidegrees: ``initial_quasidegrees``
 reads its row ideals off a module Groebner basis of vecdict columns, and
-``quasidegrees_module`` is the Polynomial edge, checked as a presentation.
+``quasidegrees_module`` is its Polynomial edge. This module reads P's
+``ring``, ``shifts`` and ``columns`` and never builds one: the
+presentation and its checks live in ``homology``, which imports this
+module, not the other way round.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import add
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .groebner import VecPoly, Vector, vec_initial_module, vector_to_vec
-from .linalg import Frozen
 from .planes import AffinePlane, QuasidegreeSet, RatVec, coset_key, rref_span
-from .poly import ANY_DEGREE, Exps, GradedRing, Polynomial
-
-Term = tuple[Fraction, Exps]
+from .poly import ANY_DEGREE, Exps, GradedRing, homogeneous_degree
+from .stdpairs import standard_pairs
 
 
 class PresentationError(ValueError):
@@ -64,113 +66,36 @@ def integral_shifts(shifts: Sequence[Sequence]) -> tuple[tuple[int, ...], ...]:
     return out
 
 
-class MonomialMatrix(Frozen):
-    """A t x s matrix of monomials presenting a module R^t(-shifts)/im.
+def _row_ideals(P) -> list[list[Exps]]:
+    """Generator exponents of the row ideals of a split monomial presentation.
 
-    ``row_shifts[k]`` is the degree of the k-th target generator;
-    ``entries[k][j]`` is the (coefficient, exponents) monomial in row k of
-    column j, or None for a zero entry.
+    Each nonzero column of P holds one monomial; its exponents go to the
+    ideal of its row. Raises NonMonomialEntryError when any entry has more
+    than one term, and only then NonSplittingError when a column has two
+    nonzero entries.
     """
-
-    _fields = ("ring", "row_shifts", "entries")
-
-    def __init__(
-        self,
-        ring: GradedRing,
-        row_shifts: Sequence[Sequence[int]],
-        entries: Sequence[Sequence[Optional[Term]]],
-    ) -> None:
-        shifts = integral_shifts(row_shifts)
-        d = ring.grading_rank
-        if any(len(s) != d for s in shifts):
-            raise ValueError("row shift has the wrong grading rank")
-        rows = []
-        width = None
-        for row in entries:
-            row = tuple(row)
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise ValueError("ragged monomial matrix")
-            cleaned = []
-            for entry in row:
-                if entry is None:
-                    cleaned.append(None)
-                    continue
-                coeff, exps = entry
-                coeff = Fraction(coeff)
-                exps = tuple(int(e) for e in exps)
-                if len(exps) != ring.nvars:
-                    raise ValueError("exponent tuple has the wrong length")
-                if not coeff:
-                    cleaned.append(None)
-                    continue
-                cleaned.append((coeff, exps))
-            rows.append(tuple(cleaned))
-        if len(rows) != len(shifts):
-            raise ValueError("one shift per row is required")
-        self.__dict__.update(ring=ring, row_shifts=shifts, entries=tuple(rows))
-
-    @property
-    def nrows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    def splits(self) -> bool:
-        """At most one nonzero entry per column?"""
-        for j in range(self.ncols):
-            if sum(1 for k in range(self.nrows) if self.entries[k][j] is not None) > 1:
-                return False
-        return True
-
-    def row_ideals(self) -> list[list[Exps]]:
-        """Generator exponents of the row ideals; requires a split matrix."""
-        if not self.splits():
+    if not all(f.is_monomial() for col in P.columns for f in col if f):
+        raise NonMonomialEntryError()
+    ideals: list[list[Exps]] = [[] for _ in P.shifts]
+    for col in P.columns:
+        entries = [(k, f) for k, f in enumerate(col) if f]
+        if len(entries) > 1:
             raise NonSplittingError()
-        out: list[list[Exps]] = [[] for _ in range(self.nrows)]
-        for j in range(self.ncols):
-            for k in range(self.nrows):
-                entry = self.entries[k][j]
-                if entry is not None:
-                    out[k].append(entry[1])
-                    break
-        return out
+        for k, f in entries:
+            (e,) = f.terms
+            ideals[k].append(e)
+    return ideals
 
 
-def monomial_matrix_from_vectors(
-    columns: Sequence[Vector], row_shifts: Sequence[Sequence[int]], ring: GradedRing
-) -> MonomialMatrix:
-    """Build a MonomialMatrix from tuple-of-polynomial columns.
-
-    Raises NonMonomialEntryError if any entry has more than one term.
-    """
-    t = len(row_shifts)
-    entries: list[list[Optional[Term]]] = [[] for _ in range(t)]
-    for col in columns:
-        if len(col) != t:
-            raise ValueError("column length does not match the number of shifts")
-        for k, f in enumerate(col):
-            if f.is_zero():
-                entries[k].append(None)
-            elif f.is_monomial():
-                e, c = next(iter(f.terms.items()))
-                entries[k].append((c, e))
-            else:
-                raise NonMonomialEntryError()
-    return MonomialMatrix(ring, tuple(tuple(s) for s in row_shifts), tuple(tuple(r) for r in entries))
-
-
-def quasidegrees_monomial(phi: MonomialMatrix) -> QuasidegreeSet:
-    """Quasidegree set of coker(phi) for a split monomial matrix.
+def quasidegrees_monomial(P) -> QuasidegreeSet:
+    """Quasidegree set of coker P for a GradedPresentation P whose columns
+    each hold one monomial.
 
     Set-equal planes from different standard pairs or rows collapse to
     the one with the least base; use remove_redundancy to also drop
     planes strictly inside others.
     """
-    return _quasidegrees_rows(phi.ring, phi.row_shifts, phi.row_ideals())
+    return _quasidegrees_rows(P.ring, P.shifts, _row_ideals(P))
 
 
 def _quasidegrees_rows(ring: GradedRing, shifts: Sequence, ideals: Sequence) -> QuasidegreeSet:
@@ -181,8 +106,6 @@ def _quasidegrees_rows(ring: GradedRing, shifts: Sequence, ideals: Sequence) -> 
     its coset of that span in integer arithmetic, and only the least
     base of each group becomes a plane.
     """
-    from .stdpairs import standard_pairs
-
     # RREF span -> {coset key of a base: least base}, one entry per set
     groups: dict[tuple[RatVec, ...], dict[tuple[int, ...], tuple[int, ...]]] = {}
     # face -> (its coset key, its span's group)
@@ -213,8 +136,6 @@ def vector_degree(vec: Vector, shifts: Sequence[Sequence[int]], ring: GradedRing
 
     Returns ANY_DEGREE for the zero vector and None when inhomogeneous.
     """
-    from .poly import homogeneous_degree
-
     deg = None
     for k, f in enumerate(vec):
         dk = homogeneous_degree(f, ring)
@@ -237,18 +158,11 @@ def initial_quasidegrees(
     return _quasidegrees_rows(ring, shifts, vec_initial_module(columns, len(shifts), ring.order))
 
 
-def quasidegrees_module(
-    columns: Sequence[Vector],
-    row_shifts: Sequence[Sequence[int]],
-    ring: GradedRing,
-) -> QuasidegreeSet:
-    """Quasidegree set of R^t(-shifts)/<columns> for homogeneous columns.
+def quasidegrees_module(P) -> QuasidegreeSet:
+    """Quasidegree set of coker P for any GradedPresentation P.
 
     Replaces the image submodule by its initial submodule (same graded
     Hilbert function, hence the same quasidegrees) and runs the split
-    monomial algorithm on the result, after a GradedPresentation check.
+    monomial algorithm on the result.
     """
-    from .homology import GradedPresentation
-
-    P = GradedPresentation(ring, row_shifts, columns)
-    return initial_quasidegrees([vector_to_vec(c) for c in P.columns], P.shifts, ring)
+    return initial_quasidegrees([vector_to_vec(c) for c in P.columns], P.shifts, P.ring)

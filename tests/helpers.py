@@ -594,12 +594,22 @@ def fraction_lll_reduce(basis):
     return [tuple(v) for v in b]
 
 
-def reference_quasidegrees_monomial(phi) -> QuasidegreeSet:
-    """Quasidegree set of a split monomial matrix with one AffinePlane per
-    standard pair of every row, collapsed by QuasidegreeSet alone."""
-    ring = phi.ring
+def reference_quasidegrees_monomial(P) -> QuasidegreeSet:
+    """Quasidegree set of a split monomial presentation with one AffinePlane
+    per standard pair of every row, collapsed by QuasidegreeSet alone.
+
+    Each row ideal is generated by the exponents of the nonzero entries in
+    that row; a split presentation has at most one per column."""
+    ring = P.ring
+    ideals = [[] for _ in P.shifts]
+    for col in P.columns:
+        assert sum(1 for f in col if f) <= 1, "the presentation does not split"
+        for k, f in enumerate(col):
+            if f:
+                (e,) = f.terms
+                ideals[k].append(e)
     planes = []
-    for shift, gens in zip(phi.row_shifts, phi.row_ideals()):
+    for shift, gens in zip(P.shifts, ideals):
         for pair in standard_pairs(gens, ring.nvars):
             deg = ring.multidegree(pair.root)
             base = tuple(Fraction(a + b) for a, b in zip(deg, shift))

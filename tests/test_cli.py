@@ -185,6 +185,23 @@ def test_qdeg_presentation_section(job_file, capsys):
     ]
 
 
+def test_qdeg_reports_a_binomial_before_a_non_split_column(job_file, capsys):
+    # column 0 hits both rows and column 1 holds a binomial: every entry is
+    # checked for one term before any column is checked for one row
+    job = {
+        "variables": ["x", "y"],
+        "grading": "standard",
+        "presentation": {
+            "shifts": [[0], [0]],
+            "matrix": [["x", "x - y"], ["y", "0"]],
+        },
+    }
+    code, out, err = run(capsys, ["qdeg", job_file(job)])
+    assert code == 4
+    assert out == ""
+    assert err == "error: matrix entry is not a monomial; rerun with --general\n"
+
+
 def test_qdeg_inhomogeneous_presentation(job_file, capsys):
     job = dict(MONOMIAL_JOB, ideal=["x + x*y"])
     code, _, err = run(capsys, ["qdeg", job_file(job)])
@@ -293,12 +310,14 @@ def test_check_beta_negative_first_entry_after_double_dash(job_file, capsys):
 
 def test_check_beta_negative_first_entry_without_double_dash(job_file, capsys):
     path = job_file(A35_JOB)
-    code, bare, _ = run(capsys, ["check-beta", path, "-1,0,3"])
-    assert code == 0
-    code, dashed, _ = run(capsys, ["check-beta", path, "--", "-1,0,3"])
-    assert code == 0
-    assert bare == dashed
-    assert bare.startswith("RANK-JUMP at beta=(-1, 0, 3)")
+    # any degree parse_degree reads moves behind '--', decimals included
+    for beta, shown in [("-1,0,3", "(-1, 0, 3)"), ("-1.5,0,4", "(-3/2, 0, 4)")]:
+        code, bare, _ = run(capsys, ["check-beta", path, beta])
+        assert code == 0
+        code, dashed, _ = run(capsys, ["check-beta", path, "--", beta])
+        assert code == 0
+        assert bare == dashed
+        assert bare.startswith(f"RANK-JUMP at beta={shown}")
     # options may follow the degree, and the console entry reads sys.argv
     proc = run_module("check-beta", path, "-1/2,0,2", "--format", "machine")
     assert proc.returncode == 0

@@ -498,7 +498,7 @@ def test_ext_presentation_gives_the_planes_qlc_reads():
         eps = P.ring.degree_sum
         for j in range(n + 1):
             E = ext_presentation(P, j)
-            q = quasidegrees_module(E.columns, E.shifts, P.ring)
+            q = quasidegrees_module(E)
             dual = QuasidegreeSet(tuple(dual_shift_plane(p, eps) for p in q.planes))
             assert dual.planes == qlc(P, n - j).planes
             # j < L with generators: K came from a nonzero kernel

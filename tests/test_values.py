@@ -15,7 +15,6 @@ from quasidegrees import (
     GroebnerBasis,
     IntMatrix,
     Lex,
-    MonomialMatrix,
     QuasidegreeSet,
     StandardPair,
     buchberger,
@@ -47,11 +46,6 @@ CASES = {
         True,
     ),
     IntMatrix: (lambda: IntMatrix([[1, 2], [3, 4]]), IntMatrix(((1, 2), (3, 5))), True),
-    MonomialMatrix: (
-        lambda: MonomialMatrix(R2, [(0,)], [[(1, (1, 0)), None]]),
-        MonomialMatrix(R2, [(0,)], [[(1, (0, 1)), None]]),
-        True,
-    ),
     QuasidegreeSet: (
         lambda: QuasidegreeSet([AffinePlane((0, 1), [(2, 2)])]),
         QuasidegreeSet(()),
