@@ -26,6 +26,7 @@ from .groebner import (
 from .homology import (
     FreeResolution,
     GradedPresentation,
+    InhomogeneousError,
     ext_presentation,
     free_resolution,
     qlc,
@@ -56,7 +57,6 @@ from .poly import (
     standard_graded_ring,
 )
 from .qdeg import (
-    InhomogeneousError,
     NonMonomialEntryError,
     NonSplittingError,
     quasidegrees_module,

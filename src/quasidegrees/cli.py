@@ -9,24 +9,26 @@ Jobs are JSON documents; see the README for the schema.  Subcommands:
     qlc         quasidegrees of local cohomology of a module
     check-beta  classify a degree as rank-jumping or not
 
+``qdeg`` takes the standard-pair route when the presentation splits into
+monomial row ideals and the initial-module route otherwise; both give
+the same planes on a split presentation.
+
 Exit codes: 0 success, 2 parse failure (bad JSON, bad polynomial or
 degree syntax), 3 validation failure (missing job sections, wrong
-shapes, grading problems, inhomogeneous input), 4 presentation not a
-split monomial matrix (rerun qdeg with --general).
+shapes, grading problems, inhomogeneous input).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Optional, Sequence
 
-from .homology import GradedPresentation, qlc, qlc_total
+from .homology import GradedPresentation, InhomogeneousError, qlc, qlc_total
 from .linalg import Frozen, IntMatrix
 from .parse import ParseError, parse_polynomial, render_polynomial
 from .planes import QuasidegreeSet, remove_redundancy
@@ -40,7 +42,6 @@ from .poly import (
     standard_graded_ring,
 )
 from .qdeg import (
-    InhomogeneousError,
     NonMonomialEntryError,
     NonSplittingError,
     quasidegrees_module,
@@ -66,7 +67,7 @@ class PresentationSpec(Frozen):
 
 
 class Job(Frozen):
-    _fields = ("matrix", "variables", "grading", "ideal", "presentation", "digest")
+    _fields = ("matrix", "variables", "grading", "ideal", "presentation", "raw")
 
     def __init__(
         self,
@@ -75,7 +76,7 @@ class Job(Frozen):
         grading: object,
         ideal: Optional[tuple[str, ...]],
         presentation: Optional[PresentationSpec],
-        digest: str,
+        raw: bytes,
     ) -> None:
         self.__dict__.update(
             matrix=matrix,
@@ -83,7 +84,7 @@ class Job(Frozen):
             grading=grading,
             ideal=ideal,
             presentation=presentation,
-            digest=digest,
+            raw=raw,
         )
 
     @classmethod
@@ -130,7 +131,7 @@ class Job(Frozen):
             grading=data.get("grading"),
             ideal=ideal,
             presentation=presentation,
-            digest=hashlib.sha256(raw).hexdigest(),
+            raw=raw,
         )
 
 
@@ -308,9 +309,11 @@ def _emit(
 ) -> None:
     """Print the result in the format asked for; only that one is built."""
     if args.format == "machine":
+        import hashlib  # here, so that text runs never load OpenSSL
+
         doc = machine()
         doc["command"] = args.command
-        doc["input_sha256"] = args.job_digest
+        doc["input_sha256"] = hashlib.sha256(args.job_raw).hexdigest()
         print(machine_text(doc))
     else:
         for line in text_lines():
@@ -372,7 +375,10 @@ def cmd_std_pairs(job: Job, args) -> None:
 def cmd_qdeg(job: Job, args) -> None:
     ring = build_ring(job, args.order)
     P = build_presentation(job, ring, allow_toric=False)
-    q = quasidegrees_module(P) if args.general else quasidegrees_monomial(P)
+    try:
+        q = quasidegrees_monomial(P)
+    except (NonMonomialEntryError, NonSplittingError):
+        q = quasidegrees_module(P)
     _emit_planes(args, q, [])
 
 
@@ -407,36 +413,29 @@ def cmd_qlc(job: Job, args) -> None:
     _emit_planes(args, q, ["empty"])
 
 
-def _degree_entries(text: str) -> Optional[tuple[Fraction, ...]]:
-    """The entries of a comma-separated degree, or None when one of them
-    is not a fraction."""
-    try:
-        return tuple(Fraction(part.strip()) for part in text.split(","))
-    except (ValueError, ZeroDivisionError):
-        return None
-
-
 def _shield_negative_degree(argv: Sequence[str]) -> list[str]:
     """Move a check-beta degree that starts with '-' behind '--'.
 
     argparse reads a token like -1,0,3 or -1.5,0,4 as an option and then
-    misses the positional degree. A token is moved when it starts with
-    '-' and parse_degree would read every entry of it. Command lines that
-    already hold '--' are left as they are.
+    misses the positional degree. The first token that starts with '-'
+    and then a digit or '.' is moved; no option starts that way, and
+    parse_degree reports a malformed one. Command lines that already hold
+    '--' are left as they are.
     """
     argv = list(argv)
     if argv[:1] != ["check-beta"] or "--" in argv:
         return argv
     for k, token in enumerate(argv):
-        if token.startswith("-") and _degree_entries(token) is not None:
+        if len(token) > 1 and token[0] == "-" and token[1] in "0123456789.":
             return argv[:k] + argv[k + 1 :] + ["--", token]
     return argv
 
 
 def parse_degree(text: str, rank: int) -> tuple[Fraction, ...]:
-    beta = _degree_entries(text)
-    if beta is None:
-        raise ParseError(f"bad degree {text!r}; expected comma-separated fractions")
+    try:
+        beta = tuple(Fraction(part.strip()) for part in text.split(","))
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"bad degree {text!r}; expected comma-separated fractions") from None
     if len(beta) != rank:
         raise JobError(f"degree has {len(beta)} entries, grading rank is {rank}")
     return beta
@@ -514,11 +513,6 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("qdeg", help="quasidegree planes of a presented module")
     common(p)
     p.add_argument(
-        "--general",
-        action="store_true",
-        help="allow arbitrary homogeneous presentations (initial-module route)",
-    )
-    p.add_argument(
         "--reduce",
         action="store_true",
         help="drop planes contained in other planes",
@@ -556,7 +550,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = make_parser().parse_args(_shield_negative_degree(sys.argv[1:] if argv is None else argv))
     try:
         job = Job.load(args.job)
-        args.job_digest = job.digest
+        args.job_raw = job.raw
         COMMANDS[args.command](job, args)
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON in job file: {exc}", file=sys.stderr)
@@ -564,9 +558,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NonMonomialEntryError, NonSplittingError) as exc:
-        print(f"error: {exc}; rerun with --general", file=sys.stderr)
-        return 4
     except (JobError, GradingError, InhomogeneousError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

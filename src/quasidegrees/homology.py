@@ -30,9 +30,11 @@ vecdict relations from ``_ext`` to ``qdeg.initial_quasidegrees``;
 
 Each shift is read off one term: a homogeneous vector has the degree
 deg x^e + shifts[k] of any of its terms x^e e_k. ``GradedPresentation``
-is the one homogeneity check; every later column, and every kernel
-element that generates an Ext, is a syzygy of homogeneous columns and
-so homogeneous (Schreyer; Eisenbud, *Commutative Algebra*, Thm 15.10).
+is the one check of a presentation (integral shifts of the grading
+rank, columns of one entry per shift over the ring, and homogeneity,
+else InhomogeneousError); every later column, and every kernel element
+that generates an Ext, is a syzygy of homogeneous columns and so
+homogeneous (Schreyer; Eisenbud, *Commutative Algebra*, Thm 15.10).
 
 Two Groebner runs are skipped because their answer is known. A level
 with one column keeps it and has no syzygies: the column is nonzero and
@@ -64,30 +66,47 @@ from .groebner import (
 from .linalg import Frozen
 from .planes import AffinePlane, QuasidegreeSet, remove_redundancy
 from .poly import GradedRing, Polynomial
-from .qdeg import InhomogeneousError, initial_quasidegrees, integral_shifts, vector_degree
+from .qdeg import initial_quasidegrees
 from .words import VecPoly, common_layout, vec_repack
 
 Shifts = tuple[tuple[int, ...], ...]
 
 
+class InhomogeneousError(ValueError):
+    def __init__(self) -> None:
+        super().__init__("inhomogeneous generator")
+
+
 class GradedPresentation(Frozen):
-    """coker of a graded map into R^t(-shifts), given by its columns."""
+    """coker of a graded map into R^t(-shifts), given by its columns.
+
+    The shifts must be integers, one entry per grading row, and every
+    term x^e e_k of a column must have the one degree deg x^e + shifts[k];
+    a zero column has every degree.
+    """
 
     _fields = ("ring", "shifts", "columns")
 
     def __init__(
         self, ring: GradedRing, shifts: Sequence[Sequence[int]], columns: Sequence[Vector]
     ) -> None:
-        shifts = integral_shifts(shifts)
-        d = ring.grading_rank
-        if any(len(s) != d for s in shifts):
+        ints = tuple(tuple(int(x) for x in s) for s in shifts)
+        if ints != tuple(tuple(s) for s in shifts):
+            raise ValueError("degree shifts must be integers")
+        shifts = ints
+        if any(len(s) != ring.grading_rank for s in shifts):
             raise ValueError("shift has the wrong grading rank")
         cols = tuple(tuple(c) for c in columns)
         for col in cols:
             if len(col) != len(shifts):
                 raise ValueError("column length does not match the number of shifts")
-            if vector_degree(col, shifts, ring) is None:
-                raise InhomogeneousError()
+            degrees = set()
+            for f, shift in zip(col, shifts):
+                if f.nvars != ring.nvars:
+                    raise ValueError("polynomial does not live in this ring")
+                degrees.update(tuple(map(add, ring.multidegree(e), shift)) for e in f.terms)
+                if len(degrees) > 1:
+                    raise InhomogeneousError()
         self.__dict__.update(ring=ring, shifts=shifts, columns=cols)
 
     @classmethod

@@ -86,9 +86,6 @@ class IntMatrix(Frozen):
     def columns(self) -> list[IntVec]:
         return [self.column(j) for j in range(self.ncols)]
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.entries))) if self.entries else IntMatrix(())
-
     def mul_vec(self, v: Sequence[int]) -> IntVec:
         if len(v) != self.ncols:
             raise ValueError("dimension mismatch")

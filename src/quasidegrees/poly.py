@@ -257,23 +257,6 @@ class Polynomial:
         return f"Polynomial({' + '.join(parts)})"
 
 
-class _AnyDegree:
-    """Degree of the zero element: homogeneous of every degree at once."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "ANY_DEGREE"
-
-
-ANY_DEGREE = _AnyDegree()
-
-
 def find_heft(A: IntMatrix | Iterable[Iterable[int]]) -> tuple[int, ...]:
     """An integer vector h with h . a_j > 0 for every column a_j of A.
 
@@ -469,17 +452,3 @@ def graded_ring(
     A = as_int_matrix(degree_matrix)
     h = tuple(heft) if heft is not None else find_heft(A)
     return GradedRing(tuple(names), A, h, order)
-
-
-def homogeneous_degree(f: Polynomial, ring: GradedRing):
-    """Common multidegree of all terms of f, ANY_DEGREE for 0, None if mixed."""
-    if f.nvars != ring.nvars:
-        raise ValueError("polynomial does not live in this ring")
-    if not f.terms:
-        return ANY_DEGREE
-    it = iter(f.terms)
-    deg = ring.multidegree(next(it))
-    for e in it:
-        if ring.multidegree(e) != deg:
-            return None
-    return deg

@@ -20,10 +20,14 @@ For a general (non-monomial, non-split) presentation the module is first
 replaced by its initial submodule, which splits and has the same graded
 Hilbert function, hence the same quasidegrees: ``initial_quasidegrees``
 reads its row ideals off a module Groebner basis of vecdict columns, and
-``quasidegrees_module`` is its Polynomial edge. This module reads P's
-``ring``, ``shifts`` and ``columns`` and never builds one: the
-presentation and its checks live in ``homology``, which imports this
-module, not the other way round.
+``quasidegrees_module`` is its Polynomial edge. On a split presentation
+both routes give the same planes, so the CLI's ``qdeg`` tries
+``quasidegrees_monomial`` and falls back to ``quasidegrees_module`` when
+that raises NonMonomialEntryError or NonSplittingError. This module
+reads P's ``ring``, ``shifts`` and ``columns`` and never builds or
+checks one: ``homology.GradedPresentation`` is the one check of a
+presentation, and ``homology`` imports this module, not the other way
+round.
 """
 
 from __future__ import annotations
@@ -31,9 +35,9 @@ from __future__ import annotations
 from operator import add
 from typing import Callable, Sequence
 
-from .groebner import VecPoly, Vector, vec_initial_module, vector_to_vec
+from .groebner import VecPoly, vec_initial_module, vector_to_vec
 from .planes import AffinePlane, QuasidegreeSet, RatVec, coset_key, rref_span
-from .poly import ANY_DEGREE, Exps, GradedRing, homogeneous_degree
+from .poly import Exps, GradedRing
 from .stdpairs import standard_pairs
 
 
@@ -51,19 +55,6 @@ class NonSplittingError(PresentationError):
         super().__init__(
             "presentation does not split into row ideals; use quasidegrees_module"
         )
-
-
-class InhomogeneousError(ValueError):
-    def __init__(self) -> None:
-        super().__init__("inhomogeneous generator")
-
-
-def integral_shifts(shifts: Sequence[Sequence]) -> tuple[tuple[int, ...], ...]:
-    """Degree shifts as int tuples; ValueError for a non-integral entry."""
-    out = tuple(tuple(int(x) for x in s) for s in shifts)
-    if out != tuple(tuple(s) for s in shifts):
-        raise ValueError("degree shifts must be integers")
-    return out
 
 
 def _row_ideals(P) -> list[list[Exps]]:
@@ -128,27 +119,6 @@ def _quasidegrees_rows(ring: GradedRing, shifts: Sequence, ideals: Sequence) -> 
             for base in group.values()
         )
     )
-
-
-def vector_degree(vec: Vector, shifts: Sequence[Sequence[int]], ring: GradedRing):
-    """Common degree of a homogeneous free-module element, with the k-th
-    component shifted by shifts[k].
-
-    Returns ANY_DEGREE for the zero vector and None when inhomogeneous.
-    """
-    deg = None
-    for k, f in enumerate(vec):
-        dk = homogeneous_degree(f, ring)
-        if dk is None:
-            return None
-        if dk is ANY_DEGREE:
-            continue
-        total = tuple(a + b for a, b in zip(dk, shifts[k]))
-        if deg is None:
-            deg = total
-        elif deg != total:
-            return None
-    return ANY_DEGREE if deg is None else deg
 
 
 def initial_quasidegrees(

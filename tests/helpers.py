@@ -9,6 +9,7 @@ computations, so they can referee the algebraic code.
 import itertools
 import random
 from fractions import Fraction
+from operator import add
 
 from quasidegrees import groebner
 from quasidegrees.groebner import (
@@ -29,14 +30,12 @@ from quasidegrees.linalg import (
 )
 from quasidegrees.planes import AffinePlane, QuasidegreeSet
 from quasidegrees.poly import (
-    ANY_DEGREE,
     GradedRing,
     Polynomial,
     exps_add,
     exps_divides,
     exps_lcm,
     find_heft,
-    homogeneous_degree,
 )
 from quasidegrees.stdpairs import (
     StandardPair,
@@ -45,6 +44,12 @@ from quasidegrees.stdpairs import (
     standard_pairs,
 )
 from quasidegrees.toric import _divide_out, _saturation_key, lattice_basis_binomials
+
+
+def term_degrees(col, shifts, ring: GradedRing) -> set:
+    """The degrees deg x^e + shifts[k] of the terms x^e e_k of a column:
+    one for a nonzero homogeneous column, none for a zero one."""
+    return {tuple(map(add, ring.multidegree(e), s)) for f, s in zip(col, shifts) for e in f.terms}
 
 
 def hilbert_quotient_dim(ring: GradedRing, gens, beta) -> int:
@@ -58,8 +63,9 @@ def hilbert_quotient_dim(ring: GradedRing, gens, beta) -> int:
     for g in gens:
         if g.is_zero():
             continue
-        dg = homogeneous_degree(g, ring)
-        assert dg is not None and dg is not ANY_DEGREE, "oracle needs homogeneous gens"
+        degrees = {ring.multidegree(e) for e in g.terms}
+        assert len(degrees) == 1, "oracle needs homogeneous gens"
+        (dg,) = degrees
         target = tuple(b - d for b, d in zip(beta, dg))
         for v in ring.monomials_of_degree(target):
             row = [Fraction(0)] * len(mons)
@@ -78,8 +84,6 @@ def hilbert_coker_dim(ring: GradedRing, columns, shifts, beta) -> int:
     landing in that degree. The quotient dimension is basis size minus the
     rank of the relation rows.
     """
-    from quasidegrees.qdeg import vector_degree
-
     beta = tuple(beta)
     basis = []
     for k, s in enumerate(shifts):
@@ -91,10 +95,11 @@ def hilbert_coker_dim(ring: GradedRing, columns, shifts, beta) -> int:
     index = {bm: i for i, bm in enumerate(basis)}
     rows = []
     for col in columns:
-        dcol = vector_degree(col, shifts, ring)
-        assert dcol is not None, "oracle needs homogeneous columns"
-        if dcol is ANY_DEGREE:
+        degrees = term_degrees(col, shifts, ring)
+        assert len(degrees) <= 1, "oracle needs homogeneous columns"
+        if not degrees:
             continue
+        (dcol,) = degrees
         target = tuple(b - x for b, x in zip(beta, dcol))
         for v in ring.monomials_of_degree(target):
             row = [Fraction(0)] * len(basis)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -8,12 +9,21 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from quasidegrees.cli import format_plane, machine_text, main, make_parser
+from quasidegrees.cli import (
+    Job,
+    build_presentation,
+    build_ring,
+    format_plane,
+    machine_text,
+    main,
+    make_parser,
+)
 from quasidegrees.groebner import ideal_equal
 from quasidegrees.homology import GradedPresentation, qlc
 from quasidegrees.linalg import IntMatrix
 from quasidegrees.parse import parse_polynomial
 from quasidegrees.planes import AffinePlane
+from quasidegrees.qdeg import quasidegrees_module
 from quasidegrees.toric import to_a_graded_ring, toric_ideal
 
 MONOMIAL_JOB = {
@@ -72,6 +82,20 @@ def test_cli_imports_no_dataclass_machinery():
     assert machinery == "False False"
 
 
+def test_text_runs_do_not_load_openssl():
+    # hashlib starts OpenSSL; only machine output, which prints the job
+    # file's sha256, needs it
+    code = (
+        "import sys, quasidegrees.cli as cli\n"
+        "cli.make_parser()\n"
+        f"assert cli.main(['std-pairs', {str(JOBS / 'monomial_demo.json')!r}]) == 0\n"
+        "print('_hashlib' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 @pytest.fixture
 def job_file(tmp_path):
     def write(payload, name="job.json"):
@@ -99,13 +123,12 @@ def test_std_pairs_text(job_file, capsys):
 
 
 def test_std_pairs_machine(job_file, capsys):
-    code, out, _ = run(
-        capsys, ["std-pairs", job_file(MONOMIAL_JOB), "--format", "machine"]
-    )
+    path = job_file(MONOMIAL_JOB)
+    code, out, _ = run(capsys, ["std-pairs", path, "--format", "machine"])
     assert code == 0
     doc = json.loads(out)
     assert doc["command"] == "std-pairs"
-    assert len(doc["input_sha256"]) == 64
+    assert doc["input_sha256"] == hashlib.sha256(Path(path).read_bytes()).hexdigest()
     assert doc["degree"] == 1
     assert {"root": [0, 0, 0], "face": [0, 2]} in doc["pairs"]
 
@@ -154,15 +177,19 @@ def test_qdeg_text_and_reduce(job_file, capsys):
     assert out.strip().splitlines() == ["base (0) span {(1)}"]
 
 
-def test_qdeg_binomial_needs_general(job_file, capsys):
+def _module_planes(job):
+    """The text lines of quasidegrees_module on the job's presentation."""
+    job = Job.load(job)
+    P = build_presentation(job, build_ring(job, "grevlex"), allow_toric=False)
+    return [format_plane(p) for p in quasidegrees_module(P).planes]
+
+
+def test_qdeg_binomial_takes_the_initial_module_route(job_file, capsys):
     job = dict(MONOMIAL_JOB, ideal=["x*y - z^2"])
     path = job_file(job)
-    code, _, err = run(capsys, ["qdeg", path])
-    assert code == 4
-    assert "--general" in err
-    code, out, _ = run(capsys, ["qdeg", path, "--general", "--reduce"])
-    assert code == 0
-    assert out.strip() != ""
+    code, out, err = run(capsys, ["qdeg", path])
+    assert (code, err) == (0, "")
+    assert out.splitlines() == _module_planes(path) != []
 
 
 def test_qdeg_presentation_section(job_file, capsys):
@@ -185,9 +212,8 @@ def test_qdeg_presentation_section(job_file, capsys):
     ]
 
 
-def test_qdeg_reports_a_binomial_before_a_non_split_column(job_file, capsys):
-    # column 0 hits both rows and column 1 holds a binomial: every entry is
-    # checked for one term before any column is checked for one row
+def test_qdeg_non_split_presentation_takes_the_initial_module_route(job_file, capsys):
+    # column 0 hits both rows and column 1 holds a binomial
     job = {
         "variables": ["x", "y"],
         "grading": "standard",
@@ -196,10 +222,10 @@ def test_qdeg_reports_a_binomial_before_a_non_split_column(job_file, capsys):
             "matrix": [["x", "x - y"], ["y", "0"]],
         },
     }
-    code, out, err = run(capsys, ["qdeg", job_file(job)])
-    assert code == 4
-    assert out == ""
-    assert err == "error: matrix entry is not a monomial; rerun with --general\n"
+    path = job_file(job)
+    code, out, err = run(capsys, ["qdeg", path])
+    assert (code, err) == (0, "")
+    assert out.splitlines() == _module_planes(path) != []
 
 
 def test_qdeg_inhomogeneous_presentation(job_file, capsys):
@@ -310,18 +336,30 @@ def test_check_beta_negative_first_entry_after_double_dash(job_file, capsys):
 
 def test_check_beta_negative_first_entry_without_double_dash(job_file, capsys):
     path = job_file(A35_JOB)
-    # any degree parse_degree reads moves behind '--', decimals included
-    for beta, shown in [("-1,0,3", "(-1, 0, 3)"), ("-1.5,0,4", "(-3/2, 0, 4)")]:
+    # a degree moves behind '--', decimals included
+    for beta, shown in [
+        ("-1,0,3", "RANK-JUMP at beta=(-1, 0, 3)"),
+        ("-1.5,0,4", "RANK-JUMP at beta=(-3/2, 0, 4)"),
+        ("-.5,0,3", "EXPECTED-RANK vol(A)=4 at beta=(-1/2, 0, 3)"),
+    ]:
         code, bare, _ = run(capsys, ["check-beta", path, beta])
         assert code == 0
         code, dashed, _ = run(capsys, ["check-beta", path, "--", beta])
         assert code == 0
-        assert bare == dashed
-        assert bare.startswith(f"RANK-JUMP at beta={shown}")
+        assert bare == dashed == shown + "\n"
     # options may follow the degree, and the console entry reads sys.argv
     proc = run_module("check-beta", path, "-1/2,0,2", "--format", "machine")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["beta"] == ["-1/2", "0", "2"]
+
+
+def test_check_beta_malformed_negative_degree_is_a_parse_failure(job_file, capsys):
+    # it moves behind '--' as well, so parse_degree reports it, not argparse
+    path = job_file(A35_JOB)
+    bare = run(capsys, ["check-beta", path, "-1/0,0,3"])
+    dashed = run(capsys, ["check-beta", path, "--", "-1/0,0,3"])
+    message = "error: bad degree '-1/0,0,3'; expected comma-separated fractions\n"
+    assert bare == dashed == (2, "", message)
 
 
 def test_make_parser_builds_one_parser():
@@ -583,8 +621,8 @@ def _machine_planes(out):
 
 @pytest.mark.parametrize(
     "argv",
-    [["qdeg"], ["qdeg", "--reduce"], ["qdeg", "--general"], ["qlc", "--i", "2"]],
-    ids=["qdeg", "qdeg_reduce", "qdeg_general", "qlc_i2"],
+    [["qdeg"], ["qdeg", "--reduce"], ["qlc", "--i", "2"]],
+    ids=["qdeg", "qdeg_reduce", "qlc_i2"],
 )
 def test_monomial_demo_prints_each_plane_once(capsys, argv):
     # the y-axis and the xz-plane of R/<xy, yz> give the same line of

@@ -129,7 +129,7 @@ def _argv():
     order = st.sampled_from([[], ["--order", "lex"], ["--format", "machine"]])
     command = st.one_of(
         st.sampled_from(
-            [["std-pairs"], ["qdeg"], ["qdeg", "--general"], ["qdeg", "--reduce"],
+            [["std-pairs"], ["qdeg"], ["qdeg", "--reduce"],
              ["toric"], ["volume"], ["qlc"], ["qlc", "--reduce"]]
         ),
         st.builds(lambda i: ["qlc", "--i", str(i)], st.integers(-1, 4)),
@@ -157,5 +157,5 @@ def test_job_documents_end_in_a_documented_exit_code(tmp_path, capsys, doc, argv
         head, tail = command[:k], command[k:]
     code = main([head[0], str(path), *head[1:], *order, *tail])
     err = capsys.readouterr().err
-    assert code in (0, 2, 3, 4)
+    assert code in (0, 2, 3)
     assert "Traceback" not in err

@@ -27,7 +27,6 @@ COMMANDS = {
     "monomial_demo": [
         ["std-pairs"],
         ["qdeg"],
-        ["qdeg", "--general"],
         ["qdeg", "--reduce"],
         ["qlc"],
         ["qlc", "--i", "1"],

@@ -15,11 +15,13 @@ from helpers import (
     random_monomial_ideal,
     record_buchberger_runs,
     resolution_k_polynomial_matches,
+    term_degrees,
 )
 from quasidegrees.groebner import top_key, vec_syzygies_and_lifts, vec_to_vector
 from quasidegrees.homology import (
     FreeResolution,
     GradedPresentation,
+    InhomogeneousError,
     _ext,
     _transpose,
     dual_shift_plane,
@@ -33,7 +35,7 @@ from quasidegrees.linalg import IntMatrix
 from quasidegrees.parse import parse_polynomial
 from quasidegrees.planes import AffinePlane, QuasidegreeSet, remove_redundancy
 from quasidegrees.poly import GREVLEX, MonomialOrder, Polynomial, graded_ring, standard_graded_ring
-from quasidegrees.qdeg import InhomogeneousError, quasidegrees_module, vector_degree
+from quasidegrees.qdeg import quasidegrees_module
 from quasidegrees.toric import to_a_graded_ring, toric_ideal
 from quasidegrees.words import VecPoly, Words
 
@@ -101,23 +103,29 @@ def resolution_is_homogeneous(res: FreeResolution):
     to the K-polynomial of the presented module."""
     for i, cols in enumerate(res.differentials):
         for col, expected in zip(cols, res.shifts[i + 1]):
-            deg = vector_degree(col, res.shifts[i], res.ring)
-            assert deg == expected
+            assert term_degrees(col, res.shifts[i], res.ring) == {expected}
     assert resolution_k_polynomial_matches(res)
 
 
 def test_presentation_validation():
-    with pytest.raises(InhomogeneousError):
+    with pytest.raises(InhomogeneousError, match="^inhomogeneous generator$"):
         GradedPresentation(R3, ((0,),), ((p3("x + x*y"),),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^column length does not match the number of shifts$"):
         GradedPresentation(R3, ((0,),), ((p3("x"), p3("y")),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^degree shifts must be integers$"):
         GradedPresentation(R3, ((F(1, 2),),), ((p3("x"),),))
     with pytest.raises(ValueError, match="grading rank"):
         GradedPresentation(R3, ((0, 0),), ((p3("x"),),))
     # a column polynomial over two variables, in a ring of three
     with pytest.raises(ValueError, match="does not live in this ring"):
         GradedPresentation(R3, ((0,),), ((Polynomial.monomial((1, 0)),),))
+    # two entries, each homogeneous, whose shifted degrees differ
+    x, zero = p3("x"), Polynomial.zero(3)
+    with pytest.raises(InhomogeneousError):
+        GradedPresentation(R3, ((0,), (1,)), ((x, x),))
+    # equal shifted degrees, a zero entry and a zero column all pass
+    columns = ((x, x), (x, zero), (zero, zero))
+    assert GradedPresentation(R3, ((0,), (0,)), columns).columns == columns
 
 
 def test_resolution_skips_a_zero_column():

@@ -11,14 +11,13 @@ from quasidegrees.homology import GradedPresentation
 from quasidegrees.linalg import IntMatrix
 from quasidegrees.parse import parse_polynomial
 from quasidegrees.planes import remove_redundancy
-from quasidegrees.poly import ANY_DEGREE, Polynomial, graded_ring, standard_graded_ring
+from quasidegrees.poly import Polynomial, graded_ring, standard_graded_ring
 from quasidegrees.qdeg import (
     NonMonomialEntryError,
     NonSplittingError,
     _row_ideals,
     quasidegrees_module,
     quasidegrees_monomial,
-    vector_degree,
 )
 
 F = Fraction
@@ -84,15 +83,6 @@ def test_quasidegrees_monomial_multirow():
         ((F(0),), ((F(1),),)),
         ((F(1),), ()),
     ]
-
-
-def test_vector_degree():
-    x = parse_polynomial("x", R3)
-    z = Polynomial.zero(3)
-    assert vector_degree((x, z), ((0,), (0,)), R3) == (1,)
-    assert vector_degree((x, x), ((0,), (0,)), R3) == (1,)
-    assert vector_degree((x, x), ((0,), (1,)), R3) is None
-    assert vector_degree((z, z), ((0,), (0,)), R3) is ANY_DEGREE
 
 
 def test_quasidegrees_module_spec_trace():
