@@ -192,6 +192,14 @@ def test_qdeg_binomial_takes_the_initial_module_route(job_file, capsys):
     assert out.splitlines() == _module_planes(path) != []
 
 
+def test_qdeg_has_no_route_option(capsys):
+    # the presentation picks the route, so no option chooses one
+    with pytest.raises(SystemExit) as exit_info:
+        main(["qdeg", str(JOBS / "binomial_demo.json"), "--general"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --general" in capsys.readouterr().err
+
+
 def test_qdeg_presentation_section(job_file, capsys):
     job = {
         "variables": ["x", "y"],

@@ -32,6 +32,12 @@ COMMANDS = {
         ["qlc", "--i", "1"],
         ["qlc", "--reduce"],
     ],
+    # x*z - y^2 does not split into monomial row ideals, so qdeg takes the
+    # initial-module route
+    "binomial_demo": [
+        ["qdeg"],
+        ["qdeg", "--reduce"],
+    ],
     "rank_jump_demo": [
         ["toric"],
         ["volume"],
