@@ -26,12 +26,12 @@ sys.path.insert(0, str(ROOT / "src"))
 from quasidegrees import (  # noqa: E402
     GradedPresentation,
     IntMatrix,
-    normalized_volume,
     qlc_total,
     to_a_graded_ring,
     toric_ideal,
 )
 from quasidegrees.cli import format_plane  # noqa: E402
+from quasidegrees.toric import toric_volume  # noqa: E402
 
 DEFAULT_JOB = ROOT / "jobs" / "rank_jump_demo.json"
 
@@ -49,10 +49,11 @@ def main() -> None:
     print(f"matrix: {A.nrows} x {A.ncols}, variables {', '.join(ring.names)}")
 
     t0 = time.perf_counter()
-    P = GradedPresentation.cyclic(ring, toric_ideal(A, ring))
-    arrangement = qlc_total(P)
+    basis = toric_ideal(A, ring)
+    arrangement = qlc_total(GradedPresentation.cyclic(ring, basis))
     elapsed = time.perf_counter() - t0
-    vol = normalized_volume(A)
+    # the volume from the basis already at hand, not a second I_A
+    vol = toric_volume(A, basis, ring.order)
     print(f"normalized volume: {vol}")
     print(f"local cohomology arrangement ({elapsed:.2f}s):")
     if arrangement.is_empty:

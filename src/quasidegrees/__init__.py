@@ -32,12 +32,11 @@ from .homology import (
     qlc,
     qlc_total,
 )
-from .linalg import IntMatrix, integer_kernel
+from .linalg import InputError, IntMatrix, integer_kernel
 from .parse import (
     ParseError,
     UnknownVariableError,
     parse_polynomial,
-    parse_vector,
     render_polynomial,
 )
 from .planes import AffinePlane, QuasidegreeSet, plane_contains, remove_redundancy
@@ -83,6 +82,7 @@ __all__ = [
     "GrevLex",
     "GroebnerBasis",
     "InhomogeneousError",
+    "InputError",
     "IntMatrix",
     "LEX",
     "Lex",
@@ -108,7 +108,6 @@ __all__ = [
     "normal_form",
     "normalized_volume",
     "parse_polynomial",
-    "parse_vector",
     "plane_contains",
     "qlc",
     "qlc_total",

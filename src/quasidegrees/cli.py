@@ -9,13 +9,19 @@ Jobs are JSON documents; see the README for the schema.  Subcommands:
     qlc         quasidegrees of local cohomology of a module
     check-beta  classify a degree as rank-jumping or not
 
-``qdeg`` takes the standard-pair route when the presentation splits into
-monomial row ideals and the initial-module route otherwise; both give
-the same planes on a split presentation.
+``qdeg`` and ``qlc`` read one module from a job: the cokernel of its
+presentation, else R/ideal, else R/I_A for its matrix. ``qdeg`` takes the
+standard-pair route when the presentation splits into monomial row
+ideals and the initial-module route otherwise; both give the same planes
+on a split presentation.
 
 Exit codes: 0 success, 2 parse failure (bad JSON, bad polynomial or
 degree syntax), 3 validation failure (missing job sections, wrong
-shapes, grading problems, inhomogeneous input).
+shapes, grading problems, inhomogeneous input). This module checks the
+job document (its keys, JSON types and the shapes it transposes) and
+what each command needs of a job; other shapes, ranges and integrality
+are checked by the library constructor that needs them, and every
+``linalg.InputError`` ends in exit 3.
 """
 
 from __future__ import annotations
@@ -28,15 +34,14 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Optional, Sequence
 
-from .homology import GradedPresentation, InhomogeneousError, qlc, qlc_total
-from .linalg import Frozen, IntMatrix
+from .homology import GradedPresentation, qlc, qlc_total
+from .linalg import Frozen, InputError, IntMatrix
 from .parse import ParseError, parse_polynomial, render_polynomial
 from .planes import QuasidegreeSet, remove_redundancy
 from .poly import (
     GREVLEX,
     LEX,
     GradedRing,
-    GradingError,
     Polynomial,
     graded_ring,
     standard_graded_ring,
@@ -53,17 +58,8 @@ from .toric import normalized_volume, to_a_graded_ring, toric_ideal, toric_volum
 ORDERS = {"grevlex": GREVLEX, "lex": LEX}
 
 
-class JobError(ValueError):
+class JobError(InputError):
     """The job document is structurally invalid for the command."""
-
-
-class PresentationSpec(Frozen):
-    _fields = ("shifts", "rows")
-
-    def __init__(
-        self, shifts: tuple[tuple[int, ...], ...], rows: tuple[tuple[str, ...], ...]
-    ) -> None:
-        self.__dict__.update(shifts=shifts, rows=rows)
 
 
 class Job(Frozen):
@@ -75,7 +71,7 @@ class Job(Frozen):
         variables: Optional[tuple[str, ...]],
         grading: object,
         ideal: Optional[tuple[str, ...]],
-        presentation: Optional[PresentationSpec],
+        presentation: Optional[tuple],  # (shifts, rows): see _read_presentation
         raw: bytes,
     ) -> None:
         self.__dict__.update(
@@ -142,14 +138,9 @@ def _read_int_matrix(obj, what: str) -> IntMatrix:
         or not all(isinstance(row, list) and row for row in obj)
     ):
         raise JobError(f"{what} must be a nonempty list of nonempty rows")
-    width = len(obj[0])
-    for row in obj:
-        if len(row) != width:
-            raise JobError(f"{what} rows have unequal lengths")
-        for e in row:
-            if not isinstance(e, int) or isinstance(e, bool):
-                raise JobError(f"{what} entries must be integers")
-    return IntMatrix(tuple(tuple(row) for row in obj))
+    if not all(type(e) is int for row in obj for e in row):
+        raise JobError(f"{what} entries must be integers")
+    return IntMatrix(obj)
 
 
 def _read_shift(obj, what: str) -> int:
@@ -165,7 +156,8 @@ def _read_shift(obj, what: str) -> int:
     return value.numerator
 
 
-def _read_presentation(obj) -> PresentationSpec:
+def _read_presentation(obj) -> tuple:
+    """The presentation's (shifts, rows), its rows as cell strings."""
     if not isinstance(obj, dict):
         raise JobError("presentation must be an object")
     if "shifts" not in obj or "matrix" not in obj:
@@ -188,7 +180,7 @@ def _read_presentation(obj) -> PresentationSpec:
         rows.append(tuple(row))
     if rows and any(len(r) != len(rows[0]) for r in rows):
         raise JobError("presentation matrix rows have unequal lengths")
-    return PresentationSpec(shifts=tuple(shifts), rows=tuple(rows))
+    return tuple(shifts), tuple(rows)
 
 
 def build_ring(job: Job, order_name: str) -> GradedRing:
@@ -204,18 +196,13 @@ def build_ring(job: Job, order_name: str) -> GradedRing:
         if job.variables is None:
             raise JobError("explicit grading needs 'variables'")
         deg = _read_int_matrix(grading["matrix"], "grading matrix")
-        if deg.ncols != len(job.variables):
-            raise JobError("grading matrix needs one column per variable")
         heft = None
         if "heft" in grading:
             h = grading["heft"]
-            if not isinstance(h, list) or not all(
-                isinstance(e, int) and not isinstance(e, bool) for e in h
-            ):
+            # json.loads makes only exact ints, so this rejects booleans
+            if not isinstance(h, list) or not all(type(e) is int for e in h):
                 raise JobError("heft must be a list of integers")
-            if len(h) != deg.nrows:
-                raise JobError("heft needs one entry per row of the grading matrix")
-            heft = tuple(h)
+            heft = h
         return graded_ring(job.variables, degree_matrix=deg, heft=heft, order=order)
     if grading == "standard":
         if job.variables is None:
@@ -230,27 +217,19 @@ def build_ring(job: Job, order_name: str) -> GradedRing:
     raise JobError(f"unknown grading {grading!r}")
 
 
-def build_presentation(job: Job, ring: GradedRing, allow_toric: bool) -> GradedPresentation:
+def build_presentation(job: Job, ring: GradedRing) -> GradedPresentation:
+    """The module the job presents: the cokernel of its presentation, else
+    R/ideal, else R/I_A for its matrix."""
     if job.presentation is not None:
-        spec = job.presentation
-        shifts = spec.shifts
-        if any(len(s) != ring.grading_rank for s in shifts):
-            raise JobError("presentation shifts need one entry per grading row")
-        t = len(shifts)
-        entries = [
-            [parse_polynomial(cell, ring) for cell in row] for row in spec.rows
-        ]
-        s = len(entries[0]) if entries else 0
-        columns = tuple(
-            tuple(entries[k][j] for k in range(t)) for j in range(s)
-        )
-        return GradedPresentation(ring, shifts, columns)
+        shifts, rows = job.presentation
+        entries = [[parse_polynomial(cell, ring) for cell in row] for row in rows]
+        return GradedPresentation(ring, shifts, tuple(zip(*entries)))
     if job.ideal is not None:
         gens = [parse_polynomial(text, ring) for text in job.ideal]
-        return GradedPresentation.cyclic(ring, [g for g in gens if not g.is_zero()])
-    if allow_toric and job.matrix is not None:
+        return GradedPresentation.cyclic(ring, gens)
+    if job.matrix is not None:
         return GradedPresentation.cyclic(ring, toric_ideal(job.matrix, ring))
-    raise JobError("job needs a 'presentation' or an 'ideal' section")
+    raise JobError("job needs a 'presentation', an 'ideal' or a 'matrix' section")
 
 
 def _format_vector(v: Sequence[Fraction]) -> str:
@@ -320,14 +299,14 @@ def _emit(
             print(line)
 
 
-def _emit_planes(args, q: QuasidegreeSet, if_empty: list[str]) -> None:
+def _emit_planes(args, q: QuasidegreeSet) -> None:
     """Emit the planes of ``q``, with those strictly inside others dropped
-    under --reduce; text mode prints ``if_empty`` for none."""
+    under --reduce; text mode prints ``empty`` for none."""
     if args.reduce:
         q = remove_redundancy(q)
     _emit(
         args,
-        lambda: [format_plane(p) for p in q.planes] or if_empty,
+        lambda: [format_plane(p) for p in q.planes] or ["empty"],
         lambda: {"planes": [_plane_json(p) for p in q.planes]},
     )
 
@@ -374,12 +353,12 @@ def cmd_std_pairs(job: Job, args) -> None:
 
 def cmd_qdeg(job: Job, args) -> None:
     ring = build_ring(job, args.order)
-    P = build_presentation(job, ring, allow_toric=False)
+    P = build_presentation(job, ring)
     try:
         q = quasidegrees_monomial(P)
     except (NonMonomialEntryError, NonSplittingError):
         q = quasidegrees_module(P)
-    _emit_planes(args, q, [])
+    _emit_planes(args, q)
 
 
 def cmd_toric(job: Job, args) -> None:
@@ -400,17 +379,8 @@ def cmd_volume(job: Job, args) -> None:
 
 def cmd_qlc(job: Job, args) -> None:
     ring = build_ring(job, args.order)
-    P = build_presentation(job, ring, allow_toric=True)
-    if args.i is not None:
-        if not 0 <= args.i <= ring.nvars:
-            raise JobError(
-                f"cohomological index must lie in [0, {ring.nvars}], "
-                "the number of variables"
-            )
-        q = qlc(P, args.i)
-    else:
-        q = qlc_total(P)
-    _emit_planes(args, q, ["empty"])
+    P = build_presentation(job, ring)
+    _emit_planes(args, qlc_total(P) if args.i is None else qlc(P, args.i))
 
 
 def _shield_negative_degree(argv: Sequence[str]) -> list[str]:
@@ -450,6 +420,12 @@ def cmd_check_beta(job: Job, args) -> None:
             "drop the 'ideal' and 'presentation' sections"
         )
     ring = build_ring(job, args.order)
+    if ring.degree_matrix != job.matrix:
+        # the rank-jump test is a statement about the A-grading
+        raise JobError(
+            "check-beta classifies in the grading by the job's matrix A; "
+            "drop 'grading' or set it to A"
+        )
     beta = parse_degree(args.beta, ring.grading_rank)
     basis = toric_ideal(job.matrix, ring)
     vol = toric_volume(job.matrix, basis, ring.order)
@@ -558,7 +534,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (JobError, GradingError, InhomogeneousError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -31,10 +31,10 @@ vecdict relations from ``_ext`` to ``qdeg.initial_quasidegrees``;
 Each shift is read off one term: a homogeneous vector has the degree
 deg x^e + shifts[k] of any of its terms x^e e_k. ``GradedPresentation``
 is the one check of a presentation (integral shifts of the grading
-rank, columns of one entry per shift over the ring, and homogeneity,
-else InhomogeneousError); every later column, and every kernel element
-that generates an Ext, is a syzygy of homogeneous columns and so
-homogeneous (Schreyer; Eisenbud, *Commutative Algebra*, Thm 15.10).
+rank, columns of one entry per shift over the ring, and homogeneity;
+each failure an ``InputError``); every later column, and every kernel
+element that generates an Ext, is a syzygy of homogeneous columns and
+so homogeneous (Schreyer; Eisenbud, *Commutative Algebra*, Thm 15.10).
 
 Two Groebner runs are skipped because their answer is known. A level
 with one column keeps it and has no syzygies: the column is nonzero and
@@ -63,7 +63,7 @@ from .groebner import (
     vec_to_vector,
     vector_to_vec,
 )
-from .linalg import Frozen
+from .linalg import Frozen, InputError, _int_tuple
 from .planes import AffinePlane, QuasidegreeSet, remove_redundancy
 from .poly import GradedRing, Polynomial
 from .qdeg import initial_quasidegrees
@@ -72,7 +72,7 @@ from .words import VecPoly, common_layout, vec_repack
 Shifts = tuple[tuple[int, ...], ...]
 
 
-class InhomogeneousError(ValueError):
+class InhomogeneousError(InputError):
     def __init__(self) -> None:
         super().__init__("inhomogeneous generator")
 
@@ -90,20 +90,17 @@ class GradedPresentation(Frozen):
     def __init__(
         self, ring: GradedRing, shifts: Sequence[Sequence[int]], columns: Sequence[Vector]
     ) -> None:
-        ints = tuple(tuple(int(x) for x in s) for s in shifts)
-        if ints != tuple(tuple(s) for s in shifts):
-            raise ValueError("degree shifts must be integers")
-        shifts = ints
+        shifts = tuple(_int_tuple(s, "degree shifts") for s in shifts)
         if any(len(s) != ring.grading_rank for s in shifts):
-            raise ValueError("shift has the wrong grading rank")
+            raise InputError("shift has the wrong grading rank")
         cols = tuple(tuple(c) for c in columns)
         for col in cols:
             if len(col) != len(shifts):
-                raise ValueError("column length does not match the number of shifts")
+                raise InputError("column length does not match the number of shifts")
             degrees = set()
             for f, shift in zip(col, shifts):
                 if f.nvars != ring.nvars:
-                    raise ValueError("polynomial does not live in this ring")
+                    raise InputError("polynomial does not live in this ring")
                 degrees.update(tuple(map(add, ring.multidegree(e), shift)) for e in f.terms)
                 if len(degrees) > 1:
                     raise InhomogeneousError()
@@ -226,7 +223,8 @@ def _transpose(columns: Sequence[VecPoly], t: int) -> list[VecPoly]:
 
 
 def _ext(P: GradedPresentation, j: int) -> tuple[Shifts, list[VecPoly]]:
-    """Generator degrees and nonzero vecdict relations of Ext^j(coker P, R).
+    """Generator degrees and nonzero vecdict relations of Ext^j(coker P, R),
+    0 <= j <= nvars (else InputError).
 
     The resolution F_* of coker P is dualized; Ext^j is
     ker(phi_(j+1)^T) / im(phi_j^T) inside F_j^T, whose generator degrees
@@ -239,8 +237,9 @@ def _ext(P: GradedPresentation, j: int) -> tuple[Shifts, list[VecPoly]]:
     """
     ring = P.ring
     n = ring.nvars
-    if j < 0 or j > n:
-        raise ValueError("cohomological degree out of range")
+    if not 0 <= j <= n:
+        # j = n - i for qlc's i, so the range is the same for both
+        raise InputError(f"cohomological index must lie in [0, {n}], the number of variables")
     res = P._resolution
     L = res.length
     if j > L:

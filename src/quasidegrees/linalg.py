@@ -9,8 +9,9 @@ transforms are unimodular, the row space as a *lattice* is preserved, which
 is what makes :func:`integer_kernel` return a basis of the saturated kernel
 lattice ker(A) over Z rather than merely a rational kernel basis.
 
-``Frozen``, the base of the package's immutable value classes, lives
-here because this module imports no other module of the package.
+``Frozen``, the base of the package's immutable value classes, and
+``InputError``, the base of every error that blames the caller's input,
+live here because this module imports no other module of the package.
 """
 
 from __future__ import annotations
@@ -21,6 +22,21 @@ from typing import Iterable, Sequence
 
 IntVec = tuple[int, ...]
 RatVec = tuple[Fraction, ...]
+
+
+class InputError(ValueError):
+    """Input that breaks a documented requirement: a shape, a range, an
+    integrality or homogeneity rule. The CLI maps it to exit code 3."""
+
+
+def _int_tuple(values: Iterable, what: str) -> IntVec:
+    """``values`` as ints; InputError unless each equals its int (2.0 and
+    Fraction(4, 2) pass, 1.5 does not)."""
+    values = tuple(values)
+    ints = tuple(map(int, values))
+    if ints != values:
+        raise InputError(f"{what} must be integers")
+    return ints
 
 
 class Frozen:
@@ -62,11 +78,11 @@ class IntMatrix(Frozen):
     _fields = ("entries",)
 
     def __init__(self, entries: Iterable[Iterable[int]]) -> None:
-        rows = tuple(tuple(int(x) for x in row) for row in entries)
+        rows = tuple(_int_tuple(row, "matrix entries") for row in entries)
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
-                raise ValueError("matrix rows have unequal lengths")
+                raise InputError("matrix rows have unequal lengths")
         self.__dict__["entries"] = rows
 
     @property
@@ -76,9 +92,6 @@ class IntMatrix(Frozen):
     @property
     def ncols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
-
-    def row(self, i: int) -> IntVec:
-        return self.entries[i]
 
     def column(self, j: int) -> IntVec:
         return tuple(row[j] for row in self.entries)

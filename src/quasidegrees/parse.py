@@ -253,8 +253,3 @@ def render_polynomial(f: Polynomial, ring: GradedRing, order: MonomialOrder | No
         else:
             chunks.append(f"+ {body}" if coeff > 0 else f"- {body}")
     return " ".join(chunks)
-
-
-def parse_vector(texts, ring: GradedRing) -> tuple[Polynomial, ...]:
-    """Parse a list of strings as one element of a free module."""
-    return tuple(parse_polynomial(t, ring) for t in texts)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from operator import add, le, mul, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .linalg import Frozen, IntMatrix, as_int_matrix, column_lattice_is_full
+from .linalg import Frozen, InputError, IntMatrix, _int_tuple, as_int_matrix, column_lattice_is_full
 
 Exps = tuple[int, ...]
 
@@ -49,7 +49,7 @@ def support(e: Exps) -> tuple[int, ...]:
     return tuple(i for i, x in enumerate(e) if x)
 
 
-class GradingError(ValueError):
+class GradingError(InputError):
     """A degree matrix fails one of the standing hypotheses."""
 
 
@@ -122,7 +122,7 @@ class Polynomial:
         acc: dict[Exps, Fraction] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for exps, coeff in items:
-            exps = tuple(int(e) for e in exps)
+            exps = _int_tuple(exps, "exponents")
             if len(exps) != nvars:
                 raise ValueError(f"exponent tuple {exps} does not have {nvars} entries")
             if any(e < 0 for e in exps):
@@ -328,9 +328,10 @@ class GradedRing(Frozen):
     """Polynomial ring Q[x_1..x_n] graded by Z^d via a degree matrix.
 
     ``degree_matrix`` is d x n; deg(x_j) is its j-th column. ``heft`` is a
-    certificate of positivity. ``order`` is the ambient term order used by
-    default in Groebner computations over this ring. ``degrees`` holds the
-    columns and ``weights`` the heft of each variable, computed once.
+    certificate of positivity, by default ``find_heft``'s, found after the
+    shape checks. ``order`` is the ambient term order used by default in
+    Groebner computations over this ring. ``degrees`` holds the columns
+    and ``weights`` the heft of each variable, computed once.
     """
 
     _fields = ("names", "degree_matrix", "heft", "order")
@@ -339,18 +340,18 @@ class GradedRing(Frozen):
         self,
         names: Sequence[str],
         degree_matrix: IntMatrix | Iterable[Iterable[int]],
-        heft: Sequence[int],
+        heft: Sequence[int] | None = None,
         order: MonomialOrder = GREVLEX,
     ) -> None:
         names = tuple(names)
         if len(set(names)) != len(names):
-            raise ValueError("duplicate variable names")
+            raise InputError("duplicate variable names")
         A = as_int_matrix(degree_matrix)
         if A.ncols != len(names):
-            raise ValueError("degree matrix has one column per variable")
-        h = tuple(int(x) for x in heft)
+            raise InputError("grading matrix needs one column per variable")
+        h = find_heft(A) if heft is None else _int_tuple(heft, "heft entries")
         if len(h) != A.nrows:
-            raise ValueError("heft length must match the grading rank")
+            raise InputError("heft needs one entry per row of the grading matrix")
         degrees = tuple(A.columns())
         weights = tuple(sum(map(mul, h, col)) for col in degrees)
         for name, w in zip(names, weights):
@@ -449,6 +450,4 @@ def graded_ring(
 ) -> GradedRing:
     if degree_matrix is None:
         return standard_graded_ring(names, order)
-    A = as_int_matrix(degree_matrix)
-    h = tuple(heft) if heft is not None else find_heft(A)
-    return GradedRing(tuple(names), A, h, order)
+    return GradedRing(names, degree_matrix, heft, order)

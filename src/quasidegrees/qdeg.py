@@ -23,7 +23,8 @@ reads its row ideals off a module Groebner basis of vecdict columns, and
 ``quasidegrees_module`` is its Polynomial edge. On a split presentation
 both routes give the same planes, so the CLI's ``qdeg`` tries
 ``quasidegrees_monomial`` and falls back to ``quasidegrees_module`` when
-that raises NonMonomialEntryError or NonSplittingError. This module
+that raises NonMonomialEntryError or NonSplittingError (both
+``PresentationError``, a ``linalg.InputError``). This module
 reads P's ``ring``, ``shifts`` and ``columns`` and never builds or
 checks one: ``homology.GradedPresentation`` is the one check of a
 presentation, and ``homology`` imports this module, not the other way
@@ -36,12 +37,13 @@ from operator import add
 from typing import Callable, Sequence
 
 from .groebner import VecPoly, vec_initial_module, vector_to_vec
+from .linalg import InputError
 from .planes import AffinePlane, QuasidegreeSet, RatVec, coset_key, rref_span
 from .poly import Exps, GradedRing
 from .stdpairs import standard_pairs
 
 
-class PresentationError(ValueError):
+class PresentationError(InputError):
     """A presentation matrix violates a structural requirement."""
 
 

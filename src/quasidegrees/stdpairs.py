@@ -55,7 +55,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .linalg import Frozen
+from .linalg import Frozen, InputError, _int_tuple
 from .poly import Exps, exps_divides, support
 from .words import Words, in_ideal, minimal_words
 
@@ -66,7 +66,7 @@ class StandardPair(Frozen):
     _fields = ("root", "face")
 
     def __init__(self, root: Iterable[int], face: Iterable[int]) -> None:
-        root = tuple(int(e) for e in root)
+        root = _int_tuple(root, "root exponents")
         face = frozenset(int(i) for i in face)
         if any(e < 0 for e in root):
             raise ValueError("negative exponent in standard pair root")
@@ -118,11 +118,11 @@ def pair_contains(p: StandardPair, q: StandardPair) -> bool:
 
 
 def _exponents(g) -> Exps:
-    """An exponent vector as an int tuple; ValueError unless every entry
+    """An exponent vector as an int tuple; InputError unless every entry
     is a non-negative integer."""
-    out = tuple(int(e) for e in g)
-    if out != tuple(g) or any(e < 0 for e in out):
-        raise ValueError(f"exponents must be non-negative integers, got {tuple(g)}")
+    out = _int_tuple(g, "exponents")
+    if any(e < 0 for e in out):
+        raise InputError(f"exponents must be non-negative integers, got {out}")
     return out
 
 

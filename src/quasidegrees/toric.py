@@ -66,7 +66,7 @@ from .groebner import (
     vec_groebner,
     vec_to_poly,
 )
-from .linalg import IntMatrix, as_int_matrix, integer_kernel, lll_reduce
+from .linalg import InputError, IntMatrix, as_int_matrix, integer_kernel, lll_reduce
 from .poly import (
     GREVLEX,
     GradedRing,
@@ -192,7 +192,7 @@ def toric_ideal(
     if ring is None:
         ring = to_a_graded_ring(A)
     if ring.nvars != A.ncols:
-        raise ValueError("ring must have one variable per column of A")
+        raise InputError("ring must have one variable per column of A")
     lattice = lll_reduce(integer_kernel(A))
     if not lattice:
         return []

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 
 from quasidegrees.cli import (
     Job,
+    JobError,
     build_presentation,
     build_ring,
     format_plane,
@@ -19,11 +20,12 @@ from quasidegrees.cli import (
     make_parser,
 )
 from quasidegrees.groebner import ideal_equal
-from quasidegrees.homology import GradedPresentation, qlc
-from quasidegrees.linalg import IntMatrix
+from quasidegrees.homology import GradedPresentation, InhomogeneousError, qlc
+from quasidegrees.linalg import InputError, IntMatrix
 from quasidegrees.parse import parse_polynomial
 from quasidegrees.planes import AffinePlane
-from quasidegrees.qdeg import quasidegrees_module
+from quasidegrees.poly import GradingError
+from quasidegrees.qdeg import PresentationError, quasidegrees_module
 from quasidegrees.toric import to_a_graded_ring, toric_ideal
 
 MONOMIAL_JOB = {
@@ -180,7 +182,7 @@ def test_qdeg_text_and_reduce(job_file, capsys):
 def _module_planes(job):
     """The text lines of quasidegrees_module on the job's presentation."""
     job = Job.load(job)
-    P = build_presentation(job, build_ring(job, "grevlex"), allow_toric=False)
+    P = build_presentation(job, build_ring(job, "grevlex"))
     return [format_plane(p) for p in quasidegrees_module(P).planes]
 
 
@@ -241,6 +243,23 @@ def test_qdeg_inhomogeneous_presentation(job_file, capsys):
     code, _, err = run(capsys, ["qdeg", job_file(job)])
     assert code == 3
     assert "homogeneous" in err
+
+
+def test_qdeg_on_a_matrix_only_job_presents_the_toric_quotient(job_file, capsys):
+    # the module rule qlc follows: presentation, else ideal, else R/I_A
+    code, out, err = run(capsys, ["qdeg", job_file(CUBIC_JOB)])
+    assert (code, err) == (0, "")
+    A = IntMatrix(CUBIC_JOB["matrix"])
+    R = to_a_graded_ring(A)
+    expected = quasidegrees_module(GradedPresentation.cyclic(R, toric_ideal(A, R)))
+    assert out.splitlines() == [format_plane(p) for p in expected.planes] != []
+
+
+def test_qdeg_on_the_zero_module_prints_empty(job_file, capsys):
+    path = job_file({"variables": ["x", "y"], "grading": "standard", "ideal": ["1"]})
+    assert run(capsys, ["qdeg", path]) == (0, "empty\n", "")
+    code, out, _ = run(capsys, ["qdeg", path, "--format", "machine"])
+    assert code == 0 and json.loads(out)["planes"] == []
 
 
 def test_toric_generators(job_file, capsys):
@@ -550,6 +569,41 @@ def test_explicit_grading_of_the_wrong_shape(job_file, capsys, grading, message)
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv,job,message",
+    [
+        (["volume"], {"matrix": [[1, 1], [1]]}, "matrix rows have unequal lengths"),
+        (
+            ["qlc"],
+            {"variables": ["s", "t"], "grading": {"matrix": [[1, 1, 1]]}, "ideal": ["s*t"]},
+            "grading matrix needs one column per variable",
+        ),
+        (
+            ["qlc"],
+            {"variables": ["s", "t"], "grading": {"matrix": [[1, 1]], "heft": [1, 1]}, "ideal": ["s*t"]},
+            "heft needs one entry per row of the grading matrix",
+        ),
+        (
+            ["qdeg"],
+            {"variables": ["x"], "grading": "standard",
+             "presentation": {"shifts": [[0, 0]], "matrix": [["x"]]}},
+            "shift has the wrong grading rank",
+        ),
+        (["qlc", "--i", "6"], A35_JOB, "cohomological index must lie in [0, 5], the number of variables"),
+    ],
+    ids=["matrix_rows", "grading_columns", "heft_length", "shift_rank", "qlc_index"],
+)
+def test_library_checks_end_in_exit_3(job_file, capsys, argv, job, message):
+    # the CLI leaves these checks to the constructors that need them
+    assert run(capsys, [argv[0], job_file(job), *argv[1:]]) == (3, "", f"error: {message}\n")
+
+
+def test_input_error_is_the_one_base_of_bad_input():
+    assert issubclass(InputError, ValueError)
+    for error in (GradingError, InhomogeneousError, PresentationError, JobError):
+        assert issubclass(error, InputError)
+
+
 def test_explicit_grading_object(job_file, capsys):
     job = {
         "variables": ["s", "t"],
@@ -685,6 +739,24 @@ def test_check_beta_rejects_a_module_besides_the_matrix(job_file, capsys, extra)
     assert code == 3
     assert out == ""
     assert err.count("\n") == 1 and "R/I_A" in err
+
+
+STURMFELS_TAKAYAMA = [[1, 1, 1, 1], [0, 1, 3, 4]]
+
+
+def test_check_beta_rejects_a_grading_other_than_the_matrix(job_file, capsys):
+    # a one-entry beta for a two-row A: the rank-jump test is about the A-grading
+    job = {"matrix": STURMFELS_TAKAYAMA, "variables": ["a", "b", "c", "d"], "grading": "standard"}
+    code, out, err = run(capsys, ["check-beta", job_file(job), "1"])
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and "grading" in err
+
+
+def test_check_beta_accepts_the_matrix_as_an_explicit_grading(job_file, capsys):
+    job = {"matrix": STURMFELS_TAKAYAMA, "variables": ["a", "b", "c", "d"],
+           "grading": {"matrix": STURMFELS_TAKAYAMA}}
+    assert run(capsys, ["check-beta", job_file(job), "1,2"]) == (0, "RANK-JUMP at beta=(1, 2)\n", "")
 
 
 # strings with quotes, backslashes, control characters and non-ASCII text

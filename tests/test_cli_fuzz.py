@@ -1,8 +1,8 @@
 """Fuzzing the structure of job documents.
 
 Every document the CLI reads must end in a documented exit code (0
-success, 2 parse failure, 3 validation failure, 4 non-split
-presentation) and never in an uncaught exception. Each document starts
+success, 2 parse failure, 3 validation failure) and never in an
+uncaught exception. Each document starts
 as a well-formed ideal, matrix or presentation job and then takes up to
 two mutations: a dropped key, a value of the wrong type, a duplicated
 variable, a matrix of another shape, a bad grading or heft. Polynomial

@@ -12,7 +12,9 @@ from helpers import (
     random_toric_matrix,
     reference_lll_reduce,
 )
+from quasidegrees.homology import GradedPresentation
 from quasidegrees.linalg import (
+    InputError,
     IntMatrix,
     column_lattice_is_full,
     integer_kernel,
@@ -22,6 +24,8 @@ from quasidegrees.linalg import (
     rational_rank,
     rref,
 )
+from quasidegrees.poly import Polynomial, graded_ring, standard_graded_ring
+from quasidegrees.stdpairs import StandardPair, standard_pairs
 
 A35 = IntMatrix(((1, 1, 1, 1, 1), (0, 0, 1, 1, 0), (0, 1, 1, 0, -2)))
 
@@ -218,3 +222,23 @@ def test_lll_reduce_small_cases():
     assert lll_reduce([(1, 1, 1), (-1, 0, 2), (3, 5, 6)]) == [(0, 1, 0), (1, 0, 1), (-1, 0, 2)]
     with pytest.raises(ValueError):
         lll_reduce([(1, 2), (2, 4)])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda x: IntMatrix([[x, 1]]),
+        lambda x: Polynomial(2, [((x, 0), 1)]),
+        lambda x: graded_ring(["a"], [[1]], heft=[x]),
+        lambda x: StandardPair((x, 0), ()),
+        lambda x: standard_pairs([(x, 1)], 2),
+        lambda x: GradedPresentation(standard_graded_ring(["a"]), [[x]], []),
+    ],
+    ids=["IntMatrix", "Polynomial", "graded_ring_heft", "StandardPair", "standard_pairs",
+         "GradedPresentation"],
+)
+def test_constructors_refuse_non_integral_integers(build):
+    # a value passes when it equals its int; 1.5 used to be truncated to 1
+    with pytest.raises(InputError, match="must be integers"):
+        build(1.5)
+    assert build(2.0) == build(Fraction(4, 2)) == build(2)

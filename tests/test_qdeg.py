@@ -233,4 +233,4 @@ def test_quasidegrees_monomial_matches_one_plane_per_pair(ring):
 def test_quasidegrees_monomial_matches_one_plane_per_pair_on_the_demo_job():
     job = Job.load(str(Path(__file__).resolve().parent.parent / "jobs" / "monomial_demo.json"))
     ring = build_ring(job, "grevlex")
-    assert_planes_match_reference(build_presentation(job, ring, allow_toric=False))
+    assert_planes_match_reference(build_presentation(job, ring))
