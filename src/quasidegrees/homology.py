@@ -268,8 +268,7 @@ def ext_presentation(P: GradedPresentation, j: int) -> GradedPresentation:
 
 def dual_shift_plane(plane: AffinePlane, eps: Sequence[int]) -> AffinePlane:
     """The graded-duality image of a plane: base -> -base - eps."""
-    base = tuple(-b - e for b, e in zip(plane.base, eps))
-    return AffinePlane._from_rref(base, plane.span)
+    return AffinePlane._on(plane._span, (-b - e for b, e in zip(plane.base, eps)))
 
 
 def qlc(P: GradedPresentation, i: int) -> QuasidegreeSet:
@@ -330,7 +329,4 @@ def qlc_total(P: GradedPresentation) -> QuasidegreeSet:
     """
     dim = module_dimension(P)
     stop = dim if dim >= P.ring.grading_rank else dim + 1
-    planes: list[AffinePlane] = []
-    for i in range(stop):
-        planes.extend(qlc(P, i).planes)
-    return remove_redundancy(planes)
+    return remove_redundancy([p for i in range(stop) for p in qlc(P, i).planes])

@@ -287,7 +287,7 @@ def rref(rows: Iterable[Sequence[Fraction | int]]) -> tuple[tuple[RatVec, ...], 
         return (), (), 0
     ncols = len(M[0])
     if any(len(r) != ncols for r in M):
-        raise ValueError("matrix rows have unequal lengths")
+        raise InputError("matrix rows have unequal lengths")
     pivots: list[int] = []
     r = 0
     for c in range(ncols):

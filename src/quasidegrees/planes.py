@@ -1,10 +1,11 @@
 """Finite unions of rational affine planes in Q^d.
 
-An AffinePlane is base + span{v_1..v_r}, its span stored as the reduced
-row echelon basis. The base is kept as given (for a quasidegree plane,
-the degree of a standard root); equality, hashing and order read it
-reduced modulo the span, so two planes are equal exactly when they are
-the same subset of Q^d. A QuasidegreeSet keeps one plane per set, the
+An AffinePlane is base + span. The base is kept as given (for a
+quasidegree plane, the degree of a standard root). The span is a Span,
+an integer form whose ``coset`` reduces a point modulo it; equality,
+hashing and order read the base's coset, so two planes are equal exactly
+when they are the same subset of Q^d. Fractions appear only in ``base``
+and ``span``, which print. A QuasidegreeSet keeps one plane per set, the
 one with the least base of those it is given, in sorted order. A map
 applied afterwards can reverse that choice: homology.qlc dualises with
 base -> -base - eps, so it prints the greatest of the candidate images.
@@ -14,58 +15,61 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .linalg import Frozen, rref
-
-RatVec = tuple[Fraction, ...]
+from .linalg import Frozen, InputError
 
 
-def _as_ratvec(v: Iterable) -> RatVec:
-    return tuple(Fraction(x) for x in v)
+def _primitive(v: list[int], pivot: int) -> list[int]:
+    """v over the gcd of its entries, signed so that v[pivot] > 0."""
+    g = math.gcd(*v)
+    return [x // g for x in v] if v[pivot] > 0 else [-x // g for x in v]
 
 
-def _reduce(v: Sequence[Fraction], span: tuple[RatVec, ...]) -> RatVec:
-    """v minus its multiples of the RREF rows, zero at every pivot."""
-    out = list(v)
-    for row in span:
-        p = next(i for i, x in enumerate(row) if x)
-        f = out[p]
-        if f:
-            out = [a - f * r for a, r in zip(out, row)]
-    return tuple(out)
+class Span(Frozen):
+    """The linear span of rational vectors of one length, in one integer
+    form: ``rows``, its reduced row echelon basis with each row scaled to
+    a primitive integer vector with a positive pivot (two spans are equal
+    exactly when their rows are); ``scale``, the lcm of the pivots; and
+    ``rref``, the same basis over Q."""
 
+    _fields = ("rows",)
 
-def rref_span(vectors: Iterable[Iterable]) -> tuple[RatVec, ...]:
-    """The reduced row echelon basis of the span of the vectors."""
-    R, _, rank = rref(vectors)
-    return R[:rank]
+    def __init__(self, vectors: Iterable[Sequence]) -> None:
+        rows: dict[int, list[int]] = {}  # Gauss-Jordan: pivot -> row, 0 at other pivots
+        for v in vectors:
+            den = math.lcm(*(x.denominator for x in v))
+            v = [int(x * den) for x in v]
+            for p, row in rows.items():
+                if v[p]:
+                    v = [row[p] * a - v[p] * b for a, b in zip(v, row)]
+            q = next((i for i, x in enumerate(v) if x), None)
+            if q is not None:
+                rows[q] = v = _primitive(v, q)
+                for p, row in rows.items():
+                    if row[q] and p != q:
+                        rows[p] = _primitive([v[q] * a - row[q] * b for a, b in zip(row, v)], p)
+        pivots = sorted(rows)
+        scale = math.lcm(*(rows[p][p] for p in pivots))
+        self.__dict__.update(
+            rows=tuple(tuple(rows[p]) for p in pivots),
+            scale=scale,
+            rref=tuple(tuple(Fraction(x, rows[p][p]) for x in rows[p]) for p in pivots),
+            # scale // pivot times a point's entry at the pivot is the
+            # multiple of the row to subtract: the other rows vanish there
+            _steps=tuple((p, tuple(rows[p]), scale // rows[p][p]) for p in pivots),
+        )
 
-
-def coset_key(span: tuple[RatVec, ...]) -> Callable[[Sequence[int]], tuple[int, ...]]:
-    """A map on integer points that agrees on two points exactly when they
-    differ by a vector of ``span``, an RREF basis.
-
-    It is the reduction modulo the span scaled by the common denominator
-    of the span's entries, so it runs in integer arithmetic. A point's
-    entry at a pivot is the multiple of that pivot's row to subtract,
-    because the other rows vanish there.
-    """
-    scale = math.lcm(*(x.denominator for row in span for x in row))
-    rows = [
-        (next(i for i, x in enumerate(row) if x), [int(x * scale) for x in row])
-        for row in span
-    ]
-
-    def key(v: Sequence[int]) -> tuple[int, ...]:
-        out = [scale * x for x in v]
-        for p, row in rows:
-            f = v[p]
+    def coset(self, v: Sequence) -> tuple:
+        """``scale`` times v reduced modulo the span: equal on two points
+        exactly when they differ by a vector of the span, integral on
+        integer points."""
+        out = [self.scale * x for x in v]
+        for p, row, m in self._steps:
+            f = m * v[p]
             if f:
                 out = [a - f * r for a, r in zip(out, row)]
         return tuple(out)
-
-    return key
 
 
 class AffinePlane(Frozen):
@@ -74,22 +78,27 @@ class AffinePlane(Frozen):
     _fields = ("base", "span")
 
     def __init__(self, base: Iterable, span: Iterable[Iterable] = ()) -> None:
-        base = _as_ratvec(base)
-        rows = [_as_ratvec(v) for v in span]
+        base = tuple(map(Fraction, base))
+        rows = [tuple(map(Fraction, v)) for v in span]
         if any(len(v) != len(base) for v in rows):
-            raise ValueError("span vectors must match the base dimension")
-        self._store(base, rref_span(rows))
-
-    def _store(self, base: RatVec, span: tuple[RatVec, ...]) -> None:
-        self.__dict__.update(base=base, span=span, _key=(_reduce(base, span), span))
+            raise InputError("span vectors must match the base dimension")
+        self._store(Span(rows), base)
 
     @classmethod
-    def _from_rref(cls, base: Iterable, span: tuple[RatVec, ...]) -> "AffinePlane":
-        """The plane of a span that is already an RREF basis of its
-        dimension, skipping the row reduction and the checks."""
+    def _on(cls, span: Span, base: Iterable) -> AffinePlane:
+        """base + span for a Span of the base's dimension, with no row
+        reduction and no checks; the span is shared, not copied."""
         plane = object.__new__(cls)
-        plane._store(_as_ratvec(base), span)
+        plane._store(span, tuple(base))
         return plane
+
+    def _store(self, span: Span, base: tuple) -> None:
+        self.__dict__.update(
+            base=tuple(map(Fraction, base)),
+            span=span.rref,
+            _span=span,
+            _key=(span.rows, span.coset(base)),
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AffinePlane):
@@ -99,8 +108,11 @@ class AffinePlane(Frozen):
     def __hash__(self) -> int:
         return hash(self._key)
 
-    def __lt__(self, other: "AffinePlane") -> bool:
-        return self._key < other._key
+    def __lt__(self, other: AffinePlane) -> bool:
+        # by the base reduced modulo the span, then by the span: the
+        # reduced bases are the cosets over the scales, so cross-multiply
+        s, t = self._span.scale, other._span.scale
+        return ([x * t for x in self._key[1]], self.span) < ([y * s for y in other._key[1]], other.span)
 
     @property
     def ambient_dim(self) -> int:
@@ -111,18 +123,18 @@ class AffinePlane(Frozen):
         return len(self.span)
 
     def contains_point(self, beta: Sequence) -> bool:
-        beta = _as_ratvec(beta)
+        beta = tuple(x if type(x) is int else Fraction(x) for x in beta)
         if len(beta) != self.ambient_dim:
-            raise ValueError("point has the wrong dimension")
-        return _reduce(beta, self.span) == self._key[0]
+            raise InputError("point has the wrong dimension")
+        return self._span.coset(beta) == self._key[1]
 
 
 def plane_contains(outer: AffinePlane, inner: AffinePlane) -> bool:
     """Is inner a subset of outer?"""
     if outer.ambient_dim != inner.ambient_dim:
-        raise ValueError("planes in different ambient spaces")
+        raise InputError("planes in different ambient spaces")
     return outer.contains_point(inner.base) and not any(
-        any(_reduce(v, outer.span)) for v in inner.span
+        any(outer._span.coset(v)) for v in inner._span.rows
     )
 
 
@@ -137,7 +149,7 @@ class QuasidegreeSet(Frozen):
             if p not in least or p.base < least[p].base:
                 least[p] = p
         if len({p.ambient_dim for p in least}) > 1:
-            raise ValueError("planes in different ambient spaces")
+            raise InputError("planes in different ambient spaces")
         self.__dict__["planes"] = tuple(sorted(least.values()))
 
     @property
@@ -159,11 +171,7 @@ def remove_redundancy(q: QuasidegreeSet | Iterable[AffinePlane]) -> QuasidegreeS
 
     The union of the planes is unchanged.
     """
-    planes = QuasidegreeSet(tuple(q)).planes
+    planes = QuasidegreeSet(q).planes
     return QuasidegreeSet(
-        tuple(
-            p
-            for p in planes
-            if not any(o != p and plane_contains(o, p) for o in planes)
-        )
+        p for p in planes if not any(o != p and plane_contains(o, p) for o in planes)
     )

@@ -124,9 +124,9 @@ class Polynomial:
         for exps, coeff in items:
             exps = _int_tuple(exps, "exponents")
             if len(exps) != nvars:
-                raise ValueError(f"exponent tuple {exps} does not have {nvars} entries")
+                raise InputError(f"exponent tuple {exps} does not have {nvars} entries")
             if any(e < 0 for e in exps):
-                raise ValueError(f"negative exponent in {exps}")
+                raise InputError(f"negative exponent in {exps}")
             c = acc.get(exps, Fraction(0)) + Fraction(coeff)
             if c:
                 acc[exps] = c
@@ -385,7 +385,7 @@ class GradedRing(Frozen):
 
     def multidegree(self, exps: Sequence[int]) -> tuple[int, ...]:
         if len(exps) != self.nvars:
-            raise ValueError("exponent tuple has the wrong length")
+            raise InputError("exponent tuple has the wrong length")
         return tuple([sum(map(mul, row, exps)) for row in self.degree_matrix.entries])
 
     def heft_degree(self, exps: Sequence[int]) -> int:
@@ -412,7 +412,7 @@ class GradedRing(Frozen):
         """
         beta = tuple(int(b) for b in beta)
         if len(beta) != self.grading_rank:
-            raise ValueError("degree vector has the wrong length")
+            raise InputError("degree vector has the wrong length")
         n, weights, cols = self.nvars, self.weights, self.degrees
 
         def rec(j: int, remaining: tuple[int, ...], acc: list[int]) -> Iterator[Exps]:

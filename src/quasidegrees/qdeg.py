@@ -33,12 +33,13 @@ round.
 
 from __future__ import annotations
 
+from functools import cache
 from operator import add
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .groebner import VecPoly, vec_initial_module, vector_to_vec
 from .linalg import InputError
-from .planes import AffinePlane, QuasidegreeSet, RatVec, coset_key, rref_span
+from .planes import AffinePlane, QuasidegreeSet, Span
 from .poly import Exps, GradedRing
 from .stdpairs import standard_pairs
 
@@ -94,32 +95,16 @@ def quasidegrees_monomial(P) -> QuasidegreeSet:
 def _quasidegrees_rows(ring: GradedRing, shifts: Sequence, ideals: Sequence) -> QuasidegreeSet:
     """Quasidegree set of the direct sum of the R(-shifts[k])/<ideals[k]>.
 
-    The pairs are grouped by their plane as a set before any AffinePlane
-    is built: each face's span is row-reduced once, a base is keyed by
-    its coset of that span in integer arithmetic, and only the least
-    base of each group becomes a plane.
+    Each face's span is row-reduced once, into one Span that every plane
+    on that face shares; each standard pair then gives one plane, whose
+    base's coset is computed in integer arithmetic. QuasidegreeSet keeps
+    the least base of each set of equal planes.
     """
-    # RREF span -> {coset key of a base: least base}, one entry per set
-    groups: dict[tuple[RatVec, ...], dict[tuple[int, ...], tuple[int, ...]]] = {}
-    # face -> (its coset key, its span's group)
-    faces: dict[frozenset[int], tuple[Callable, dict]] = {}
-    for shift, gens in zip(shifts, ideals):
-        for pair in standard_pairs(gens, ring.nvars):
-            face = faces.get(pair.face)
-            if face is None:
-                span = rref_span(ring.degree(i) for i in sorted(pair.face))
-                face = faces[pair.face] = (coset_key(span), groups.setdefault(span, {}))
-            coset, group = face
-            base = tuple(map(add, ring.multidegree(pair.root), shift))
-            key = coset(base)
-            if key not in group or base < group[key]:
-                group[key] = base
+    span = cache(lambda face: Span(ring.degree(i) for i in sorted(face)))
     return QuasidegreeSet(
-        tuple(
-            AffinePlane._from_rref(base, span)
-            for span, group in groups.items()
-            for base in group.values()
-        )
+        AffinePlane._on(span(pair.face), map(add, ring.multidegree(pair.root), shift))
+        for shift, gens in zip(shifts, ideals)
+        for pair in standard_pairs(gens, ring.nvars)
     )
 
 

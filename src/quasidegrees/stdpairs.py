@@ -69,11 +69,11 @@ class StandardPair(Frozen):
         root = _int_tuple(root, "root exponents")
         face = frozenset(int(i) for i in face)
         if any(e < 0 for e in root):
-            raise ValueError("negative exponent in standard pair root")
+            raise InputError("negative exponent in standard pair root")
         if any(i < 0 or i >= len(root) for i in face):
-            raise ValueError("face index out of range")
+            raise InputError("face index out of range")
         if set(support(root)) & face:
-            raise ValueError("root support must be disjoint from the face")
+            raise InputError("root support must be disjoint from the face")
         self.__dict__.update(root=root, face=face)
 
     @property
@@ -179,15 +179,15 @@ def standard_pairs(gens: list[Exps], nvars: int) -> list[StandardPair]:
     is the intersection of the I_{Z ∪ {i}} = I_Z : x_i^∞ over the faces
     Z ∪ {i} of Δ, pruned by I_Z, and its difference with I_Z is found by
     stepping one variable at a time from its generators, never entering
-    I_Z. Pairs come back sorted by root, then face. Raises ValueError for
-    a negative or non-integral exponent.
+    I_Z. Pairs come back sorted by root, then face. Raises InputError for
+    a negative or non-integral exponent or a length mismatch.
 
     The search runs on packed words (see the module docstring), with w
     the bit length of the largest generator exponent.
     """
     gens = [_exponents(g) for g in gens]
     if len(set(map(len, gens))) > 1 or (gens and len(gens[0]) != nvars):
-        raise ValueError("generator exponent length mismatch")
+        raise InputError("generator exponent length mismatch")
     words = Words(nvars, max((e for g in gens for e in g), default=0).bit_length())
     width, shifts, guards = words.width, words.shifts, words.guards
     fields = [words.low << s for s in shifts]

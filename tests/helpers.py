@@ -600,8 +600,12 @@ def fraction_lll_reduce(basis):
 
 
 def reference_quasidegrees_monomial(P) -> QuasidegreeSet:
-    """Quasidegree set of a split monomial presentation with one AffinePlane
-    per standard pair of every row, collapsed by QuasidegreeSet alone.
+    """Quasidegree set of a split monomial presentation, each plane built
+    by the public AffinePlane constructor from Fraction data, so every
+    standard pair row-reduces its own span; ``quasidegrees_monomial``
+    builds one Span per face and passes integer bases to
+    ``AffinePlane._on``. Both leave the least base of a set to
+    QuasidegreeSet.
 
     Each row ideal is generated by the exponents of the nonzero entries in
     that row; a split presentation has at most one per column."""
@@ -621,3 +625,17 @@ def reference_quasidegrees_monomial(P) -> QuasidegreeSet:
             span = tuple(ring.degree(i) for i in sorted(pair.face))
             planes.append(AffinePlane(base, span))
     return QuasidegreeSet(tuple(planes))
+
+
+def reduce_modulo_rref(v, span):
+    """v minus its multiples of the rows of ``span``, a reduced row echelon
+    basis over Q, so zero at every pivot: the Fraction reduction that
+    ``planes.Span.coset`` scales to integers. Two points have the same
+    reduction exactly when they differ by a vector of the span."""
+    out = [Fraction(x) for x in v]
+    for row in span:
+        p = next(i for i, x in enumerate(row) if x)
+        f = out[p]
+        if f:
+            out = [a - f * r for a, r in zip(out, row)]
+    return tuple(out)

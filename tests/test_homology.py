@@ -549,6 +549,8 @@ def test_duality_shift_is_an_involution():
         p = AffinePlane(base, span)
         q = dual_shift_plane(dual_shift_plane(p, eps), eps)
         assert q.base == p.base and q.span == p.span
+        # the image reuses the plane's span, row-reduced once
+        assert dual_shift_plane(p, eps)._span is p._span
 
 
 def test_qlc_running_example_golden():

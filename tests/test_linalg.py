@@ -24,6 +24,7 @@ from quasidegrees.linalg import (
     rational_rank,
     rref,
 )
+from quasidegrees.planes import AffinePlane, QuasidegreeSet, plane_contains
 from quasidegrees.poly import Polynomial, graded_ring, standard_graded_ring
 from quasidegrees.stdpairs import StandardPair, standard_pairs
 
@@ -242,3 +243,30 @@ def test_constructors_refuse_non_integral_integers(build):
     with pytest.raises(InputError, match="must be integers"):
         build(1.5)
     assert build(2.0) == build(Fraction(4, 2)) == build(2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Polynomial(2, [((1, 0, 0), 1)]),
+        lambda: Polynomial(2, [((-1, 0), 1)]),
+        lambda: StandardPair((-1, 0), ()),
+        lambda: StandardPair((1, 0), {2}),
+        lambda: StandardPair((1, 0), {0}),
+        lambda: standard_pairs([(1, 0), (0, 1, 1)], 2),
+        lambda: rref([(1, 2), (3,)]),
+        lambda: standard_graded_ring(["a", "b"]).multidegree((1, 0, 0)),
+        lambda: next(standard_graded_ring(["a", "b"]).monomials_of_degree((1, 0))),
+        lambda: AffinePlane((0, 0), ((1,),)),
+        lambda: AffinePlane((0, 0)).contains_point((0,)),
+        lambda: plane_contains(AffinePlane((0, 0)), AffinePlane((0,))),
+        lambda: QuasidegreeSet((AffinePlane((0,)), AffinePlane((0, 0)))),
+    ],
+    ids=["Polynomial_length", "Polynomial_negative", "StandardPair_negative",
+         "StandardPair_face_range", "StandardPair_root_on_face", "standard_pairs_length",
+         "rref_rows", "multidegree_length", "monomials_of_degree_length", "AffinePlane_span",
+         "contains_point_length", "plane_contains_dims", "QuasidegreeSet_dims"],
+)
+def test_shape_and_range_checks_raise_input_error(call):
+    with pytest.raises(InputError):
+        call()

@@ -5,13 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import reduce_modulo_rref
+from quasidegrees.linalg import rref
 from quasidegrees.planes import (
     AffinePlane,
     QuasidegreeSet,
-    coset_key,
+    Span,
     plane_contains,
     remove_redundancy,
-    rref_span,
 )
 
 
@@ -64,23 +65,102 @@ def test_equality_reduces_base_against_pivots_but_keeps_it():
     assert q.base == (F(-2), F(7))
 
 
-def test_coset_key_agrees_exactly_on_points_of_one_translate():
-    # integer points, spans with fractional RREF entries among them
+def random_vectors(rng, d, count):
+    """Rational vectors of length d, zero and dependent ones among them."""
+    vs = []
+    for _ in range(count):
+        r = rng.random()
+        if r < 0.15:
+            vs.append((0,) * d)
+        elif r < 0.4 and vs:
+            a, b = rng.choice(vs), rng.choice(vs)
+            c = F(rng.randint(-3, 3), rng.randint(1, 3))
+            vs.append(tuple(x + c * y for x, y in zip(a, b)))
+        else:
+            vs.append(tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d)))
+    return vs
+
+
+def test_span_rref_matches_linalg_rref():
+    rng = random.Random(17)
+    for _ in range(300):
+        d = rng.randint(1, 5)
+        vs = random_vectors(rng, d, rng.randint(0, d + 2))
+        R, _, rank = rref(vs)
+        span = Span(vs)
+        assert span.rref == R[:rank]
+        # the integer form: primitive rows with positive pivots, scale their lcm
+        pivots = [next(i for i, x in enumerate(row) if x) for row in span.rows]
+        assert all(type(x) is int for row in span.rows for x in row)
+        assert all(row[p] > 0 and math.gcd(*row) == 1 for p, row in zip(pivots, span.rows))
+        assert span.scale == math.lcm(*(row[p] for p, row in zip(pivots, span.rows)))
+        again = Span(vs[::-1])
+        assert again == span and hash(again) == hash(span)
+
+
+def test_coset_agrees_exactly_on_points_of_one_plane():
     rng = random.Random(13)
-    for _ in range(200):
+    same = 0
+    for _ in range(300):
         d = rng.randint(1, 4)
-        span = rref_span(
-            [rng.randint(-3, 3) for _ in range(d)] for _ in range(rng.randint(0, d))
-        )
-        key = coset_key(span)
-        v = tuple(rng.randint(-4, 4) for _ in range(d))
-        w = tuple(rng.randint(-4, 4) for _ in range(d))
-        if span and rng.random() < 0.5:
-            # move w onto the translate of v through an integer point
-            c = rng.randint(-3, 3) * math.lcm(*(x.denominator for x in span[0]))
-            w = tuple(int(a + c * x) for a, x in zip(v, span[0]))
-        assert all(type(x) is int for x in key(v))
-        assert (key(v) == key(w)) == (AffinePlane(v, span) == AffinePlane(w, span))
+        span = Span(random_vectors(rng, d, rng.randint(0, d)))
+        for fractional in (False, True):
+            def coordinate():
+                return F(rng.randint(-4, 4), rng.randint(1, 3)) if fractional else rng.randint(-4, 4)
+
+            v = tuple(coordinate() for _ in range(d))
+            w = tuple(coordinate() for _ in range(d))
+            if span.rows and rng.random() < 0.5:
+                # move w onto the plane through v along an integer row
+                row, c = rng.choice(span.rows), coordinate()
+                w = tuple(a + c * x for a, x in zip(v, row))
+            cv, cw = span.coset(v), span.coset(w)
+            if not fractional:
+                assert all(type(x) is int for x in cv + cw)
+            assert cv == tuple(span.scale * x for x in reduce_modulo_rref(v, span.rref))
+            planes_equal = AffinePlane(v, span.rref) == AffinePlane(w, span.rref)
+            assert (cv == cw) == planes_equal == (AffinePlane._on(span, v) == AffinePlane._on(span, w))
+            same += planes_equal
+    assert same > 100
+
+
+def test_order_is_the_fraction_key_order():
+    # the order of a reduced base, then the RREF span, over Q
+    def fraction_key(p):
+        return (reduce_modulo_rref(p.base, p.span), p.span)
+
+    rng = random.Random(19)
+    for _ in range(40):
+        d = rng.randint(1, 3)
+        planes = [random_plane(rng, d) for _ in range(6)]
+        # equal reduced bases on different spans, and equal sets
+        planes += [AffinePlane((0,) * d, random_vectors(rng, d, rng.randint(0, 2))) for _ in range(4)]
+        planes += [AffinePlane(random_point_on(rng, p), p.span) for p in planes[:3]]
+        for a in planes:
+            for b in planes:
+                assert (a < b) == (fraction_key(a) < fraction_key(b))
+        assert sorted(planes) == sorted(planes, key=fraction_key)
+
+
+def test_public_constructor_and_on_build_the_same_set():
+    rng = random.Random(23)
+    for _ in range(100):
+        d = rng.randint(1, 4)
+        vectors = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(rng.randint(0, d))]
+        base = tuple(rng.randint(-5, 5) for _ in range(d))
+        # Fraction data for the same set: scaled span vectors, a moved base
+        c = rng.randint(1, 4)
+        fraction_vectors = [tuple(F(x, c) for x in v) for v in vectors]
+        fraction_base = list(map(F, base))
+        for v in fraction_vectors:
+            k = rng.randint(-3, 3)
+            fraction_base = [a + k * x for a, x in zip(fraction_base, v)]
+        public = AffinePlane(fraction_base, fraction_vectors)
+        internal = AffinePlane._on(Span(vectors), base)
+        assert public == internal and hash(public) == hash(internal)
+        assert public.span == internal.span
+        assert internal.base == tuple(map(F, base))
+        assert all(type(x) is F for x in internal.base + sum(internal.span, ()))
 
 
 def test_equality_requires_same_base_modulo_span():

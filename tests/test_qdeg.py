@@ -10,7 +10,8 @@ from quasidegrees.cli import Job, build_presentation, build_ring
 from quasidegrees.homology import GradedPresentation
 from quasidegrees.linalg import IntMatrix
 from quasidegrees.parse import parse_polynomial
-from quasidegrees.planes import remove_redundancy
+from quasidegrees import qdeg
+from quasidegrees.planes import Span, remove_redundancy
 from quasidegrees.poly import Polynomial, graded_ring, standard_graded_ring
 from quasidegrees.qdeg import (
     NonMonomialEntryError,
@@ -202,7 +203,20 @@ def test_base_points_are_true_degrees():
             assert hilbert_coker_dim(ring, gens, ((0,),), beta) > 0
 
 
-# --- one plane per distinct set against one plane per standard pair ---
+def test_one_span_per_face_shared_by_its_planes(monkeypatch):
+    built = []
+    monkeypatch.setattr(qdeg, "Span", lambda vectors: built.append(Span(vectors)) or built[-1])
+    R = standard_graded_ring(("x", "y", "z", "w"))
+    P = pres(R, ((0,), (2,)), (("x^2*y", "y^3*z", "0"), ("0", "0", "x*w^2")))
+    pairs = [pair for gens in _row_ideals(P) for pair in qdeg.standard_pairs(gens, R.nvars)]
+    faces = {pair.face for pair in pairs}
+    assert len(pairs) > len(faces)
+    q = quasidegrees_monomial(P)
+    assert len(built) == len(faces)
+    assert all(any(p._span is s for s in built) for p in q.planes)
+
+
+# --- shared face spans against the public constructor per standard pair ---
 
 
 def assert_planes_match_reference(P):
