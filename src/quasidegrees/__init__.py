@@ -3,13 +3,19 @@
 The package computes, over Q and with no floating point anywhere:
 
 * standard pairs and degrees of monomial ideals,
-* Groebner bases, syzygies, and free resolutions over multigraded
-  polynomial rings,
+* free resolutions over multigraded polynomial rings,
 * quasidegree sets (Zariski closures of the set of nonzero graded pieces)
   of finitely generated modules,
 * toric ideals of integer matrices and their normalized volumes,
 * degree loci of local cohomology via graded duality, including the
   rank-jump membership test for individual parameter vectors.
+
+Of ``quasidegrees.groebner`` the package exports only the ideal-level
+functions on polynomials: ``buchberger`` (and its ``GroebnerBasis``),
+``divide``, ``normal_form``, ``saturate`` and ``ideal_equal``. Module
+bases, syzygies and initial modules are computed on the vecdicts of
+``quasidegrees.groebner`` (``vec_groebner``, ``vec_syzygies``,
+``vec_initial_module``).
 """
 
 from .groebner import (
@@ -17,11 +23,8 @@ from .groebner import (
     buchberger,
     divide,
     ideal_equal,
-    initial_ideal,
-    module_groebner,
     normal_form,
     saturate,
-    syzygies,
 )
 from .homology import (
     FreeResolution,
@@ -101,10 +104,8 @@ __all__ = [
     "free_resolution",
     "graded_ring",
     "ideal_equal",
-    "initial_ideal",
     "integer_kernel",
     "lattice_basis_binomials",
-    "module_groebner",
     "normal_form",
     "normalized_volume",
     "parse_polynomial",
@@ -118,7 +119,6 @@ __all__ = [
     "saturate",
     "standard_graded_ring",
     "standard_pairs",
-    "syzygies",
     "to_a_graded_ring",
     "toric_ideal",
 ]

@@ -232,7 +232,7 @@ def build_presentation(job: Job, ring: GradedRing) -> GradedPresentation:
     raise JobError("job needs a 'presentation', an 'ideal' or a 'matrix' section")
 
 
-def _format_vector(v: Sequence[Fraction]) -> str:
+def _format_vector(v: Sequence[int | Fraction]) -> str:
     return "(" + ", ".join(str(c) for c in v) + ")"
 
 
@@ -401,14 +401,16 @@ def _shield_negative_degree(argv: Sequence[str]) -> list[str]:
     return argv
 
 
-def parse_degree(text: str, rank: int) -> tuple[Fraction, ...]:
+def parse_degree(text: str, rank: int) -> tuple[int | Fraction, ...]:
+    """The degree's entries, each an int when it is integral, so that a
+    membership test on an integer degree reduces in integers."""
     try:
         beta = tuple(Fraction(part.strip()) for part in text.split(","))
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"bad degree {text!r}; expected comma-separated fractions") from None
     if len(beta) != rank:
         raise JobError(f"degree has {len(beta)} entries, grading rank is {rank}")
-    return beta
+    return tuple(x.numerator if x.denominator == 1 else x for x in beta)
 
 
 def cmd_check_beta(job: Job, args) -> None:

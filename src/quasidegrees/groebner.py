@@ -27,9 +27,15 @@ per known term. A term-over-position key is the order's key over the
 complemented position (for grevlex: the degree over the complemented
 word); a Schreyer key the parent key of m * lead(g_pos) over it.
 
-The public functions speak Polynomial and tuple-of-Polynomial; the
-vecdict layer is exported as well because the resolution code builds on
-it directly.
+The package's Groebner work runs on vecdicts (``vec_groebner``,
+``vec_syzygies``, ``vec_initial_module`` and the rest); the four
+converters ``poly_to_vec``, ``vector_to_vec``, ``vec_to_poly`` and
+``vec_to_vector`` cross to and from ``Polynomial``. The
+polynomial-level surface is small: ``buchberger`` (with its
+``GroebnerBasis``) and ``saturate``, which the toric code uses, and
+``divide``, ``normal_form`` and ``ideal_equal`` for ideals. There is no
+polynomial-level module basis, syzygy or initial-module function: build
+vecdicts with the converters and call the kernel.
 
 Every basis, syzygy and lift here comes from one Buchberger pair loop,
 ``_buchberger``. Generators and S-pairs wait in one queue by degree, so
@@ -593,7 +599,7 @@ def vec_syzygies_and_lifts(
     return widening(run, gens, targets, nvars=nvars)
 
 
-# --- public polynomial-level API ---
+# --- polynomial-level API: ideals only ---
 
 
 class GroebnerBasis(Frozen):
@@ -635,22 +641,6 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> Gr
     return GroebnerBasis(tuple(vec_to_poly(g, nvars) for g in gb), order)
 
 
-def module_groebner(
-    gens: Sequence[Vector], order: MonomialOrder = GREVLEX
-) -> list[Vector]:
-    """Reduced Groebner basis of a submodule of R^t, term-over-position
-    order with lower component winning ties."""
-    nz = [v for v in gens if any(f for f in v)]
-    if not nz:
-        return []
-    t = len(nz[0])
-    if any(len(v) != t for v in nz):
-        raise ValueError("vectors of different lengths")
-    nvars = nz[0][0].nvars
-    gb = vec_groebner([vector_to_vec(v) for v in nz], top_key(order))
-    return [vec_to_vector(g, t, nvars) for g in gb]
-
-
 def normal_form(
     f: Polynomial, gb: GroebnerBasis | Sequence[Polynomial], order: MonomialOrder | None = None
 ) -> Polynomial:
@@ -663,43 +653,6 @@ def normal_form(
             raise ValueError("an order is required with a raw generator list")
     live = [poly_to_vec(g) for g in gens if not g.is_zero()]
     return vec_to_poly(vec_divide(poly_to_vec(f), live, top_key(order))[1], f.nvars)
-
-
-def syzygies(
-    gens: Sequence[Polynomial] | Sequence[Vector], order: MonomialOrder = GREVLEX
-) -> list[Vector]:
-    """Generating set of the syzygy module of ``gens``.
-
-    ``gens`` may be polynomials (ideal case) or equal-length tuples of
-    polynomials (submodule of a free module). Each returned vector v
-    satisfies sum v_i * gens_i = 0.
-    """
-    if not gens:
-        return []
-    vectors = [(g,) for g in gens] if isinstance(gens[0], Polynomial) else gens
-    nvars = vectors[0][0].nvars
-    syz = vec_syzygies([vector_to_vec(v) for v in vectors], top_key(order), nvars)
-    return [vec_to_vector(s, len(gens), nvars) for s in syz]
-
-
-def initial_module(
-    gens: Sequence[Polynomial] | Sequence[Vector], order: MonomialOrder = GREVLEX
-) -> dict[int, list[Exps]]:
-    """Lead exponents of a Groebner basis, grouped by component.
-
-    For an ideal (polynomial input) the result has a single key 0. The
-    grouped exponent lists generate the initial module, which decomposes
-    as a direct sum of monomial ideals, one per component.
-    """
-    if not gens:
-        return {}
-    vectors = [(g,) for g in gens] if isinstance(gens[0], Polynomial) else gens
-    vecs = [vector_to_vec(v) for v in vectors if any(f for f in v)]
-    return dict(enumerate(vec_initial_module(vecs, len(vectors[0]), order)))
-
-
-def initial_ideal(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> list[Exps]:
-    return initial_module(gens, order).get(0, [])
 
 
 def saturate(

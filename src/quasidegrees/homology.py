@@ -268,7 +268,7 @@ def ext_presentation(P: GradedPresentation, j: int) -> GradedPresentation:
 
 def dual_shift_plane(plane: AffinePlane, eps: Sequence[int]) -> AffinePlane:
     """The graded-duality image of a plane: base -> -base - eps."""
-    return AffinePlane._on(plane._span, (-b - e for b, e in zip(plane.base, eps)))
+    return AffinePlane._on(plane._span, (-b - e for b, e in zip(plane._base, eps)))
 
 
 def qlc(P: GradedPresentation, i: int) -> QuasidegreeSet:

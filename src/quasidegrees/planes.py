@@ -1,20 +1,23 @@
 """Finite unions of rational affine planes in Q^d.
 
 An AffinePlane is base + span. The base is kept as given (for a
-quasidegree plane, the degree of a standard root). The span is a Span,
-an integer form whose ``coset`` reduces a point modulo it; equality,
-hashing and order read the base's coset, so two planes are equal exactly
-when they are the same subset of Q^d. Fractions appear only in ``base``
-and ``span``, which print. A QuasidegreeSet keeps one plane per set, the
-one with the least base of those it is given, in sorted order. A map
-applied afterwards can reverse that choice: homology.qlc dualises with
-base -> -base - eps, so it prints the greatest of the candidate images.
+quasidegree plane, the integer degree of a standard root). The span is a
+Span, an integer form whose ``coset`` reduces a point modulo it;
+equality, hashing and order read the base's coset, so two planes are
+equal exactly when they are the same subset of Q^d. Fractions appear
+only in ``base`` and ``span``, which print, and are built when first
+read: most candidate planes collapse into a duplicate and never print.
+A QuasidegreeSet keeps one plane per set, the one with the least base of
+those it is given, in sorted order. A map applied afterwards can reverse
+that choice: homology.qlc dualises with base -> -base - eps, so it
+prints the greatest of the candidate images.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .linalg import Frozen, InputError
@@ -37,6 +40,9 @@ class Span(Frozen):
 
     def __init__(self, vectors: Iterable[Sequence]) -> None:
         rows: dict[int, list[int]] = {}  # Gauss-Jordan: pivot -> row, 0 at other pivots
+        vectors = list(vectors)
+        if len({len(v) for v in vectors}) > 1:
+            raise InputError("span vectors must have one length")
         for v in vectors:
             den = math.lcm(*(x.denominator for x in v))
             v = [int(x * den) for x in v]
@@ -54,7 +60,6 @@ class Span(Frozen):
         self.__dict__.update(
             rows=tuple(tuple(rows[p]) for p in pivots),
             scale=scale,
-            rref=tuple(tuple(Fraction(x, rows[p][p]) for x in rows[p]) for p in pivots),
             # scale // pivot times a point's entry at the pivot is the
             # multiple of the row to subtract: the other rows vanish there
             _steps=tuple((p, tuple(rows[p]), scale // rows[p][p]) for p in pivots),
@@ -70,6 +75,10 @@ class Span(Frozen):
             if f:
                 out = [a - f * r for a, r in zip(out, row)]
         return tuple(out)
+
+    @cached_property
+    def rref(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(x, row[p]) for x in row) for p, row, _ in self._steps)
 
 
 class AffinePlane(Frozen):
@@ -93,12 +102,15 @@ class AffinePlane(Frozen):
         return plane
 
     def _store(self, span: Span, base: tuple) -> None:
-        self.__dict__.update(
-            base=tuple(map(Fraction, base)),
-            span=span.rref,
-            _span=span,
-            _key=(span.rows, span.coset(base)),
-        )
+        self.__dict__.update(_base=base, _span=span, _key=(span.rows, span.coset(base)))
+
+    @cached_property
+    def base(self) -> tuple[Fraction, ...]:
+        return tuple(map(Fraction, self._base))
+
+    @cached_property
+    def span(self) -> tuple[tuple[Fraction, ...], ...]:
+        return self._span.rref
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AffinePlane):
@@ -112,15 +124,16 @@ class AffinePlane(Frozen):
         # by the base reduced modulo the span, then by the span: the
         # reduced bases are the cosets over the scales, so cross-multiply
         s, t = self._span.scale, other._span.scale
-        return ([x * t for x in self._key[1]], self.span) < ([y * s for y in other._key[1]], other.span)
+        mine, theirs = [x * t for x in self._key[1]], [y * s for y in other._key[1]]
+        return mine < theirs if mine != theirs else self.span < other.span
 
     @property
     def ambient_dim(self) -> int:
-        return len(self.base)
+        return len(self._base)
 
     @property
     def dimension(self) -> int:
-        return len(self.span)
+        return len(self._span.rows)
 
     def contains_point(self, beta: Sequence) -> bool:
         beta = tuple(x if type(x) is int else Fraction(x) for x in beta)
@@ -133,7 +146,7 @@ def plane_contains(outer: AffinePlane, inner: AffinePlane) -> bool:
     """Is inner a subset of outer?"""
     if outer.ambient_dim != inner.ambient_dim:
         raise InputError("planes in different ambient spaces")
-    return outer.contains_point(inner.base) and not any(
+    return outer.contains_point(inner._base) and not any(
         any(outer._span.coset(v)) for v in inner._span.rows
     )
 
@@ -146,11 +159,19 @@ class QuasidegreeSet(Frozen):
     def __init__(self, planes: Iterable[AffinePlane]) -> None:
         least: dict[AffinePlane, AffinePlane] = {}
         for p in planes:
-            if p not in least or p.base < least[p].base:
+            if p not in least or p._base < least[p]._base:
                 least[p] = p
         if len({p.ambient_dim for p in least}) > 1:
             raise InputError("planes in different ambient spaces")
         self.__dict__["planes"] = tuple(sorted(least.values()))
+
+    @classmethod
+    def _of(cls, planes: tuple[AffinePlane, ...]) -> QuasidegreeSet:
+        """The set of ``planes``, already distinct, sorted and of one
+        dimension, with no checks."""
+        out = object.__new__(cls)
+        out.__dict__["planes"] = planes
+        return out
 
     @property
     def is_empty(self) -> bool:
@@ -172,6 +193,6 @@ def remove_redundancy(q: QuasidegreeSet | Iterable[AffinePlane]) -> QuasidegreeS
     The union of the planes is unchanged.
     """
     planes = QuasidegreeSet(q).planes
-    return QuasidegreeSet(
-        p for p in planes if not any(o != p and plane_contains(o, p) for o in planes)
+    return QuasidegreeSet._of(
+        tuple(p for p in planes if not any(o != p and plane_contains(o, p) for o in planes))
     )

@@ -184,9 +184,11 @@ def toric_ideal(
     """Reduced Groebner basis of the toric ideal I_A in the ring's order.
 
     Saturates only by ``saturating_variables``. The weights come from a
-    heft of A itself, not from the ring, whose grading need not be A. A
-    matrix with no heft, which only such a ring admits, is saturated by
-    elimination (``groebner.saturate``) instead.
+    heft of A: the ring's own when the ring is graded by A, else one found
+    for A, since the ring's grading need not be A. Any heft gives valid
+    weights, and the reduced basis does not depend on them. A matrix with
+    no heft, which only a ring with another grading admits, is saturated
+    by elimination (``groebner.saturate``) instead.
     """
     A = as_int_matrix(A)
     if ring is None:
@@ -199,7 +201,7 @@ def toric_ideal(
     gens = _binomials(lattice, ring.nvars)
     sigma = saturating_variables(lattice, ring.nvars)
     try:
-        h = find_heft(A)
+        h = ring.heft if ring.degree_matrix == A else find_heft(A)
     except GradingNotPositiveError:
         # no positive weights make I_A homogeneous, so the Bayer–Stillman
         # criterion does not apply (a ring with another grading lets such

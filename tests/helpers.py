@@ -14,13 +14,13 @@ from operator import add
 from quasidegrees import groebner
 from quasidegrees.groebner import (
     buchberger,
-    initial_module,
     poly_to_vec,
     saturate,
     top_key,
     vec_groebner,
     vec_initial_module,
     vec_to_poly,
+    vector_to_vec,
 )
 from quasidegrees.linalg import (
     IntMatrix,
@@ -433,12 +433,10 @@ def dimension_via_standard_pairs(ring: GradedRing, columns, shifts) -> int:
     R/J_k, so the dimension is the largest face among the standard pairs
     of any J_k. No resolution is involved.
     """
-    lead = initial_module(list(columns), ring.order) if columns else {}
-    dims = [
-        max((p.dimension for p in standard_pairs(lead.get(k, []), ring.nvars)), default=-1)
-        for k in range(len(shifts))
-    ]
-    return max(dims, default=-1)
+    lead = vec_initial_module([vector_to_vec(c) for c in columns], len(shifts), ring.order)
+    return max(
+        (p.dimension for gens in lead for p in standard_pairs(gens, ring.nvars)), default=-1
+    )
 
 
 def elimination_toric_ideal(A, ring: GradedRing):

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from quasidegrees.cli import (
     machine_text,
     main,
     make_parser,
+    parse_degree,
 )
 from quasidegrees.groebner import ideal_equal
 from quasidegrees.homology import GradedPresentation, InhomogeneousError, qlc
@@ -245,6 +247,14 @@ def test_qdeg_inhomogeneous_presentation(job_file, capsys):
     assert "homogeneous" in err
 
 
+@pytest.mark.parametrize("command", ["qdeg", "qlc"])
+def test_inhomogeneous_toric_module_is_a_validation_error(job_file, capsys, command):
+    # I_A = <a^2 - b> is homogeneous for A = [1 2], not in the standard
+    # grading the job asks for: the toric route checks it like an ideal
+    job = {"matrix": [[1, 2]], "variables": ["a", "b"], "grading": "standard"}
+    assert run(capsys, [command, job_file(job)]) == (3, "", "error: inhomogeneous generator\n")
+
+
 def test_qdeg_on_a_matrix_only_job_presents_the_toric_quotient(job_file, capsys):
     # the module rule qlc follows: presentation, else ideal, else R/I_A
     code, out, err = run(capsys, ["qdeg", job_file(CUBIC_JOB)])
@@ -378,6 +388,12 @@ def test_check_beta_negative_first_entry_without_double_dash(job_file, capsys):
     proc = run_module("check-beta", path, "-1/2,0,2", "--format", "machine")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["beta"] == ["-1/2", "0", "2"]
+
+
+def test_parse_degree_keeps_integral_entries_as_ints():
+    beta = parse_degree("3, -1/2, 4/2, -0", 4)
+    assert beta == (3, Fraction(-1, 2), 2, 0)
+    assert [type(x) for x in beta] == [int, Fraction, int, int]
 
 
 def test_check_beta_malformed_negative_degree_is_a_parse_failure(job_file, capsys):

@@ -17,12 +17,15 @@ from quasidegrees.groebner import (
     buchberger,
     divide,
     ideal_equal,
-    initial_ideal,
-    initial_module,
-    module_groebner,
     normal_form,
+    poly_to_vec,
     saturate,
-    syzygies,
+    top_key,
+    vec_groebner,
+    vec_initial_module,
+    vec_syzygies,
+    vec_to_vector,
+    vector_to_vec,
 )
 from quasidegrees.parse import parse_polynomial
 from quasidegrees.poly import (
@@ -129,7 +132,7 @@ def test_a_run_whose_exponents_outgrow_the_layout_starts_again_wider(monkeypatch
     assert list(buchberger(gens, LEX).generators) == [p2("y^200"), p2("x - y^20")]
     assert [w.width for w in seen] == [14]
     # with a transcript: the syzygies and lifts of the wider run
-    check_syzygies(gens, syzygies(gens, LEX))
+    check_syzygies(gens, vec_syzygies([poly_to_vec(g) for g in gens], top_key(LEX), 2))
     assert len(seen) == 2
     qs, r = divide(p2("x^10*y^190"), [p2("y^200"), p2("x - y^20")], LEX)
     assert r == Polynomial.zero(2)
@@ -139,7 +142,7 @@ def test_a_run_whose_exponents_outgrow_the_layout_starts_again_wider(monkeypatch
 def test_vecdicts_of_mixed_layouts_meet_in_the_widest():
     # the generators fit 7-bit fields, the target needs 10: the lift runs
     # in the target's layout and rebuilds the target
-    from quasidegrees.groebner import top_key, vec_lift, vec_to_vector, vector_to_vec
+    from quasidegrees.groebner import vec_lift
 
     gens = [(p2("x^2"), p2("y")), (p2("y^3"), p2("x*y"))]
     target = tuple(p2("x^298") * a + p2("x^297") * b for a, b in zip(*gens))
@@ -210,25 +213,40 @@ def test_normal_form_membership():
 
 
 def check_syzygies(gens, syz):
-    for v in syz:
-        total = Polynomial.zero(gens[0].nvars if isinstance(gens[0], Polynomial) else gens[0][0].nvars)
-        if isinstance(gens[0], Polynomial):
-            for q, g in zip(v, gens):
-                total = total + q * g
+    """The vecdict syzygies ``syz`` of ``gens`` (polynomials or equal-length
+    tuples of them) as tuples of polynomials, each checked to satisfy
+    sum q_i * gens_i = 0 in polynomial arithmetic."""
+    vectors = [(g,) for g in gens] if isinstance(gens[0], Polynomial) else gens
+    nvars = vectors[0][0].nvars
+    out = []
+    for w in syz:
+        q = vec_to_vector(w, len(gens), nvars)
+        for comp in range(len(vectors[0])):
+            total = Polynomial.zero(nvars)
+            for c, v in zip(q, vectors):
+                total = total + c * v[comp]
             assert total.is_zero()
-        else:
-            t = len(gens[0])
-            for comp in range(t):
-                tot = Polynomial.zero(gens[0][0].nvars)
-                for q, g in zip(v, gens):
-                    tot = tot + q * g[comp]
-                assert tot.is_zero()
+        out.append(q)
+    return out
+
+
+def assert_syzygies_span_kernel(ring, vectors, syz, top):
+    """In every degree up to ``top``, the syzygies of homogeneous
+    ``vectors`` span the kernel of the map they define, by ranks of
+    degree pieces (no Groebner basis involved)."""
+    gen_degs = [term_degrees(v, [(0,)] * len(v), ring).pop() for v in vectors]
+    syz_degs = [term_degrees(w, gen_degs, ring).pop() for w in syz]
+    for b in range(top + 1):
+        kernel = free_module_dim(ring, gen_degs, (b,)) - graded_map_rank(
+            ring, vectors, gen_degs, (b,)
+        )
+        assert graded_map_rank(ring, syz, syz_degs, (b,)) == kernel, b
 
 
 def test_syzygies_of_two_monomials():
     gens = [p3("x*y"), p3("y*z")]
-    syz = syzygies(gens)
-    check_syzygies(gens, syz)
+    packed = [poly_to_vec(g) for g in gens]
+    syz = check_syzygies(gens, vec_syzygies(packed, top_key(GREVLEX), 3))
     assert len(syz) == 1
     v = syz[0]
     # (z, -x) up to a scalar
@@ -239,21 +257,21 @@ def test_syzygies_of_two_monomials():
 
 def test_syzygies_of_redundant_generators():
     gens = [p2("x"), p2("x")]
-    syz = syzygies(gens)
-    check_syzygies(gens, syz)
+    packed = [poly_to_vec(g) for g in gens]
+    syz = check_syzygies(gens, vec_syzygies(packed, top_key(GREVLEX), 2))
     assert any(v[0].total_degree() == 0 and not v[0].is_zero() for v in syz)
 
 
 def test_syzygies_with_zero_generator():
     gens = [p2("x"), Polynomial.zero(2)]
-    syz = syzygies(gens)
-    check_syzygies(gens, syz)
+    packed = [poly_to_vec(g) for g in gens]
+    syz = check_syzygies(gens, vec_syzygies(packed, top_key(GREVLEX), 2))
     assert any(v == (Polynomial.zero(2), Polynomial.constant(2, 1)) for v in syz)
 
 
 def test_syzygies_of_free_pair_are_trivial():
     gens = [(p2("x"), Polynomial.zero(2)), (Polynomial.zero(2), p2("y"))]
-    assert syzygies(gens) == []
+    assert vec_syzygies([vector_to_vec(v) for v in gens], top_key(GREVLEX), 2) == []
 
 
 def test_syzygies_random_ideals():
@@ -261,8 +279,8 @@ def test_syzygies_random_ideals():
     for _ in range(20):
         nvars = rng.randint(1, 3)
         gens = random_ideal(rng, nvars, max_gens=3, max_terms=2, max_exp=2)
-        syz = syzygies(gens)
-        check_syzygies(gens, syz)
+        packed = [poly_to_vec(g) for g in gens]
+        check_syzygies(gens, vec_syzygies(packed, top_key(GREVLEX), nvars))
 
 
 def test_syzygies_random_modules():
@@ -277,46 +295,26 @@ def test_syzygies_random_modules():
                     for _ in range(t)
                 )
             )
-        syz = syzygies(gens)
-        check_syzygies(gens, syz)
+        packed = [vector_to_vec(v) for v in gens]
+        check_syzygies(gens, vec_syzygies(packed, top_key(GREVLEX), 2))
 
 
 def test_syzygy_completeness_koszul():
-    # for x, y, z the syzygy module is generated by the Koszul relations;
-    # check the three obvious ones are in the span by reducing them to zero
-    # with a module Groebner basis of the computed syzygies
+    # the syzygies of x, y, z are generated by the three Koszul relations
+    # in degree 2: the computed ones span the kernel through degree 3
     gens = [p3("x"), p3("y"), p3("z")]
-    syz = syzygies(gens)
-    check_syzygies(gens, syz)
-    gb = module_groebner(syz)
-    z = Polynomial.zero(3)
-    koszul = [
-        (p3("y"), -p3("x"), z),
-        (p3("z"), z, -p3("x")),
-        (z, p3("z"), -p3("y")),
-    ]
-    from quasidegrees.groebner import top_key, vec_divide, vector_to_vec
-
-    mkey = top_key(GREVLEX)
-    basis = [vector_to_vec(v) for v in gb]
-    for k in koszul:
-        _, r = vec_divide(vector_to_vec(k), basis, mkey)
-        assert not r
-
+    packed = [poly_to_vec(g) for g in gens]
+    syz = check_syzygies(gens, vec_syzygies(packed, top_key(GREVLEX), 3))
+    assert_syzygies_span_kernel(R3, [(g,) for g in gens], syz, 3)
 
 
 def test_syzygies_of_a_dropped_generator_generate():
-    # x + y reduces to zero against x and y, so its syzygy comes from its
-    # reduction: (1, 1, -1) must lie in the span of the syzygies
-    from quasidegrees.groebner import top_key, vec_divide, vector_to_vec
-
+    # x + y reduces to zero against x and y, so its syzygy (1, 1, -1)
+    # comes from its reduction: the syzygies span the kernel in degree 1
     gens = [p2("x"), p2("y"), p2("x + y")]
-    syz = syzygies(gens)
-    check_syzygies(gens, syz)
-    one = Polynomial.constant(2, 1)
-    basis = [vector_to_vec(v) for v in module_groebner(syz)]
-    _, r = vec_divide(vector_to_vec((one, one, -one)), basis, top_key(GREVLEX))
-    assert not r
+    packed = [poly_to_vec(g) for g in gens]
+    syz = check_syzygies(gens, vec_syzygies(packed, top_key(GREVLEX), 2))
+    assert_syzygies_span_kernel(R2, [(g,) for g in gens], syz, 2)
 
 
 def random_homogeneous_vectors(rng, ring, t, ngens, max_deg):
@@ -360,29 +358,23 @@ def test_syzygies_are_complete_when_the_chain_criterion_skips_pairs():
     for case in range(8):
         t = 1 + case % 2
         vectors = random_homogeneous_vectors(rng, R3, t, rng.randint(5, 6), 2)
-        gens = [v[0] for v in vectors] if t == 1 else vectors
-        syz, runs = record_buchberger_runs(syzygies, gens)
+        packed = [vector_to_vec(v) for v in vectors]
+        syz, runs = record_buchberger_runs(vec_syzygies, packed, top_key(GREVLEX), 3)
         (run,) = runs
         fired += run.pairs_chain > 0
         assert run.pairs_coprime == 0
-        check_syzygies(gens, syz)
-        gen_degs = [term_degrees(v, [(0,)] * t, R3).pop() for v in vectors]
-        syz_degs = [term_degrees(w, gen_degs, R3).pop() for w in syz]
+        syz = check_syzygies(vectors, syz)
         leads = lead_terms(run, t, 3)
         top = max(
-            [d[0] for d in gen_degs]
+            [sum(e) for v in vectors for f in v for e in f.terms]
             + [sum(exps_lcm(a, b)) for p, a in leads for q, b in leads if p == q]
         )
-        for b in range(top + 1):
-            kernel = free_module_dim(R3, gen_degs, (b,)) - graded_map_rank(
-                R3, vectors, gen_degs, (b,)
-            )
-            assert graded_map_rank(R3, syz, syz_degs, (b,)) == kernel, (case, b)
+        assert_syzygies_span_kernel(R3, vectors, syz, top)
     assert fired >= 3
 
 
 def test_syzygies_and_lifts_of_one_run():
-    from quasidegrees.groebner import top_key, vec_syzygies_and_lifts, vec_to_vector, vector_to_vec
+    from quasidegrees.groebner import vec_syzygies_and_lifts
 
     rng = random.Random(227)
     mkey = top_key(GREVLEX)
@@ -410,8 +402,7 @@ def test_syzygies_and_lifts_of_one_run():
             rebuilt = tuple(sum((c * v[k] for c, v in zip(q, vectors)), Polynomial.zero(3)) for k in range(2))
             assert rebuilt == vec_to_vector(target, 2, 3)
         # every syzygy kills the generators, and the zero one has its unit syzygy
-        syz_vectors = [vec_to_vector(w, len(vectors), 3) for w in syz]
-        check_syzygies(vectors, syz_vectors)
+        syz_vectors = check_syzygies(vectors, syz)
         others = (Polynomial.zero(3),) * (len(vectors) - 1)
         assert any(w[:-1] == others and w[-1] and w[-1].total_degree() == 0 for w in syz_vectors)
 
@@ -440,7 +431,7 @@ def test_rational_and_non_unit_coefficients():
     # generators scaled by 3/2, -5/7, ... take the division, S-pair and
     # monic-rescaling steps out of the integers: the reduced basis is the
     # one of the unscaled generators, syzygies vanish and lifts rebuild
-    from quasidegrees.groebner import top_key, vec_lift, vec_to_vector, vector_to_vec
+    from quasidegrees.groebner import vec_lift
 
     rng = random.Random(137)
     nvars = 2
@@ -453,11 +444,16 @@ def test_rational_and_non_unit_coefficients():
         scales = [rng.choice(SCALES) for _ in vectors]
         scaled = [tuple(f * c for f in v) for v, c in zip(vectors, scales)]
         for order in (GREVLEX, LEX):
-            assert module_groebner(scaled, order) == module_groebner(vectors, order)
+            mkey = top_key(order)
+            basis, scaled_basis = (
+                [vec_to_vector(g, t, nvars) for g in vec_groebner(map(vector_to_vec, gens), mkey)]
+                for gens in (vectors, scaled)
+            )
+            assert scaled_basis == basis
             if t == 1:
                 ideal = [v[0] for v in vectors]
                 assert buchberger([v[0] for v in scaled], order) == buchberger(ideal, order)
-            check_syzygies(scaled, syzygies(scaled, order))
+            check_syzygies(scaled, vec_syzygies([vector_to_vec(v) for v in scaled], mkey, nvars))
             # targets: combinations of the generators with rational weights
             targets = []
             for _ in range(3):
@@ -470,7 +466,7 @@ def test_rational_and_non_unit_coefficients():
             lifts = vec_lift(
                 [vector_to_vec(x) for x in targets],
                 [vector_to_vec(v) for v in scaled],
-                top_key(order),
+                mkey,
             )
             for x, w in zip(targets, lifts):
                 qs = vec_to_vector(w, len(scaled), nvars)
@@ -484,36 +480,38 @@ def test_rational_and_non_unit_coefficients():
 # --- module bases ---
 
 
-def test_module_groebner_position_up():
+def test_vec_groebner_position_up():
     # same term in two components: the lower component is the lead,
     # so a vector with support in component 0 alone cannot be reduced
-    # by one leading in component 1
+    # by one leading in component 1; the reduced basis is (0,x), (x,0),
+    # in increasing order of the leads x*e1 < x*e0
     x = p2("x")
     z = Polynomial.zero(2)
-    gb = module_groebner([(x, x), (z, x)])
-    assert ((x, z) in gb) or ((x, x) in gb)
-    # the classes generated: e0*x and e1*x; reduced basis is [(x,0),(0,x)]
-    assert sorted(gb, key=str) == sorted([(x, z), (z, x)], key=str)
+    gb = vec_groebner([vector_to_vec((x, x)), vector_to_vec((z, x))], top_key(GREVLEX))
+    assert [vec_to_vector(g, 2, 2) for g in gb] == [(z, x), (x, z)]
 
 
-def test_module_groebner_keeps_coprime_pairs():
+def test_vec_groebner_keeps_coprime_pairs():
     # the leads x*e0 and y*e0 are coprime, yet their S-pair (0, y) does
     # not reduce: the coprime criterion holds only for ideals
     x, y, one = p2("x"), p2("y"), p2("1")
     z = Polynomial.zero(2)
-    gb = module_groebner([(x, one), (y, z)])
-    assert (z, y) in gb
+    gb = vec_groebner([vector_to_vec((x, one)), vector_to_vec((y, z))], top_key(GREVLEX))
+    assert (z, y) in [vec_to_vector(g, 2, 2) for g in gb]
 
 
-def test_initial_module_and_ideal():
+def test_vec_initial_module_of_an_ideal_and_a_module():
     gens = [p2("x*y - 1"), p2("y^2 - 1")]
-    assert sorted(initial_ideal(gens)) == [(0, 2), (1, 0)]
-    m = initial_module(gens)
-    assert set(m.keys()) == {0}
+    (lead,) = vec_initial_module([poly_to_vec(g) for g in gens], 1, GREVLEX)
+    assert sorted(lead) == [(0, 2), (1, 0)]
+    # the lead exponents of the reduced basis, read with the order's key
+    assert sorted(lead) == sorted(g.lead_term(GREVLEX)[0] for g in buchberger(gens))
     x = p2("x")
     z = Polynomial.zero(2)
-    mm = initial_module([(x, x), (z, x)])
-    assert mm == {0: [(1, 0)], 1: [(1, 0)]}
+    assert vec_initial_module([vector_to_vec(v) for v in [(x, x), (z, x)]], 2, GREVLEX) == [
+        [(1, 0)],
+        [(1, 0)],
+    ]
 
 
 # --- saturation ---
@@ -579,7 +577,7 @@ def test_ideal_equal():
 # the acceptance tests) ---
 
 
-def test_hilbert_function_matches_initial_ideal():
+def test_hilbert_function_matches_initial_module():
     rng = random.Random(29)
     for _ in range(8):
         nvars = rng.randint(2, 3)
@@ -587,7 +585,7 @@ def test_hilbert_function_matches_initial_ideal():
         gens = random_homogeneous_binomial_ideal(rng, nvars)
         if all(g.is_zero() for g in gens):
             continue
-        lead = initial_ideal(gens)
+        (lead,) = vec_initial_module([poly_to_vec(g) for g in gens], 1, GREVLEX)
         for d in range(6):
             assert hilbert_quotient_dim(ring, gens, (d,)) == standard_monomial_count(
                 ring, lead, (d,)

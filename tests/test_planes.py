@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import reduce_modulo_rref
-from quasidegrees.linalg import rref
+from quasidegrees.linalg import InputError, rref
 from quasidegrees.planes import (
     AffinePlane,
     QuasidegreeSet,
@@ -96,6 +96,13 @@ def test_span_rref_matches_linalg_rref():
         assert span.scale == math.lcm(*(row[p] for p, row in zip(pivots, span.rows)))
         again = Span(vs[::-1])
         assert again == span and hash(again) == hash(span)
+
+
+def test_span_rejects_vectors_of_unequal_length():
+    with pytest.raises(InputError):
+        Span([(1, 2), (3,)])
+    with pytest.raises(InputError):
+        Span([(1,), (0, 1)])
 
 
 def test_coset_agrees_exactly_on_points_of_one_plane():
@@ -231,6 +238,18 @@ def test_quasidegree_set_collapses_set_equal_planes_to_least_base():
     assert remove_redundancy(two) == two
 
 
+def test_least_base_is_read_from_the_bases_as_given():
+    # integer bases, as on the monomial route, and Fraction ones compare
+    # as numbers; no plane builds its Fractions until they are read
+    for perm in itertools.permutations([(5, 1), (F(-3), 1), (-2, 1)]):
+        line = Span([(2, 0)])
+        (p,) = QuasidegreeSet(AffinePlane._on(line, base) for base in perm).planes
+        assert p._base == (-3, 1)
+        assert "base" not in p.__dict__ and "span" not in p.__dict__
+        assert "rref" not in line.__dict__
+        assert p.base == (F(-3), F(1)) and p.span == ((F(1), F(0)),)
+
+
 def test_remove_redundancy_chain():
     point = AffinePlane((0, 0))
     line = AffinePlane((0, 0), ((1, 0),))
@@ -259,9 +278,10 @@ def test_remove_redundancy_properties_random():
                 assert out.contains_point(pt)
         for a in out:
             assert any(a == p and a.base == p.base for p in planes)
-        # idempotent
+        # idempotent, and its planes are already one QuasidegreeSet
         again = remove_redundancy(out)
         assert again.planes == out.planes
+        assert QuasidegreeSet(out.planes).planes == out.planes
         # the set does not depend on the order of its planes
         shuffled = planes[:]
         shuffler.shuffle(shuffled)

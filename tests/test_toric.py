@@ -13,7 +13,7 @@ from helpers import (
     standard_monomial_count,
 )
 from quasidegrees import groebner, toric
-from quasidegrees.groebner import buchberger, ideal_equal, initial_ideal, normal_form
+from quasidegrees.groebner import buchberger, ideal_equal, normal_form
 from quasidegrees.linalg import IntMatrix, integer_kernel, lll_reduce, rational_rank
 from quasidegrees.parse import parse_polynomial
 from quasidegrees.poly import (
@@ -124,7 +124,8 @@ def test_toric_ideal_running_example_golden():
 def test_running_example_initial_ideal_and_volume():
     R = to_a_graded_ring(A35)
     I = toric_ideal(A35, R)
-    lead = sorted(initial_ideal(I, R.order))
+    # I is a reduced basis, so its lead terms generate the initial ideal
+    lead = sorted(f.lead_term(R.order)[0] for f in I)
     assert lead == [
         (0, 1, 0, 3, 0),
         (1, 0, 0, 2, 0),
@@ -170,7 +171,7 @@ def test_toric_hilbert_function_matches_volume_ideal():
     # ideal count (Hilbert function invariance under taking lead terms)
     R = to_a_graded_ring(A35)
     I = toric_ideal(A35, R)
-    lead = initial_ideal(I, R.order)
+    lead = [f.lead_term(R.order)[0] for f in I]
     rng = random.Random(61)
     for _ in range(12):
         e = tuple(rng.randint(0, 2) for _ in range(5))
@@ -255,6 +256,22 @@ def test_toric_ideal_weights_come_from_the_matrix(order):
     cubic = CORPUS["rnc3"]
     R = graded_ring(("a", "b", "c", "d"), [[1, 1, 2, 1]], order=order)
     assert toric_ideal(cubic, R) == elimination_toric_ideal(cubic, R)
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+def test_toric_ideal_takes_its_weights_from_a_ring_graded_by_the_matrix(monkeypatch, order):
+    # any heft of A gives valid weights, and the reduced basis does not
+    # depend on them: a ring graded by A lends its own heft, found or
+    # given, and no second heft search runs
+    names = tuple(f"x{j}" for j in range(1, 6))
+    expected = elimination_toric_ideal(A35, graded_ring(names, A35, order=order))
+
+    def refuse(A):
+        raise AssertionError("toric_ideal searched for a heft of the ring's own grading")
+
+    monkeypatch.setattr(toric, "find_heft", refuse)
+    for heft in ((1, 0, 0), (3, 1, 1)):
+        assert toric_ideal(A35, graded_ring(names, A35, heft, order)) == expected
 
 
 def test_toric_ideal_never_saturates_through_elimination(monkeypatch):
