@@ -108,7 +108,7 @@ class AffinePlane(Frozen):
     def base(self) -> tuple[Fraction, ...]:
         return tuple(map(Fraction, self._base))
 
-    @cached_property
+    @property
     def span(self) -> tuple[tuple[Fraction, ...], ...]:
         return self._span.rref
 
@@ -165,14 +165,6 @@ class QuasidegreeSet(Frozen):
             raise InputError("planes in different ambient spaces")
         self.__dict__["planes"] = tuple(sorted(least.values()))
 
-    @classmethod
-    def _of(cls, planes: tuple[AffinePlane, ...]) -> QuasidegreeSet:
-        """The set of ``planes``, already distinct, sorted and of one
-        dimension, with no checks."""
-        out = object.__new__(cls)
-        out.__dict__["planes"] = planes
-        return out
-
     @property
     def is_empty(self) -> bool:
         return not self.planes
@@ -193,6 +185,6 @@ def remove_redundancy(q: QuasidegreeSet | Iterable[AffinePlane]) -> QuasidegreeS
     The union of the planes is unchanged.
     """
     planes = QuasidegreeSet(q).planes
-    return QuasidegreeSet._of(
-        tuple(p for p in planes if not any(o != p and plane_contains(o, p) for o in planes))
+    return QuasidegreeSet(
+        p for p in planes if not any(o != p and plane_contains(o, p) for o in planes)
     )

@@ -23,10 +23,20 @@ def test_rank_jump_survey_runs_from_a_checkout(tmp_path):
     assert "  RANK-JUMP at (0, 0, 1)" in proc.stdout.splitlines()
 
 
-def test_readme_library_snippet_prints_the_rank_jump_plane(capsys):
+def _readme_python_blocks() -> list[str]:
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    snippet = readme.split("```python\n", 1)[1].split("```", 1)[0]
-    exec(snippet, {})
+    return [block.split("```", 1)[0] for block in readme.split("```python\n")[1:]]
+
+
+def test_readme_library_snippet_prints_the_rank_jump_plane(capsys):
+    exec(_readme_python_blocks()[0], {})
     F = Fraction
     plane = ((F(0), F(0), F(1)), ((F(1), F(0), F(-2)),))
     assert capsys.readouterr().out == "%s %s\n" % plane
+
+
+def test_readme_groebner_snippet_prints_the_koszul_syzygy(capsys):
+    blocks = _readme_python_blocks()
+    assert len(blocks) == 2
+    exec(blocks[1], {})
+    assert capsys.readouterr().out == "['z', '-y']\n"
