@@ -32,10 +32,11 @@ The package's Groebner work runs on vecdicts (``vec_groebner``,
 converters ``poly_to_vec``, ``vector_to_vec``, ``vec_to_poly`` and
 ``vec_to_vector`` cross to and from ``Polynomial``. The
 polynomial-level surface is small: ``buchberger`` (with its
-``GroebnerBasis``) and ``saturate``, which the toric code uses, and
-``divide``, ``normal_form`` and ``ideal_equal`` for ideals. There is no
-polynomial-level module basis, syzygy or initial-module function: build
-vecdicts with the converters and call the kernel.
+``GroebnerBasis``), ``saturate`` (public, and the tests' reference for
+toric ideals; no command calls it) and ``divide``, ``normal_form`` and
+``ideal_equal`` for ideals. There is no polynomial-level module basis,
+syzygy or initial-module function: build vecdicts with the converters
+and call the kernel.
 
 Every basis, syzygy and lift here comes from one Buchberger pair loop,
 ``_buchberger``. Generators and S-pairs wait in one queue by degree, so

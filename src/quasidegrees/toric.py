@@ -10,14 +10,28 @@ a lattice basis generate an ideal J with I_A = (J : (x_1 ... x_n)^inf),
 and that saturation is taken one variable at a time by the Bayer–Stillman
 criterion (Sturmfels, *Gröbner Bases and Convex Polytopes*, 1996,
 Ch. 12), but only by the variables the lattice basis forces (below).
-Every binomial involved is homogeneous for the positive weights
-w = h A, where h is a heft of A. In an order that compares w-degrees
-first and then reverse-lexicographically with x_j last, x_j divides the
-lead term of a w-homogeneous polynomial only if it divides every term,
-so dividing each element of such a basis of J by its largest power of
-x_j gives a basis of (J : x_j^inf). No variable is added and nothing is
-eliminated; the last basis is converted to the ring's order. A matrix
-with no heft has no such weights and is saturated by elimination.
+When every vector u of the basis has entries summing to 0, every
+binomial involved is homogeneous in total degree. In an order that
+compares total degrees first and then reverse-lexicographically with x_j
+last, x_j divides the lead term of a homogeneous polynomial only if it
+divides every term, so dividing each element of such a basis of J by its
+largest power of x_j gives a basis of (J : x_j^inf). Nothing is
+eliminated; the last basis is converted to the ring's order.
+
+Otherwise the lattice is lifted to the vectors (u, -Σu) in one more
+variable t, the kernel of [[A, 0], [1 ... 1, 1]], whose binomials are
+homogeneous in total degree. With J' the ideal of the lifted basis,
+J' : (x_σ)^inf is computed as above and then t is set to 1. That ring
+map sends J' onto J, generator to generator, and commutes with
+saturating by a monomial m of Q[x]: if m^k h lies in J, then t^a m^k H
+lies in J' for some a, H the homogenization of h (Cox–Little–O'Shea,
+Ch. 8 §4), so H lies in J' : (m t)^inf = (J' : m^inf) : t^inf; and a
+homogeneous ideal and its saturation by t have the same image. So the
+image of J' : (x_σ)^inf is J : (x_σ)^inf = I_A, with the σ of the
+lattice itself (below): t is never saturated. No two terms of a basis
+element collide on the way, since the element is homogeneous and x^a t^k
+and x^a t^m of one degree have k = m. The ring's grading is never read,
+and A needs no heft.
 
 Most saturations change nothing, and only the variables in σ are used
 (compare Hemmecke–Malkin, JSC 2009). For a set S of variables, a lattice
@@ -57,25 +71,9 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .groebner import (
-    ModKey,
-    VecPoly,
-    buchberger,
-    saturate,
-    top_key,
-    vec_groebner,
-    vec_to_poly,
-)
+from .groebner import ModKey, VecPoly, buchberger, top_key, vec_groebner, vec_to_poly
 from .linalg import InputError, IntMatrix, as_int_matrix, integer_kernel, lll_reduce
-from .poly import (
-    GREVLEX,
-    GradedRing,
-    GradingNotPositiveError,
-    MonomialOrder,
-    Polynomial,
-    find_heft,
-    graded_ring,
-)
+from .poly import GREVLEX, GradedRing, MonomialOrder, Polynomial, graded_ring
 from .stdpairs import degree_via_pairs
 from .words import Words
 
@@ -154,16 +152,17 @@ def saturating_variables(lattice: Sequence[Sequence[int]], nvars: int) -> list[i
     return [j for j in range(nvars) if not skipped >> j & 1]
 
 
-def _saturation_key(weights: Sequence[int], last: int) -> ModKey:
-    """w-degree first, then reverse lex with x_last as the last variable:
-    among monomials of equal w-degree, the smaller power of x_last wins. On
-    words: the w-degree, the complemented x_last, the rest complemented."""
+def _saturation_key(last: int) -> ModKey:
+    """Total degree first, then reverse lex with x_last as the last
+    variable: among monomials of equal degree, the smaller power of x_last
+    wins. On terms of component 0: the degree field, the complemented
+    x_last, the rest complemented."""
 
     def make(words):
-        low, mask, top, bits = words.low, words.mask, words.top, words.bits
-        at, wdeg = words.shifts[last], words.form(weights)
+        low, top, bits = words.low, words.top, words.bits
+        at = words.shifts[last]
         rest = words.data & ~(low << at)
-        return lambda t: (wdeg(t & mask) << bits | low - (t >> at & low)) << top | rest & ~t
+        return lambda t: ((t >> top) << bits | low - (t >> at & low)) << top | rest & ~t
 
     return ModKey(make)
 
@@ -178,17 +177,22 @@ def _divide_out(g: VecPoly, j: int) -> VecPoly:
     return VecPoly(g.words, {t - xm: c for t, c in g.items()})
 
 
+def _dehomogenize(g: VecPoly) -> VecPoly:
+    """g with its last variable set to 1, over the variables before it."""
+    words = Words(g.words.nvars - 1, g.words.width)
+    return VecPoly(words, {words.term(0, words.unpack(t)): c for t, c in g.items()})
+
+
 def toric_ideal(
     A: IntMatrix | Iterable[Iterable[int]], ring: GradedRing | None = None
 ) -> list[Polynomial]:
     """Reduced Groebner basis of the toric ideal I_A in the ring's order.
 
-    Saturates only by ``saturating_variables``. The weights come from a
-    heft of A: the ring's own when the ring is graded by A, else one found
-    for A, since the ring's grading need not be A. Any heft gives valid
-    weights, and the reduced basis does not depend on them. A matrix with
-    no heft, which only a ring with another grading admits, is saturated
-    by elimination (``groebner.saturate``) instead.
+    Saturates in total degree, only by ``saturating_variables``, the
+    binomials of the lattice basis when each vector sums to 0 and else
+    those of its lift, whose new variable is then set to 1 (see the
+    module docstring). Only the ring's variable count and order are read,
+    so its grading need not be A, and A needs no heft.
     """
     A = as_int_matrix(A)
     if ring is None:
@@ -198,22 +202,16 @@ def toric_ideal(
     lattice = lll_reduce(integer_kernel(A))
     if not lattice:
         return []
-    gens = _binomials(lattice, ring.nvars)
     sigma = saturating_variables(lattice, ring.nvars)
-    try:
-        h = ring.heft if ring.degree_matrix == A else find_heft(A)
-    except GradingNotPositiveError:
-        # no positive weights make I_A homogeneous, so the Bayer–Stillman
-        # criterion does not apply (a ring with another grading lets such
-        # an A through)
-        binomials = [vec_to_poly(g, ring.nvars) for g in gens]
-        for j in sigma:
-            binomials = saturate(binomials, ring.variable(j), ring.order)
-        return list(buchberger(binomials, ring.order).generators)
-    weights = [sum(hi * ai for hi, ai in zip(h, col)) for col in A.columns()]
+    lifted = any(map(sum, lattice))
+    if lifted:
+        lattice = [[*u, -sum(u)] for u in lattice]
+    gens = _binomials(lattice, len(lattice[0]))
     for j in sigma:
-        gb = vec_groebner(gens, _saturation_key(weights, j))
+        gb = vec_groebner(gens, _saturation_key(j))
         gens = [_divide_out(g, j) for g in gb]
+    if lifted:
+        gens = [_dehomogenize(g) for g in gens]
     gb = vec_groebner(gens, top_key(ring.order))
     return [vec_to_poly(g, ring.nvars) for g in gb]
 

@@ -13,6 +13,7 @@ from operator import add
 
 from quasidegrees import groebner
 from quasidegrees.groebner import (
+    ModKey,
     buchberger,
     poly_to_vec,
     saturate,
@@ -43,7 +44,7 @@ from quasidegrees.stdpairs import (
     pair_contains,
     standard_pairs,
 )
-from quasidegrees.toric import _divide_out, _saturation_key, lattice_basis_binomials
+from quasidegrees.toric import _divide_out, lattice_basis_binomials
 
 
 def term_degrees(col, shifts, ring: GradedRing) -> set:
@@ -454,13 +455,28 @@ def elimination_toric_ideal(A, ring: GradedRing):
     return list(buchberger(gens, ring.order).generators)
 
 
+def weighted_saturation_key(weights, last: int) -> ModKey:
+    """w-degree first, then reverse lex with x_last as the last variable:
+    among monomials of equal w-degree, the smaller power of x_last wins.
+    The Bayer–Stillman order for binomials homogeneous in the weights w.
+    On words: the w-degree, the complemented x_last, the rest complemented."""
+
+    def make(words):
+        low, mask, top, bits = words.low, words.mask, words.top, words.bits
+        at, wdeg = words.shifts[last], words.form(weights)
+        rest = words.data & ~(low << at)
+        return lambda t: (wdeg(t & mask) << bits | low - (t >> at & low)) << top | rest & ~t
+
+    return ModKey(make)
+
+
 def all_variables_toric_ideal(A, ring: GradedRing):
     """Reference reduced basis of I_A in the ring's order, for A with a heft.
 
-    The lattice-basis binomials saturated by every variable in turn with
-    the Bayer–Stillman step of ``toric`` (a Groebner basis in
-    ``_saturation_key``, then ``_divide_out``); then converted to the
-    ring's order.
+    The lattice-basis binomials, homogeneous for the weights w = h A of a
+    heft h of A, saturated by every variable in turn with the Bayer–Stillman
+    step (a Groebner basis in ``weighted_saturation_key``, then
+    ``toric._divide_out``); then converted to the ring's order. No lift.
     """
     A = as_int_matrix(A)
     gens = [poly_to_vec(g) for g in lattice_basis_binomials(A)]
@@ -469,7 +485,8 @@ def all_variables_toric_ideal(A, ring: GradedRing):
     h = find_heft(A)
     weights = [sum(hi * ai for hi, ai in zip(h, col)) for col in A.columns()]
     for j in range(ring.nvars):
-        gens = [_divide_out(g, j) for g in vec_groebner(gens, _saturation_key(weights, j))]
+        key = weighted_saturation_key(weights, j)
+        gens = [_divide_out(g, j) for g in vec_groebner(gens, key)]
     return [vec_to_poly(g, ring.nvars) for g in vec_groebner(gens, top_key(ring.order))]
 
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from quasidegrees import groebner, poly
 from quasidegrees.cli import (
     Job,
     JobError,
@@ -547,6 +548,19 @@ def test_integral_fraction_shift_is_accepted(job_file, capsys):
 def test_grading_not_positive(job_file, capsys):
     code, _, _ = run(capsys, ["toric", job_file({"matrix": [[1, -1]]})])
     assert code == 3
+
+
+def test_toric_of_a_matrix_without_heft_skips_elimination(job_file, capsys, monkeypatch):
+    # a ring graded otherwise admits A = [[1, -1]]; its lattice is lifted
+    # and saturated in total degree, never through groebner.saturate
+    def refuse(*args, **kwargs):
+        raise AssertionError("toric reached elimination")
+
+    monkeypatch.setattr(groebner, "saturate", refuse)
+    monkeypatch.setattr(poly.Elimination, "__init__", refuse)
+    job = {"matrix": [[1, -1]], "variables": ["a", "b"], "grading": "standard"}
+    for order in ("grevlex", "lex"):
+        assert run(capsys, ["toric", job_file(job), "--order", order]) == (0, "a*b - 1\n", "")
 
 
 def test_unknown_job_keys(job_file, capsys):

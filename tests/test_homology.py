@@ -34,7 +34,7 @@ from quasidegrees.homology import (
 from quasidegrees.linalg import IntMatrix
 from quasidegrees.parse import parse_polynomial
 from quasidegrees.planes import AffinePlane, QuasidegreeSet, remove_redundancy
-from quasidegrees.poly import GREVLEX, MonomialOrder, Polynomial, graded_ring, standard_graded_ring
+from quasidegrees.poly import GREVLEX, LEX, MonomialOrder, Polynomial, graded_ring, standard_graded_ring
 from quasidegrees.qdeg import quasidegrees_module
 from quasidegrees.toric import to_a_graded_ring, toric_ideal
 from quasidegrees.words import VecPoly, Words
@@ -657,3 +657,39 @@ def test_qlc_total_keeps_the_top_cohomology_below_the_grading_rank():
     assert module_dimension(P) == 0
     assert [(p.base, p.span) for p in qlc_total(P).planes] == [((F(0),), ())]
     assert qlc_total(GradedPresentation(R1, (), ())).is_empty
+
+
+# A35, the Sturmfels–Takayama curve, two more curves, 3x9 and a 3x5
+METAMORPHIC = {
+    "A35": A35,
+    "sturmfels_takayama": IntMatrix(((1,) * 4, (0, 1, 3, 4))),
+    "curve_01345": IntMatrix(((1,) * 5, (0, 1, 3, 4, 5))),
+    "curve7": IntMatrix(((1,) * 7, (0, 1, 4, 6, 9, 10, 13))),
+    "3x9": IntMatrix(((1,) * 9, (1, 4, 0, 2, 0, 3, 3, 3, 3), (1, 0, 3, 0, 3, 3, 4, 0, 3))),
+    "3x5": IntMatrix(((1,) * 5, (0, 1, 0, 1, 2), (0, 0, 1, 1, 0))),
+}
+UNIMODULAR = ((1, 0, -1), (2, 1, 0), (0, 0, 1))
+
+
+def toric_qlc_total(A, order=GREVLEX):
+    R = to_a_graded_ring(A, order=order)
+    return set(qlc_total(GradedPresentation.cyclic(R, toric_ideal(A, R))).planes)
+
+
+@pytest.mark.parametrize("name", sorted(METAMORPHIC))
+def test_qlc_total_of_a_toric_ring_under_order_permutation_and_regrading(name):
+    # the rank-jump locus depends on neither the term order nor the order
+    # of the columns, and A -> U A for a unimodular U maps it by U
+    A = METAMORPHIC[name]
+    planes = toric_qlc_total(A)
+    assert toric_qlc_total(A, LEX) == planes
+    perm = random.Random(name).sample(range(A.ncols), A.ncols)
+    assert toric_qlc_total(IntMatrix(tuple(tuple(r[j] for j in perm) for r in A.entries))) == planes
+    if A.nrows == 3:
+
+        def by_u(v):
+            return tuple(sum(u * x for u, x in zip(row, v)) for row in UNIMODULAR)
+
+        UA = IntMatrix(tuple(zip(*map(by_u, A.columns()))))
+        mapped = {AffinePlane(by_u(p.base), map(by_u, p.span)) for p in planes}
+        assert toric_qlc_total(UA) == mapped

@@ -12,7 +12,7 @@ from helpers import (
     random_toric_matrix,
     standard_monomial_count,
 )
-from quasidegrees import groebner, toric
+from quasidegrees import groebner, poly, toric
 from quasidegrees.groebner import buchberger, ideal_equal, normal_form
 from quasidegrees.linalg import IntMatrix, integer_kernel, lll_reduce, rational_rank
 from quasidegrees.parse import parse_polynomial
@@ -21,6 +21,7 @@ from quasidegrees.poly import (
     LEX,
     ColumnLatticeError,
     GradingNotPositiveError,
+    find_heft,
     graded_ring,
     standard_graded_ring,
 )
@@ -245,8 +246,8 @@ def test_toric_ideal_of_a_long_kernel_basis(order):
 @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
 def test_toric_ideal_weights_come_from_the_matrix(order):
     # rings whose grading is not A: the standard grading leaves a^2 - b
-    # inhomogeneous, and weights (1, 1, 2, 1) read from the second ring's
-    # heft break the saturation criterion on the twisted cubic
+    # inhomogeneous, and saturating in the weights (1, 1, 2, 1) of the
+    # second ring's grading would break the criterion on the twisted cubic
     A = IntMatrix(((1, 2, 3),))
     R = standard_graded_ring(("a", "b", "c"), order=order)
     gb = toric_ideal(A, R)
@@ -259,29 +260,44 @@ def test_toric_ideal_weights_come_from_the_matrix(order):
 
 
 @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
-def test_toric_ideal_takes_its_weights_from_a_ring_graded_by_the_matrix(monkeypatch, order):
-    # any heft of A gives valid weights, and the reduced basis does not
-    # depend on them: a ring graded by A lends its own heft, found or
-    # given, and no second heft search runs
+def test_toric_ideal_never_searches_for_a_heft(monkeypatch, order):
+    # the saturation runs in total degree and reads only the ring's
+    # variable count and order: rings graded by A with different hefts,
+    # and a ring graded otherwise, need no heft of A
     names = tuple(f"x{j}" for j in range(1, 6))
     expected = elimination_toric_ideal(A35, graded_ring(names, A35, order=order))
+    rings = [graded_ring(names, A35, heft, order) for heft in ((1, 0, 0), (3, 1, 1))]
+    twisted = IntMatrix(((1, 2, 3),))
+    standard = standard_graded_ring(("a", "b", "c"), order=order)
+    twisted_expected = elimination_toric_ideal(twisted, standard)
 
     def refuse(A):
-        raise AssertionError("toric_ideal searched for a heft of the ring's own grading")
+        raise AssertionError("toric_ideal searched for a heft")
 
-    monkeypatch.setattr(toric, "find_heft", refuse)
-    for heft in ((1, 0, 0), (3, 1, 1)):
-        assert toric_ideal(A35, graded_ring(names, A35, heft, order)) == expected
+    monkeypatch.setattr(poly, "find_heft", refuse)
+    for R in rings:
+        assert toric_ideal(A35, R) == expected
+    assert toric_ideal(twisted, standard) == twisted_expected
 
 
 def test_toric_ideal_never_saturates_through_elimination(monkeypatch):
+    # one saturation loop for every matrix and ring: rings graded by A, a
+    # matrix without heft, and rings graded by neither
+    cases = [(A, to_a_graded_ring(A)) for A in (A35, CORPUS["rnc4"], CORPUS["cube"])] + [
+        (IntMatrix(((1, -1),)), standard_graded_ring(("a", "b"))),
+        (IntMatrix(((1, -1, 0, 2), (0, 1, 1, -1))), standard_graded_ring(tuple("abcd"))),
+        (IntMatrix(((1, 2, 3),)), standard_graded_ring(tuple("abc"), order=LEX)),
+        (CORPUS["rnc3"], graded_ring(tuple("abcd"), [[1, 1, 2, 1]])),
+    ]
+    expected = [elimination_toric_ideal(A, R) for A, R in cases]
+
     def refuse(*args, **kwargs):
-        raise AssertionError("toric_ideal reached groebner.saturate")
+        raise AssertionError("toric_ideal reached elimination")
 
     monkeypatch.setattr(groebner, "saturate", refuse)
-    monkeypatch.setattr(toric, "saturate", refuse)
-    for A in (A35, CORPUS["rnc4"], CORPUS["cube"]):
-        assert toric_ideal(A)
+    monkeypatch.setattr(poly.Elimination, "__init__", refuse)
+    for (A, R), gb in zip(cases, expected):
+        assert toric_ideal(A, R) == gb, A
     assert normalized_volume(A35) == 4
 
 
@@ -423,26 +439,79 @@ def test_toric_ideal_runs_one_groebner_basis_per_saturating_variable(monkeypatch
 
 
 @pytest.mark.parametrize(
-    "rows, names, expected, nsigma",
+    "rows, names, expected, sigma",
     [
-        (((1, -1),), "ab", ["a*b - 1"], 0),
-        (((1, -1, 0, 0), (0, 0, 1, 1)), "abcd", ["a*b - 1", "c - d"], 1),
+        (((1, -1),), "ab", ["a*b - 1"], []),
+        (((1, -1, 0, 0), (0, 0, 1, 1)), "abcd", ["a*b - 1", "c - d"], [2]),
+        (((1, -1, 0, 2), (0, 1, 1, -1)), "abcd", None, [0]),
     ],
-    ids=["ab-1", "ab-1,c-d"],
+    ids=["ab-1", "ab-1,c-d", "2x4"],
 )
-def test_toric_ideal_without_heft_saturates_by_sigma(
-    monkeypatch, rows, names, expected, nsigma
-):
-    calls = []
+def test_toric_ideal_without_heft_saturates_by_sigma(monkeypatch, rows, names, expected, sigma):
+    # these lattices have vectors that do not sum to 0, so their lift is
+    # saturated, by the sigma of the lattice itself: never by the new
+    # variable, which is set to 1 afterwards
+    steps, divide_out = [], toric._divide_out
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return groebner.saturate(*args, **kwargs)
+    def counted(g, j):
+        steps.append(j)
+        return divide_out(g, j)
 
-    monkeypatch.setattr(toric, "saturate", counted)
+    monkeypatch.setattr(toric, "_divide_out", counted)
     A = IntMatrix(rows)
     R = standard_graded_ring(tuple(names))
     gb = toric_ideal(A, R)
-    assert len(calls) == len(saturating_variables(_lattice(A), A.ncols)) == nsigma
-    assert ideal_equal(gb, [parse_polynomial(s, R) for s in expected], R.order)
+    assert any(map(sum, _lattice(A)))
+    assert list(dict.fromkeys(steps)) == saturating_variables(_lattice(A), A.ncols) == sigma
+    if expected is not None:
+        assert ideal_equal(gb, [parse_polynomial(s, R) for s in expected], R.order)
     assert gb == elimination_toric_ideal(A, R)
+
+
+def _random_grading(rng, names, order):
+    """A ring on ``names`` graded by a random positive matrix of 2 rows, 1
+    for a single variable."""
+    n = len(names)
+    while True:
+        rows = [[rng.randint(1, 3) for _ in range(n)]]
+        rows += [[rng.randint(-2, 2) for _ in range(n)] for _ in range(min(n, 2) - 1)]
+        try:
+            return graded_ring(names, rows, order=order)
+        except ColumnLatticeError:
+            continue
+
+
+def test_toric_ideal_matches_elimination_reference_over_gradings():
+    # entries -2..3 give matrices without a heft, with zero columns and
+    # without a ones row in the row space, so both the lattice as it is and
+    # the lifted one are saturated; rings graded by the standard grading
+    # and by a positive 2-row matrix, neither of them A
+    rng = random.Random(20261021)
+    seen = {"lifted": 0, "no heft": 0, "zero column": 0}
+    for _ in range(100):
+        d, n = rng.randint(1, 2), rng.randint(2, 5)
+        A = IntMatrix(tuple(tuple(rng.randint(-2, 3) for _ in range(n)) for _ in range(d)))
+        names = tuple("abcde"[:n])
+        seen["lifted"] += any(map(sum, _lattice(A)))
+        seen["zero column"] += any(not any(col) for col in A.columns())
+        try:
+            find_heft(A)
+        except GradingNotPositiveError:
+            seen["no heft"] += 1
+        for order in (GREVLEX, LEX):
+            for R in (standard_graded_ring(names, order=order), _random_grading(rng, names, order)):
+                assert toric_ideal(A, R) == elimination_toric_ideal(A, R), (A, R)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_toric_ideal_does_not_depend_on_the_grading():
+    # rings graded by A, by the standard grading and by another positive
+    # grading give one basis in each order
+    rng = random.Random(20261022)
+    for _ in range(40):
+        A = random_toric_matrix(rng)
+        names = tuple(f"x{j}" for j in range(1, A.ncols + 1))
+        for order in (GREVLEX, LEX):
+            gb = toric_ideal(A, to_a_graded_ring(A, names, order))
+            assert toric_ideal(A, standard_graded_ring(names, order=order)) == gb, A
+            assert toric_ideal(A, _random_grading(rng, names, order)) == gb, A
