@@ -66,7 +66,6 @@ from .qdeg import (
 )
 from .stdpairs import StandardPair, degree_via_pairs, standard_pairs
 from .toric import (
-    lattice_basis_binomials,
     normalized_volume,
     to_a_graded_ring,
     toric_ideal,
@@ -105,7 +104,6 @@ __all__ = [
     "graded_ring",
     "ideal_equal",
     "integer_kernel",
-    "lattice_basis_binomials",
     "normal_form",
     "normalized_volume",
     "parse_polynomial",

@@ -15,20 +15,25 @@ standard-pair route when the presentation splits into monomial row
 ideals and the initial-module route otherwise; both give the same planes
 on a split presentation.
 
+Only ``toric`` takes ``--order``, the order of the basis it prints; what
+the other commands print is fixed by the module or by A, so they use grevlex.
+
 Exit codes: 0 success, 2 parse failure (bad JSON, bad polynomial or
 degree syntax), 3 validation failure (missing job sections, wrong
-shapes, grading problems, inhomogeneous input). This module checks the
-job document (its keys, JSON types and the shapes it transposes) and
-what each command needs of a job; other shapes, ranges and integrality
-are checked by the library constructor that needs them, and every
-``linalg.InputError`` ends in exit 3.
+shapes, grading problems, inhomogeneous input, unreadable job file,
+unwritable output). This module checks the job document (its keys, JSON
+types and the shapes it transposes) and what each command needs of a
+job; other shapes, ranges and integrality are checked by the library
+constructor that needs them, and every ``linalg.InputError`` ends in exit 3.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -42,6 +47,7 @@ from .poly import (
     GREVLEX,
     LEX,
     GradedRing,
+    MonomialOrder,
     Polynomial,
     graded_ring,
     standard_graded_ring,
@@ -183,8 +189,7 @@ def _read_presentation(obj) -> tuple:
     return tuple(shifts), tuple(rows)
 
 
-def build_ring(job: Job, order_name: str) -> GradedRing:
-    order = ORDERS[order_name]
+def build_ring(job: Job, order: MonomialOrder = GREVLEX) -> GradedRing:
     grading = job.grading
     if isinstance(grading, dict):
         known = {"matrix", "heft"}
@@ -327,7 +332,7 @@ def _monomial_exps(job: Job, ring: GradedRing) -> list[tuple[int, ...]]:
 
 
 def cmd_std_pairs(job: Job, args) -> None:
-    ring = build_ring(job, args.order)
+    ring = build_ring(job)
     exps = _monomial_exps(job, ring)
     pairs = standard_pairs(exps, ring.nvars)
     deg = degree_from_pairs(pairs)
@@ -352,7 +357,7 @@ def cmd_std_pairs(job: Job, args) -> None:
 
 
 def cmd_qdeg(job: Job, args) -> None:
-    ring = build_ring(job, args.order)
+    ring = build_ring(job)
     P = build_presentation(job, ring)
     try:
         q = quasidegrees_monomial(P)
@@ -364,7 +369,7 @@ def cmd_qdeg(job: Job, args) -> None:
 def cmd_toric(job: Job, args) -> None:
     if job.matrix is None:
         raise JobError("toric needs a 'matrix' section")
-    ring = build_ring(job, args.order)
+    ring = build_ring(job, ORDERS[args.order])
     gens = toric_ideal(job.matrix, ring)
     lines = [render_polynomial(g, ring) for g in gens]
     _emit(args, lambda: lines, lambda: {"generators": lines})
@@ -378,7 +383,7 @@ def cmd_volume(job: Job, args) -> None:
 
 
 def cmd_qlc(job: Job, args) -> None:
-    ring = build_ring(job, args.order)
+    ring = build_ring(job)
     P = build_presentation(job, ring)
     _emit_planes(args, qlc_total(P) if args.i is None else qlc(P, args.i))
 
@@ -421,7 +426,7 @@ def cmd_check_beta(job: Job, args) -> None:
             "check-beta classifies R/I_A for the job's matrix; "
             "drop the 'ideal' and 'presentation' sections"
         )
-    ring = build_ring(job, args.order)
+    ring = build_ring(job)
     if ring.degree_matrix != job.matrix:
         # the rank-jump test is a statement about the A-grading
         raise JobError(
@@ -474,12 +479,6 @@ def make_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("job", help="path to a JSON job file")
         p.add_argument(
-            "--order",
-            choices=sorted(ORDERS),
-            default="grevlex",
-            help="monomial order used for Groebner steps",
-        )
-        p.add_argument(
             "--format",
             choices=("text", "machine"),
             default="text",
@@ -496,7 +495,14 @@ def make_parser() -> argparse.ArgumentParser:
         help="drop planes contained in other planes",
     )
 
-    common(sub.add_parser("toric", help="toric ideal of an integer matrix"))
+    p = sub.add_parser("toric", help="toric ideal of an integer matrix")
+    common(p)
+    p.add_argument(
+        "--order",
+        choices=sorted(ORDERS),
+        default="grevlex",
+        help="monomial order of the printed Groebner basis",
+    )
     common(sub.add_parser("volume", help="normalized volume of an integer matrix"))
 
     p = sub.add_parser("qlc", help="quasidegrees of local cohomology")
@@ -527,9 +533,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """
     args = make_parser().parse_args(_shield_negative_degree(sys.argv[1:] if argv is None else argv))
     try:
-        job = Job.load(args.job)
+        try:
+            job = Job.load(args.job)
+        except OSError as exc:
+            raise InputError(f"cannot read job file: {exc}") from None
         args.job_raw = job.raw
         COMMANDS[args.command](job, args)
+        sys.stdout.flush()  # a reader that left early fails here, not at exit
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON in job file: {exc}", file=sys.stderr)
         return 2
@@ -539,8 +549,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"error: cannot read job file: {exc}", file=sys.stderr)
+    except OSError as exc:  # the job file is read: this is a write to stdout
+        print(f"error: cannot write output to stdout: {exc}", file=sys.stderr)
+        # else the flush at exit fails again on what stdout still buffers
+        with contextlib.suppress(AttributeError, ValueError):  # no file behind stdout
+            fd, null = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, fd)
+            os.close(null)
         return 3
     return 0
 

@@ -94,18 +94,6 @@ def to_a_graded_ring(
     return graded_ring(names, A, order=order)
 
 
-def lattice_basis_binomials(A: IntMatrix | Iterable[Iterable[int]]) -> list[Polynomial]:
-    """Binomials x^(u+) - x^(u-) for an LLL-reduced basis of the saturated
-    kernel of A.
-
-    ``integer_kernel`` returns an echelon basis whose entries can run to
-    the hundreds even when I_A has generators of small degree; the
-    saturation works on the binomials of the reduced basis instead.
-    """
-    A = as_int_matrix(A)
-    return [vec_to_poly(g, A.ncols) for g in _binomials(lll_reduce(integer_kernel(A)), A.ncols)]
-
-
 def _binomials(lattice: Sequence[Sequence[int]], nvars: int) -> list[VecPoly]:
     """x^(u+) - x^(u-) for each vector u of ``lattice``, packed in the one
     layout their exponents fit."""
@@ -191,18 +179,17 @@ def toric_ideal(
     Saturates in total degree, only by ``saturating_variables``, the
     binomials of the lattice basis when each vector sums to 0 and else
     those of its lift, whose new variable is then set to 1 (see the
-    module docstring). Only the ring's variable count and order are read,
-    so its grading need not be A, and A needs no heft.
+    module docstring). Only the ring's variable count and order are read
+    (without a ring: A's column count and grevlex), so A needs no heft.
     """
     A = as_int_matrix(A)
-    if ring is None:
-        ring = to_a_graded_ring(A)
-    if ring.nvars != A.ncols:
+    nvars, order = (A.ncols, GREVLEX) if ring is None else (ring.nvars, ring.order)
+    if nvars != A.ncols:
         raise InputError("ring must have one variable per column of A")
     lattice = lll_reduce(integer_kernel(A))
     if not lattice:
         return []
-    sigma = saturating_variables(lattice, ring.nvars)
+    sigma = saturating_variables(lattice, nvars)
     lifted = any(map(sum, lattice))
     if lifted:
         lattice = [[*u, -sum(u)] for u in lattice]
@@ -212,8 +199,8 @@ def toric_ideal(
         gens = [_divide_out(g, j) for g in gb]
     if lifted:
         gens = [_dehomogenize(g) for g in gens]
-    gb = vec_groebner(gens, top_key(ring.order))
-    return [vec_to_poly(g, ring.nvars) for g in gb]
+    gb = vec_groebner(gens, top_key(order))
+    return [vec_to_poly(g, nvars) for g in gb]
 
 
 def toric_volume(
@@ -237,7 +224,7 @@ def toric_volume(
 
 
 def normalized_volume(A: IntMatrix | Iterable[Iterable[int]]) -> int:
-    """Degree of R/I_A: the number of top-dimensional standard pairs of
-    the grevlex initial ideal of the toric ideal."""
+    """Degree of R/I_A: the number of top-dimensional standard pairs of the
+    grevlex initial ideal of I_A, for A with a heft whose columns span Z^d."""
     A = as_int_matrix(A)
-    return toric_volume(A, toric_ideal(A), GREVLEX)
+    return toric_volume(A, toric_ideal(A, to_a_graded_ring(A)), GREVLEX)

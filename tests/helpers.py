@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 from operator import add
 
-from quasidegrees import groebner
+from quasidegrees import cli, groebner
 from quasidegrees.groebner import (
     ModKey,
     buchberger,
@@ -27,11 +27,14 @@ from quasidegrees.linalg import (
     IntMatrix,
     as_int_matrix,
     column_lattice_is_full,
+    integer_kernel,
+    lll_reduce,
     rational_rank,
 )
 from quasidegrees.planes import AffinePlane, QuasidegreeSet
 from quasidegrees.poly import (
     GradedRing,
+    MonomialOrder,
     Polynomial,
     exps_add,
     exps_divides,
@@ -44,7 +47,15 @@ from quasidegrees.stdpairs import (
     pair_contains,
     standard_pairs,
 )
-from quasidegrees.toric import _divide_out, lattice_basis_binomials
+from quasidegrees.toric import _divide_out
+
+
+def build_cli_rings_in(monkeypatch, order: MonomialOrder) -> None:
+    """Make the CLI build every ring in ``order``, for the commands whose
+    printed answer is fixed by the module and which therefore take no
+    ``--order``: their Groebner route in that order stays under test."""
+    grevlex_ring = cli.build_ring
+    monkeypatch.setattr(cli, "build_ring", lambda job, _order=None: grevlex_ring(job, order))
 
 
 def term_degrees(col, shifts, ring: GradedRing) -> set:
@@ -440,6 +451,17 @@ def dimension_via_standard_pairs(ring: GradedRing, columns, shifts) -> int:
     )
 
 
+def lattice_binomials(A) -> list[Polynomial]:
+    """x^(u+) - x^(u-) for each vector u of the LLL-reduced basis of the
+    kernel lattice of A, the basis ``toric_ideal`` starts from."""
+    n = as_int_matrix(A).ncols
+    gens = []
+    for u in lll_reduce(integer_kernel(A)):
+        plus, minus = tuple(max(x, 0) for x in u), tuple(max(-x, 0) for x in u)
+        gens.append(Polynomial(n, [(plus, Fraction(1)), (minus, Fraction(-1))]))
+    return gens
+
+
 def elimination_toric_ideal(A, ring: GradedRing):
     """Reference reduced basis of I_A in the ring's order.
 
@@ -447,7 +469,7 @@ def elimination_toric_ideal(A, ring: GradedRing):
     ``groebner.saturate``, which adjoins a fresh variable T, adds 1 - T x_j
     and eliminates T; then converted to the ring's order.
     """
-    gens = lattice_basis_binomials(A)
+    gens = lattice_binomials(A)
     if not gens:
         return []
     for j in range(ring.nvars):
@@ -479,7 +501,7 @@ def all_variables_toric_ideal(A, ring: GradedRing):
     ``toric._divide_out``); then converted to the ring's order. No lift.
     """
     A = as_int_matrix(A)
-    gens = [poly_to_vec(g) for g in lattice_basis_binomials(A)]
+    gens = [poly_to_vec(g) for g in lattice_binomials(A)]
     if not gens:
         return []
     h = find_heft(A)

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import build_cli_rings_in
 from quasidegrees import groebner, poly
 from quasidegrees.cli import (
     Job,
@@ -27,7 +28,7 @@ from quasidegrees.homology import GradedPresentation, InhomogeneousError, qlc
 from quasidegrees.linalg import InputError, IntMatrix
 from quasidegrees.parse import parse_polynomial
 from quasidegrees.planes import AffinePlane
-from quasidegrees.poly import GradingError
+from quasidegrees.poly import GREVLEX, LEX, GradingError
 from quasidegrees.qdeg import PresentationError, quasidegrees_module
 from quasidegrees.toric import to_a_graded_ring, toric_ideal
 
@@ -185,7 +186,7 @@ def test_qdeg_text_and_reduce(job_file, capsys):
 def _module_planes(job):
     """The text lines of quasidegrees_module on the job's presentation."""
     job = Job.load(job)
-    P = build_presentation(job, build_ring(job, "grevlex"))
+    P = build_presentation(job, build_ring(job))
     return [format_plane(p) for p in quasidegrees_module(P).planes]
 
 
@@ -493,7 +494,48 @@ def test_deeply_nested_json_is_parse_error(job_file):
 def test_missing_file(capsys):
     code, _, err = run(capsys, ["volume", "/nonexistent/job.json"])
     assert code == 3
-    assert "job file" in err
+    assert err.startswith("error: cannot read job file: ")
+
+
+class BrokenPipeStdout:
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_a_failed_write_is_not_reported_as_a_read_failure(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", BrokenPipeStdout())
+    code = main(["std-pairs", str(JOBS / "monomial_demo.json")])
+    err = capsys.readouterr().err
+    assert (code, err) == (3, "error: cannot write output to stdout: [Errno 32] Broken pipe\n")
+
+
+def test_a_closed_pipe_ends_in_one_error_line():
+    # the output is small enough to sit in stdout's buffer until the exit
+    # flush, unless main flushes it itself
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "quasidegrees", "std-pairs", str(JOBS / "monomial_demo.json")],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=src_env(),
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 3
+    assert err == "error: cannot write output to stdout: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize("command", ["std-pairs", "qdeg", "volume", "qlc", "check-beta"])
+def test_only_toric_takes_an_order(capsys, command):
+    # what these commands print is fixed by the module or by A
+    beta = ["0,0,1"] if command == "check-beta" else []
+    argv = [command, str(JOBS / "rank_jump_demo.json"), *beta, "--order", "lex"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --order lex" in capsys.readouterr().err
 
 
 def test_unknown_variable_is_parse_error(job_file, capsys):
@@ -548,6 +590,17 @@ def test_integral_fraction_shift_is_accepted(job_file, capsys):
 def test_grading_not_positive(job_file, capsys):
     code, _, _ = run(capsys, ["toric", job_file({"matrix": [[1, -1]]})])
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "matrix,message",
+    [([[1, -1]], "grading not positive"), ([[2, 4]], "do not generate the full grading lattice")],
+    ids=["no_heft", "proper_column_lattice"],
+)
+def test_volume_needs_a_heft_and_the_full_lattice(job_file, capsys, matrix, message):
+    code, out, err = run(capsys, ["volume", job_file({"matrix": matrix})])
+    assert (code, out) == (3, "")
+    assert message in err
 
 
 def test_toric_of_a_matrix_without_heft_skips_elimination(job_file, capsys, monkeypatch):
@@ -656,7 +709,6 @@ def test_module_entry_point(job_file):
     assert proc.stdout.strip() == "volume 3"
 
 
-@pytest.mark.parametrize("order", ["grevlex", "lex"])
 @pytest.mark.parametrize(
     "matrix",
     [
@@ -670,14 +722,17 @@ def test_module_entry_point(job_file):
     ],
     ids=["A35", "sturmfels_takayama", "rnc3", "rnc4", "rnc5", "cube", "segment"],
 )
-def test_check_beta_volume_equals_volume_subcommand(job_file, capsys, matrix, order):
-    # check-beta reads vol(A) from the basis of its own presentation
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+def test_check_beta_volume_equals_volume_subcommand(job_file, capsys, monkeypatch, matrix, order):
+    # check-beta reads vol(A) from the basis of its own presentation, which
+    # a ring built in lex first converts to grevlex
+    build_cli_rings_in(monkeypatch, order)
     path = job_file({"matrix": matrix})
-    code, out, _ = run(capsys, ["volume", path, "--order", order, "--format", "machine"])
+    code, out, _ = run(capsys, ["volume", path, "--format", "machine"])
     assert code == 0
     volume = json.loads(out)["volume"]
     beta = ",".join(["0"] * len(matrix))
-    argv = ["check-beta", path, beta, "--order", order, "--format", "machine"]
+    argv = ["check-beta", path, beta, "--format", "machine"]
     code, out, _ = run(capsys, argv)
     assert code == 0
     assert json.loads(out)["volume"] == volume
@@ -726,32 +781,6 @@ def test_monomial_demo_prints_each_plane_once(capsys, argv):
     assert planes
     assert len(set(planes)) == len(planes)
     assert all(p.span == ((1,),) for p in planes)
-
-
-# the benchmark's std5_a ideal as its seed-1 relabelling writes it
-STD5_A_JOB = {
-    "variables": ["g", "t", "n", "p", "u"],
-    "ideal": [
-        "g^3*p^2*u",
-        "g^2*n^4*p^4",
-        "t^3*p^4*u",
-        "g*t^4*p^3",
-        "g^4*t*p^3",
-        "g^4*t^3*n^4*p^4",
-    ],
-}
-
-
-@pytest.mark.parametrize("extra", [[], ["--reduce"]], ids=["plain", "reduce"])
-def test_qlc_text_does_not_depend_on_the_order(job_file, capsys, extra):
-    # lex and grevlex give different initial modules of the Ext modules,
-    # hence different spanning sets for the same planes
-    path = job_file(STD5_A_JOB)
-    code, grevlex, _ = run(capsys, ["qlc", path, "--order", "grevlex", *extra])
-    assert code == 0
-    code, lex, _ = run(capsys, ["qlc", path, "--order", "lex", *extra])
-    assert code == 0
-    assert grevlex and lex == grevlex
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,8 @@
 """CLI output on the bundled jobs, byte for byte.
 
-Every subcommand that applies to a file in ``jobs/`` runs in both term
-orders and both output formats, and its stdout must equal the copy kept
+Every subcommand that applies to a file in ``jobs/`` runs in both output
+formats, ``toric`` also in both term orders (the other commands take no
+``--order``), and its stdout must equal the copy kept
 in ``tests/golden/<job>.json``. Performance work must not change a
 single byte of it. After a deliberate change of output, rewrite the
 copies with
@@ -17,7 +18,9 @@ from pathlib import Path
 
 import pytest
 
+from helpers import build_cli_rings_in
 from quasidegrees.cli import main
+from quasidegrees.poly import LEX
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -52,30 +55,34 @@ COMMANDS = {
         ["check-beta", "--", "1,2"],
     ],
 }
-VARIANTS = [
-    (order, fmt) for order in ("grevlex", "lex") for fmt in ("text", "machine")
-]
+FORMATS = ("text", "machine")
 
 
-def _argv(job: str, args: list[str], order: str, fmt: str) -> list[str]:
+def _argv(job: str, args: list[str], order: str | None, fmt: str) -> list[str]:
     head, tail = args, []
     if "--" in args:
         k = args.index("--")
         head, tail = args[:k], args[k:]
     path = str(ROOT / "jobs" / f"{job}.json")
-    return [head[0], path, *head[1:], "--order", order, "--format", fmt, *tail]
+    options = ["--format", fmt] if order is None else ["--order", order, "--format", fmt]
+    return [head[0], path, *head[1:], *options, *tail]
 
 
-def _case(args: list[str], order: str, fmt: str) -> str:
+def _case(args: list[str], order: str | None, fmt: str) -> str:
     """The command line without the job path."""
     argv = _argv("", args, order, fmt)
     return " ".join(argv[:1] + argv[2:])
 
 
+def _variants(args: list[str]):
+    orders = ("grevlex", "lex") if args[0] == "toric" else (None,)
+    return [(order, fmt) for order in orders for fmt in FORMATS]
+
+
 def _cases():
     for job, commands in COMMANDS.items():
         for args in commands:
-            for order, fmt in VARIANTS:
+            for order, fmt in _variants(args):
                 yield job, args, order, fmt
 
 
@@ -92,12 +99,32 @@ def test_cli_output_matches_golden(job, args, order, fmt, capsys):
     assert out == golden[_case(args, order, fmt)]
 
 
+def _lex_ring_cases():
+    return [case for case in _cases() if case[1][0] != "toric"]
+
+
+@pytest.mark.parametrize(
+    "job,args,order,fmt",
+    _lex_ring_cases(),
+    ids=[f"{job}:{_case(a, o, f)}" for job, a, o, f in _lex_ring_cases()],
+)
+def test_cli_output_in_a_lex_ring_matches_golden(job, args, order, fmt, capsys, monkeypatch):
+    # the commands without --order print invariants of the module or of A;
+    # built over a lex ring they take another Groebner route to the same bytes
+    build_cli_rings_in(monkeypatch, LEX)
+    golden = json.loads((GOLDEN / f"{job}.json").read_text())
+    code = main(_argv(job, args, order, fmt))
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == golden[_case(args, order, fmt)]
+
+
 def _record() -> None:
     GOLDEN.mkdir(exist_ok=True)
     for job, commands in COMMANDS.items():
         outputs = {}
         for args in commands:
-            for order, fmt in VARIANTS:
+            for order, fmt in _variants(args):
                 buf = io.StringIO()
                 with contextlib.redirect_stdout(buf):
                     code = main(_argv(job, args, order, fmt))

@@ -693,3 +693,44 @@ def test_qlc_total_of_a_toric_ring_under_order_permutation_and_regrading(name):
         UA = IntMatrix(tuple(zip(*map(by_u, A.columns()))))
         mapped = {AffinePlane(by_u(p.base), map(by_u, p.span)) for p in planes}
         assert toric_qlc_total(UA) == mapped
+
+
+def _in_both_orders(names, gens, compute):
+    """compute(P) for R/<gens> over the grevlex and the lex ring."""
+    return [
+        compute(GradedPresentation.cyclic(standard_graded_ring(names, order), gens))
+        for order in (GREVLEX, LEX)
+    ]
+
+
+def test_quasidegrees_do_not_depend_on_the_order():
+    # the quasidegree sets are invariants of the module: lex and grevlex
+    # give different initial modules, hence possibly different redundant
+    # planes, but the same irredundant union
+    rng = random.Random(28)
+    for _ in range(60):
+        nvars = rng.randint(3, 4)
+        names = tuple(f"x{i}" for i in range(nvars))
+        gens = random_homogeneous_binomial_ideal(rng, nvars, max_gens=3, max_deg=3)
+
+        def planes(P):
+            found = [quasidegrees_module(P)] + [qlc(P, i) for i in range(nvars + 1)]
+            return [remove_redundancy(q) for q in found]
+
+        grevlex, lex = _in_both_orders(names, gens, planes)
+        assert lex == grevlex
+
+
+def test_qlc_total_prints_alike_in_both_orders():
+    # the benchmark's std5_a ideal: lex and grevlex give different initial
+    # modules of its Ext modules, hence different spanning sets for the
+    # same planes
+    names = ("g", "t", "n", "p", "u")
+    R = standard_graded_ring(names)
+    gens = [
+        parse_polynomial(s, R)
+        for s in ("g^3*p^2*u", "g^2*n^4*p^4", "t^3*p^4*u", "g*t^4*p^3", "g^4*t*p^3", "g^4*t^3*n^4*p^4")
+    ]
+    grevlex, lex = _in_both_orders(names, gens, qlc_total)
+    assert grevlex.planes
+    assert [(p.base, p.span) for p in lex.planes] == [(p.base, p.span) for p in grevlex.planes]

@@ -21,13 +21,13 @@ from quasidegrees.poly import (
     LEX,
     ColumnLatticeError,
     GradingNotPositiveError,
+    Polynomial,
     find_heft,
     graded_ring,
     standard_graded_ring,
 )
 from quasidegrees.stdpairs import degree_via_pairs
 from quasidegrees.toric import (
-    lattice_basis_binomials,
     normalized_volume,
     saturating_variables,
     to_a_graded_ring,
@@ -74,11 +74,17 @@ def test_to_a_graded_ring_errors():
         to_a_graded_ring([[2, 4]])
 
 
-def test_lattice_basis_binomials_are_homogeneous():
-    R = to_a_graded_ring(A35)
-    for f in lattice_basis_binomials(A35):
-        assert len(f.terms) == 2
-        assert len({R.multidegree(e) for e in f.terms}) == 1
+@pytest.mark.parametrize(
+    "A,binomial",
+    [([[1, -1]], {(1, 1): 1, (0, 0): -1}), ([[2, 4]], {(2, 0): 1, (0, 1): -1})],
+    ids=["no_heft", "proper_column_lattice"],
+)
+def test_toric_ideal_without_a_ring_needs_no_grading_by_A(A, binomial):
+    # A grades no ring here, yet I_A is defined: in grevlex over one
+    # variable per column; only the volume needs a heft and Z^d
+    expected = [Polynomial(2, binomial.items())]
+    assert toric_ideal(A) == expected
+    assert toric_ideal(A, standard_graded_ring(("x0", "x1"))) == expected
 
 
 def test_toric_ideal_twisted_cubic():
