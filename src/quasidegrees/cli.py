@@ -192,8 +192,7 @@ def _read_presentation(obj) -> tuple:
 def build_ring(job: Job, order: MonomialOrder = GREVLEX) -> GradedRing:
     grading = job.grading
     if isinstance(grading, dict):
-        known = {"matrix", "heft"}
-        extra = set(grading) - known
+        extra = set(grading) - {"matrix"}
         if extra:
             raise JobError(f"unknown grading keys: {sorted(extra)}")
         if "matrix" not in grading:
@@ -201,14 +200,7 @@ def build_ring(job: Job, order: MonomialOrder = GREVLEX) -> GradedRing:
         if job.variables is None:
             raise JobError("explicit grading needs 'variables'")
         deg = _read_int_matrix(grading["matrix"], "grading matrix")
-        heft = None
-        if "heft" in grading:
-            h = grading["heft"]
-            # json.loads makes only exact ints, so this rejects booleans
-            if not isinstance(h, list) or not all(type(e) is int for e in h):
-                raise JobError("heft must be a list of integers")
-            heft = h
-        return graded_ring(job.variables, degree_matrix=deg, heft=heft, order=order)
+        return graded_ring(job.variables, degree_matrix=deg, order=order)
     if grading == "standard":
         if job.variables is None:
             raise JobError("standard grading needs 'variables'")

@@ -21,7 +21,7 @@ import re
 from fractions import Fraction
 from typing import NamedTuple
 
-from .poly import GradedRing, MonomialOrder, Polynomial
+from .poly import GradedRing, Polynomial
 
 
 class ParseError(ValueError):
@@ -231,15 +231,14 @@ def _render_monomial(exps, names) -> str:
     return "*".join(parts)
 
 
-def render_polynomial(f: Polynomial, ring: GradedRing, order: MonomialOrder | None = None) -> str:
-    """Human-readable form, terms in decreasing order; parses back to f."""
+def render_polynomial(f: Polynomial, ring: GradedRing) -> str:
+    """Human-readable form, terms in decreasing ``ring.order``; parses back to f."""
     if f.nvars != ring.nvars:
         raise ValueError("polynomial does not live in this ring")
     if not f.terms:
         return "0"
-    order = order or ring.order
     chunks = []
-    for idx, (exps, coeff) in enumerate(f.sorted_terms(order)):
+    for idx, (exps, coeff) in enumerate(f.sorted_terms(ring.order)):
         mon = _render_monomial(exps, ring.names)
         mag = abs(coeff)
         if not mon:

@@ -327,20 +327,19 @@ def _phase_one(cols: Sequence[Sequence[int]], d: int) -> list[Fraction] | None:
 class GradedRing(Frozen):
     """Polynomial ring Q[x_1..x_n] graded by Z^d via a degree matrix.
 
-    ``degree_matrix`` is d x n; deg(x_j) is its j-th column. ``heft`` is a
-    certificate of positivity, by default ``find_heft``'s, found after the
-    shape checks. ``order`` is the ambient term order used by default in
-    Groebner computations over this ring. ``degrees`` holds the columns
-    and ``weights`` the heft of each variable, computed once.
+    ``degree_matrix`` is d x n; deg(x_j) is its j-th column. ``order`` is
+    the ambient term order used by default in Groebner computations over
+    this ring. ``heft`` is ``find_heft``'s certificate of positivity,
+    found after the shape checks; ``degrees`` holds the columns and
+    ``weights`` the heft of each variable, all computed once.
     """
 
-    _fields = ("names", "degree_matrix", "heft", "order")
+    _fields = ("names", "degree_matrix", "order")
 
     def __init__(
         self,
         names: Sequence[str],
         degree_matrix: IntMatrix | Iterable[Iterable[int]],
-        heft: Sequence[int] | None = None,
         order: MonomialOrder = GREVLEX,
     ) -> None:
         names = tuple(names)
@@ -349,22 +348,15 @@ class GradedRing(Frozen):
         A = as_int_matrix(degree_matrix)
         if A.ncols != len(names):
             raise InputError("grading matrix needs one column per variable")
-        h = find_heft(A) if heft is None else _int_tuple(heft, "heft entries")
-        if len(h) != A.nrows:
-            raise InputError("heft needs one entry per row of the grading matrix")
-        degrees = tuple(A.columns())
-        weights = tuple(sum(map(mul, h, col)) for col in degrees)
-        for name, w in zip(names, weights):
-            if w <= 0:
-                raise GradingNotPositiveError(
-                    f"grading not positive: heft fails on variable {name}"
-                )
+        h = find_heft(A)
         if not column_lattice_is_full(A):
             raise ColumnLatticeError(
                 "variable degrees do not generate the full grading lattice Z^d"
             )
+        degrees = tuple(A.columns())
+        weights = tuple(sum(map(mul, h, col)) for col in degrees)
         self.__dict__.update(
-            names=names, degree_matrix=A, heft=h, order=order, degrees=degrees, weights=weights
+            names=names, degree_matrix=A, order=order, heft=h, degrees=degrees, weights=weights
         )
 
     @property
@@ -438,16 +430,14 @@ class GradedRing(Frozen):
 
 def standard_graded_ring(names: Sequence[str], order: MonomialOrder = GREVLEX) -> GradedRing:
     """Q[names] with the standard Z-grading deg(x_j) = 1."""
-    n = len(names)
-    return GradedRing(tuple(names), IntMatrix(((1,) * n,)), (1,), order)
+    return GradedRing(names, IntMatrix(((1,) * len(names),)), order)
 
 
 def graded_ring(
     names: Sequence[str],
     degree_matrix: IntMatrix | Iterable[Iterable[int]] | None = None,
-    heft: Sequence[int] | None = None,
     order: MonomialOrder = GREVLEX,
 ) -> GradedRing:
     if degree_matrix is None:
         return standard_graded_ring(names, order)
-    return GradedRing(names, degree_matrix, heft, order)
+    return GradedRing(names, degree_matrix, order)

@@ -641,7 +641,8 @@ def test_variables_not_matching_the_matrix_are_a_validation_error(job_file, caps
     "grading,message",
     [
         ({"matrix": [[1, 1, 1]]}, "one column per variable"),
-        ({"matrix": [[1, 1]], "heft": [1, 1]}, "one entry per row"),
+        # the ring finds its own heft, so a job cannot give one
+        ({"matrix": [[1, 1]], "heft": [1, 1]}, "error: unknown grading keys: ['heft']"),
     ],
 )
 def test_explicit_grading_of_the_wrong_shape(job_file, capsys, grading, message):
@@ -663,8 +664,8 @@ def test_explicit_grading_of_the_wrong_shape(job_file, capsys, grading, message)
         ),
         (
             ["qlc"],
-            {"variables": ["s", "t"], "grading": {"matrix": [[1, 1]], "heft": [1, 1]}, "ideal": ["s*t"]},
-            "heft needs one entry per row of the grading matrix",
+            {"variables": ["s", "t"], "grading": {"matrix": [[2, 2]]}, "ideal": ["s*t"]},
+            "variable degrees do not generate the full grading lattice Z^d",
         ),
         (
             ["qdeg"],
@@ -674,7 +675,7 @@ def test_explicit_grading_of_the_wrong_shape(job_file, capsys, grading, message)
         ),
         (["qlc", "--i", "6"], A35_JOB, "cohomological index must lie in [0, 5], the number of variables"),
     ],
-    ids=["matrix_rows", "grading_columns", "heft_length", "shift_rank", "qlc_index"],
+    ids=["matrix_rows", "grading_columns", "column_lattice", "shift_rank", "qlc_index"],
 )
 def test_library_checks_end_in_exit_3(job_file, capsys, argv, job, message):
     # the CLI leaves these checks to the constructors that need them

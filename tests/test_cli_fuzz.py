@@ -5,7 +5,7 @@ success, 2 parse failure, 3 validation failure) and never in an
 uncaught exception. Each document starts
 as a well-formed ideal, matrix or presentation job and then takes up to
 two mutations: a dropped key, a value of the wrong type, a duplicated
-variable, a matrix of another shape, a bad grading or heft. Polynomial
+variable, a matrix of another shape, a bad grading or a stray grading key. Polynomial
 text is drawn from the grammar or as short garbage. At most three
 variables and entries in [-2, 2] keep every example fast.
 """
@@ -104,7 +104,7 @@ def _job(draw):
 
 def _mutate(draw, doc):
     keys = ["matrix", "variables", "grading", "ideal", "presentation"]
-    op = draw(st.sampled_from(["drop", "junk", "duplicate", "widen", "grading", "heft"]))
+    op = draw(st.sampled_from(["drop", "junk", "duplicate", "widen", "grading", "grading_key"]))
     key = draw(st.sampled_from(keys))
     if op == "drop":
         doc.pop(key, None)
@@ -121,7 +121,7 @@ def _mutate(draw, doc):
                 st.builds(lambda m: {"matrix": m}, _or_junk(_int_matrix())),
             )
         )
-    elif op == "heft" and isinstance(doc.get("grading"), dict):
+    elif op == "grading_key" and isinstance(doc.get("grading"), dict):
         doc["grading"]["heft"] = draw(_or_junk(st.lists(ENTRY, max_size=3)))
 
 

@@ -31,7 +31,7 @@ from quasidegrees.homology import (
     qlc,
     qlc_total,
 )
-from quasidegrees.linalg import IntMatrix
+from quasidegrees.linalg import IntMatrix, column_lattice_is_full, integer_kernel
 from quasidegrees.parse import parse_polynomial
 from quasidegrees.planes import AffinePlane, QuasidegreeSet, remove_redundancy
 from quasidegrees.poly import GREVLEX, LEX, MonomialOrder, Polynomial, graded_ring, standard_graded_ring
@@ -228,8 +228,9 @@ def test_resolution_where_heft_and_total_degree_disagree():
 
 def test_resolution_properties_in_a_two_row_grading():
     # variable heft degrees 1, 2, 3, 4 under a grevlex (total degree) order
-    deg = IntMatrix(((1, 1, 1, 1), (0, 1, 2, 3)))
-    R = graded_ring(("w", "x", "y", "z"), degree_matrix=deg, heft=(1, 1))
+    deg = IntMatrix(((1, 2, 3, 4), (0, 1, 1, 0)))
+    R = graded_ring(("w", "x", "y", "z"), degree_matrix=deg)
+    assert R.heft == (1, 0)
     rng = random.Random(79)
     for _ in range(10):
         gens = []
@@ -719,6 +720,64 @@ def test_quasidegrees_do_not_depend_on_the_order():
 
         grevlex, lex = _in_both_orders(names, gens, planes)
         assert lex == grevlex
+
+
+def _random_a_graded_quotient(rng):
+    """A = [[1]*n, r] and binomials x^u+ - x^u- for integer combinations u
+    of A's kernel basis, sometimes with a monomial added."""
+    n = rng.choice((3, 4))
+    A = None
+    while A is None or not column_lattice_is_full(A):
+        A = IntMatrix(((1,) * n, tuple(rng.randint(0, 4) for _ in range(n))))
+    kernel = integer_kernel(A)
+    gens = []
+    while not gens:
+        for _ in range(rng.randint(1, 3)):
+            coeffs = [rng.randint(-1, 1) for _ in kernel]
+            u = [sum(c * v[j] for c, v in zip(coeffs, kernel)) for j in range(n)]
+            if any(u):
+                plus, minus = (tuple(max(s * x, 0) for x in u) for s in (1, -1))
+                gens.append(Polynomial(n, [(plus, F(1)), (minus, F(-1))]))
+        if rng.random() < 0.3:
+            gens.append(Polynomial.monomial(tuple(rng.randint(0, 2) for _ in range(n))))
+    return A, gens
+
+
+def _quasidegree_sets(A, gens):
+    """Irredundant quasidegrees, every qlc and qlc_total of R/<gens>, R graded by A."""
+    R = graded_ring(tuple(f"x{j}" for j in range(A.ncols)), A)
+    P = GradedPresentation.cyclic(R, gens)
+    found = [quasidegrees_module(P)] + [qlc(P, i) for i in range(R.nvars + 1)]
+    return [remove_redundancy(q) for q in found] + [qlc_total(P)], R.weights
+
+
+def test_quasidegrees_under_permutation_and_regrading_of_random_presentations():
+    # permuting the variables with A's columns leaves every set as it is;
+    # A -> U A for a shear or the row swap maps each plane by U. The row
+    # swap can change the heft find_heft picks, so the sets do not
+    # depend on the heft either.
+    rng = random.Random(29)
+    other_heft = 0
+    for _ in range(60):
+        A, gens = _random_a_graded_quotient(rng)
+        n = A.ncols
+        sets, weights = _quasidegree_sets(A, gens)
+        perm = rng.sample(range(n), n)
+        permuted = IntMatrix(tuple(tuple(r[j] for j in perm) for r in A.entries))
+        moved = [Polynomial(n, [(tuple(e[j] for j in perm), c) for e, c in g.terms.items()]) for g in gens]
+        assert _quasidegree_sets(permuted, moved)[0] == sets
+        U = rng.choice([((1, 0), (rng.randint(-3, 3), 1)), ((0, 1), (1, 0))])
+
+        def by_u(v):
+            return tuple(sum(u * x for u, x in zip(row, v)) for row in U)
+
+        UA = IntMatrix(tuple(zip(*map(by_u, A.columns()))))
+        u_sets, u_weights = _quasidegree_sets(UA, gens)
+        assert u_sets == [
+            QuasidegreeSet(AffinePlane(by_u(p.base), map(by_u, p.span)) for p in q) for q in sets
+        ]
+        other_heft += u_weights != weights
+    assert other_heft
 
 
 def test_qlc_total_prints_alike_in_both_orders():

@@ -230,12 +230,12 @@ def test_lll_reduce_small_cases():
     [
         lambda x: IntMatrix([[x, 1]]),
         lambda x: Polynomial(2, [((x, 0), 1)]),
-        lambda x: graded_ring(["a"], [[1]], heft=[x]),
+        lambda x: graded_ring(["a", "b"], [[x, 1]]),
         lambda x: StandardPair((x, 0), ()),
         lambda x: standard_pairs([(x, 1)], 2),
         lambda x: GradedPresentation(standard_graded_ring(["a"]), [[x]], []),
     ],
-    ids=["IntMatrix", "Polynomial", "graded_ring_heft", "StandardPair", "standard_pairs",
+    ids=["IntMatrix", "Polynomial", "graded_ring", "StandardPair", "standard_pairs",
          "GradedPresentation"],
 )
 def test_constructors_refuse_non_integral_integers(build):

@@ -21,6 +21,7 @@ from quasidegrees.poly import (
     graded_ring,
     standard_graded_ring,
 )
+from quasidegrees.toric import to_a_graded_ring
 
 A35 = IntMatrix(((1, 1, 1, 1, 1), (0, 0, 1, 1, 0), (0, 1, 1, 0, -2)))
 
@@ -209,6 +210,23 @@ def test_degrees_read_once_agree_with_the_degree_matrix(seed):
         assert R.heft_degree(e) == sum(h * b for h, b in zip(R.heft, A.mul_vec(e)))
     with pytest.raises(ValueError):
         R.multidegree((1,) * (R.nvars + 1))
+
+
+def test_the_heft_is_found_never_given():
+    # standard, A-graded and explicit rings all carry find_heft's heft; the
+    # last grading has no unit or all-ones heft, so the simplex finds it
+    explicit = [[1, -2], [-2, 5]]
+    rings = [
+        standard_graded_ring(("x", "y", "z")),
+        to_a_graded_ring(A35),
+        graded_ring(("s", "t"), explicit),
+        GradedRing(("s", "t"), explicit, LEX),
+    ]
+    for R in rings:
+        assert R.heft == find_heft(R.degree_matrix)
+    assert "heft" not in GradedRing._fields
+    with pytest.raises(TypeError):
+        graded_ring(("s", "t"), explicit, heft=(9, 4))
 
 
 def test_grading_positivity_rejected():

@@ -268,11 +268,12 @@ def test_toric_ideal_weights_come_from_the_matrix(order):
 @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
 def test_toric_ideal_never_searches_for_a_heft(monkeypatch, order):
     # the saturation runs in total degree and reads only the ring's
-    # variable count and order: rings graded by A with different hefts,
-    # and a ring graded otherwise, need no heft of A
+    # variable count and order: rings graded by A and by a row swap of A,
+    # whose hefts differ, and a ring graded otherwise, need no heft of A
     names = tuple(f"x{j}" for j in range(1, 6))
-    expected = elimination_toric_ideal(A35, graded_ring(names, A35, order=order))
-    rings = [graded_ring(names, A35, heft, order) for heft in ((1, 0, 0), (3, 1, 1))]
+    rings = [graded_ring(names, B, order=order) for B in (A35, A35.entries[::-1])]
+    assert [R.heft for R in rings] == [(1, 0, 0), (0, 0, 1)]
+    expected = elimination_toric_ideal(A35, rings[0])
     twisted = IntMatrix(((1, 2, 3),))
     standard = standard_graded_ring(("a", "b", "c"), order=order)
     twisted_expected = elimination_toric_ideal(twisted, standard)
